@@ -17,13 +17,13 @@ standalone::
 
     PYTHONPATH=src python benchmarks/bench_serve_batching.py [--quick] [--gate]
 
-emitting ``BENCH_serve.json`` via the shared runner, with three
+emitting ``BENCH_serve.json`` via the shared runner, with two
 correctness gates in ``meta``: batched replies are bitwise-identical
-(float64) to per-request replies, the adaptive controller's replies
-are bitwise-identical to the fixed-window scheduler's, and
-deadline-expired requests get typed error replies. ``--gate`` exits
-nonzero if any client count's batched throughput falls below
-unbatched or a correctness gate fails — the CI regression tripwire.
+(float64) to per-request replies, for a lone client and for four
+interleaved ones, and deadline-expired requests get typed error
+replies. ``--gate`` exits nonzero if any client count's batched
+throughput falls below unbatched or a correctness gate fails — the CI
+regression tripwire.
 """
 
 from __future__ import annotations
@@ -93,14 +93,13 @@ def _workload(net, sniffers, clients, per_client, seed=5):
     return work
 
 
-def _service(net, sniffers, fingerprint_map, max_batch, adaptive=True):
+def _service(net, sniffers, fingerprint_map, max_batch):
     return LocalizationService(
         net.field,
         net.positions[sniffers],
         fingerprint_map=fingerprint_map,
         max_batch=max_batch,
         max_wait_s=MAX_WAIT_S,
-        adaptive=adaptive,
         queue_capacity=1024,
     )
 
@@ -137,9 +136,8 @@ def _drive(service, work):
 
 def _run_mode(net, sniffers, fmap, work, max_batch, warmup=4):
     with _service(net, sniffers, fmap, max_batch) as service:
-        # Warm the shared caches (map signature norms, numpy dispatch,
-        # arena/pool steady state) outside the timed region; both modes
-        # get the same warmup.
+        # Warm the shared caches (map signature norms, numpy dispatch)
+        # outside the timed region; both modes get the same warmup.
         for request in work[0][:warmup]:
             service.call(request)
         replies, elapsed = _drive(service, work)
@@ -216,41 +214,29 @@ def _fit_payload(result):
 
 
 def check_bitwise_identity(net, sniffers, fmap) -> bool:
-    """Batched replies == per-request replies, float64-bitwise."""
-    work = _workload(net, sniffers, clients=1, per_client=16, seed=99)
-    by_mode = {}
-    for max_batch in (MAX_BATCH, 1):
-        with _service(net, sniffers, fmap, max_batch) as service:
-            futures = [service.submit(r) for r in work[0]]
-            by_mode[max_batch] = {
-                f.result().request_id: _fit_payload(f.result().result)
-                for f in futures
-            }
-    return by_mode[MAX_BATCH] == by_mode[1]
+    """Batched replies == per-request replies, float64-bitwise.
 
-
-def check_adaptive_fixed_parity(net, sniffers, fmap) -> bool:
-    """Adaptive-controller replies == fixed-window replies, bitwise.
-
-    The controller only decides *when* a batch drains and whether
-    fusion is bypassed, never what a request computes — so the same
-    workload through adaptive and fixed-window schedulers must agree
-    on every float64 bit.
+    Two workloads: one client's 16 requests, and 4 clients x 6 requests
+    whose lanes interleave in the fair drain. The controller only
+    decides *when* a batch drains, never what a request computes, so
+    both must match the ``max_batch=1`` oracle on every bit.
     """
-    work = _workload(net, sniffers, clients=4, per_client=6, seed=97)
-    by_mode = {}
-    for adaptive in (True, False):
-        with _service(
-            net, sniffers, fmap, MAX_BATCH, adaptive=adaptive
-        ) as service:
-            futures = [
-                service.submit(r) for requests in work for r in requests
-            ]
-            by_mode[adaptive] = {
-                f.result().request_id: _fit_payload(f.result().result)
-                for f in futures
-            }
-    return by_mode[True] == by_mode[False]
+    for clients, per_client, seed in ((1, 16, 99), (4, 6, 97)):
+        work = _workload(net, sniffers, clients=clients,
+                         per_client=per_client, seed=seed)
+        by_mode = {}
+        for max_batch in (MAX_BATCH, 1):
+            with _service(net, sniffers, fmap, max_batch) as service:
+                futures = [
+                    service.submit(r) for requests in work for r in requests
+                ]
+                by_mode[max_batch] = {
+                    f.result().request_id: _fit_payload(f.result().result)
+                    for f in futures
+                }
+        if by_mode[MAX_BATCH] != by_mode[1]:
+            return False
+    return True
 
 
 def check_deadline_typed_errors(net, sniffers, fmap) -> bool:
@@ -306,10 +292,6 @@ def test_serve_bitwise_identity(serve_scenario):
     assert check_bitwise_identity(net, sniffers, fmap)
 
 
-def test_serve_adaptive_fixed_parity(serve_scenario):
-    net, sniffers, fmap = serve_scenario
-    assert check_adaptive_fixed_parity(net, sniffers, fmap)
-
 
 def main() -> None:
     from repro.engine import write_bench_json
@@ -333,25 +315,18 @@ def main() -> None:
     meta = {
         "max_batch": MAX_BATCH,
         "max_wait_s": MAX_WAIT_S,
-        "adaptive": True,
-        "fusion_min_depth": 2,
-        "target_p95_s": None,
         "candidate_count": CANDIDATES,
         "seed_top_k": SEED_TOP_K,
         "top_m": TOP_M,
         "map_resolution": 1.0,
         "quick": quick,
         "bitwise_identical": check_bitwise_identity(net, sniffers, fmap),
-        "adaptive_fixed_parity": check_adaptive_fixed_parity(
-            net, sniffers, fmap
-        ),
         "deadline_typed_errors": check_deadline_typed_errors(
             net, sniffers, fmap
         ),
     }
     print(json.dumps({k: meta[k] for k in
-                      ("bitwise_identical", "adaptive_fixed_parity",
-                       "deadline_typed_errors")}))
+                      ("bitwise_identical", "deadline_typed_errors")}))
     path = write_bench_json("serve", records, meta=meta)
     print(f"wrote {path}")
     if gate:
@@ -373,8 +348,7 @@ def main() -> None:
                 )
         failures += [
             f"correctness gate failed: {k}"
-            for k in ("bitwise_identical", "adaptive_fixed_parity",
-                      "deadline_typed_errors")
+            for k in ("bitwise_identical", "deadline_typed_errors")
             if not meta[k]
         ]
         if failures:

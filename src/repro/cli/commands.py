@@ -579,12 +579,6 @@ def cmd_serve(args) -> int:
             map_resolution=args.map_resolution if fmap is None else None,
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1000.0,
-            adaptive=not args.no_adaptive,
-            target_p95_s=(
-                args.target_p95_ms / 1000.0
-                if args.target_p95_ms is not None else None
-            ),
-            fusion_min_depth=args.fusion_min_depth,
             queue_capacity=args.queue_capacity,
             admission_policy=args.policy,
         )
@@ -693,7 +687,6 @@ def cmd_serve(args) -> int:
         f"requests + {len(track_work)} tracking sessions on "
         f"{sniffers.size}/{net.node_count} sniffed nodes{map_tag}; "
         f"max_batch={args.max_batch} max_wait={args.max_wait_ms:g}ms "
-        f"batching={'fixed' if args.no_adaptive else 'adaptive'} "
         f"policy={args.policy}"
     )
     from repro.faults import injected
@@ -782,12 +775,6 @@ def cmd_fleet(args) -> int:
             checkpoint_dir=args.checkpoint_dir,
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1000.0,
-            adaptive=not args.no_adaptive,
-            target_p95_s=(
-                args.target_p95_ms / 1000.0
-                if args.target_p95_ms is not None else None
-            ),
-            fusion_min_depth=args.fusion_min_depth,
             queue_capacity=args.queue_capacity,
             admission_policy=args.policy,
             engine_workers=args.workers,
@@ -1146,11 +1133,6 @@ def cmd_gateway(args) -> int:
             map_resolution=args.map_resolution,
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1000.0,
-            target_p95_s=(
-                args.target_p95_ms / 1000.0
-                if args.target_p95_ms is not None else None
-            ),
-            fusion_min_depth=args.fusion_min_depth,
             queue_capacity=args.queue_capacity,
             admission_policy=args.policy,
         )

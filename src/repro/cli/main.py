@@ -239,26 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch linger ceiling before a partial batch is drained",
     )
     p.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="disable the adaptive batch controller (fixed --max-wait-ms "
-        "linger window instead of arrival-rate sizing)",
-    )
-    p.add_argument(
-        "--target-p95-ms",
-        type=float,
-        default=None,
-        help="SLO hint for the adaptive controller: cap the linger so the "
-        "oldest queued request never ages past half this budget",
-    )
-    p.add_argument(
-        "--fusion-min-depth",
-        type=int,
-        default=2,
-        help="queue depth below which batch fusion is bypassed and "
-        "requests dispatch singly (adaptive mode)",
-    )
-    p.add_argument(
         "--queue-capacity", type=int, default=512, help="admission queue bound"
     )
     p.add_argument(
@@ -352,25 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help="per-worker micro-batch linger ceiling",
-    )
-    p.add_argument(
-        "--no-adaptive",
-        action="store_true",
-        help="disable each worker's adaptive batch controller (fixed "
-        "--max-wait-ms linger window instead of arrival-rate sizing)",
-    )
-    p.add_argument(
-        "--target-p95-ms",
-        type=float,
-        default=None,
-        help="per-worker SLO hint: cap the linger so the oldest queued "
-        "request never ages past half this budget",
-    )
-    p.add_argument(
-        "--fusion-min-depth",
-        type=int,
-        default=2,
-        help="per-worker queue depth below which batch fusion is bypassed",
     )
     p.add_argument(
         "--queue-capacity",
@@ -499,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="enable the closed-loop governor defending this reply-p95 "
-        "SLO (auto-tunes linger target, fusion depth, admission capacity)",
+        "SLO (auto-tunes the admission capacity)",
     )
     p.add_argument(
         "--governor-interval-ms",
@@ -509,13 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-batch", type=int, default=32)
     p.add_argument("--max-wait-ms", type=float, default=2.0)
-    p.add_argument(
-        "--target-p95-ms",
-        type=float,
-        default=None,
-        help="initial adaptive-controller SLO hint (the governor moves it)",
-    )
-    p.add_argument("--fusion-min-depth", type=int, default=2)
     p.add_argument(
         "--queue-capacity", type=int, default=512, help="admission queue bound"
     )

@@ -170,9 +170,6 @@ class ServeFleet:
         replicas: int = 64,
         max_batch: int = 32,
         max_wait_s: float = 0.002,
-        adaptive: bool = True,
-        target_p95_s: Optional[float] = None,
-        fusion_min_depth: int = 2,
         queue_capacity: int = 1024,
         admission_policy: str = "reject",
         engine_workers: int = 0,
@@ -220,9 +217,6 @@ class ServeFleet:
         self._service_knobs = dict(
             max_batch=max_batch,
             max_wait_s=max_wait_s,
-            adaptive=adaptive,
-            target_p95_s=target_p95_s,
-            fusion_min_depth=fusion_min_depth,
             queue_capacity=queue_capacity,
             admission_policy=admission_policy,
             engine_workers=engine_workers,

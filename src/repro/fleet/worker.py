@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -90,14 +90,10 @@ class WorkerSpec:
     checkpoint_dir: Optional[str] = None
     max_batch: int = 32
     max_wait_s: float = 0.002
-    adaptive: bool = True
-    target_p95_s: Optional[float] = None
-    fusion_min_depth: int = 2
     queue_capacity: int = 1024
     admission_policy: str = "reject"
     engine_workers: int = 0
     engine_chunk_size: int = 4096
-    extra_service_kwargs: dict = dataclass_field(default_factory=dict)
 
     def build_service(self) -> LocalizationService:
         engine = None
@@ -116,12 +112,8 @@ class WorkerSpec:
             fingerprint_map=self.fingerprint_map,
             max_batch=self.max_batch,
             max_wait_s=self.max_wait_s,
-            adaptive=self.adaptive,
-            target_p95_s=self.target_p95_s,
-            fusion_min_depth=self.fusion_min_depth,
             queue_capacity=self.queue_capacity,
             admission_policy=self.admission_policy,
-            **self.extra_service_kwargs,
         )
 
 

@@ -10,7 +10,7 @@ exactly-one-typed-reply guarantee end to end. Requests are stamped with
 span ids at the door, the scheduler records per-stage timestamps as
 they cross admission → fuse → solve → reply, and
 :class:`GatewayGovernor` closes the loop by auto-tuning the service's
-latency knobs from the observed decomposition.
+admission capacity from the observed reply p95.
 """
 
 from repro.gateway.client import GatewayClient

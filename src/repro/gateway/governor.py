@@ -1,37 +1,27 @@
-"""Closed-loop auto-tuning of a served deployment's latency knobs.
+"""Closed-loop admission control of a served deployment.
 
 :class:`GatewayGovernor` closes the loop that the per-stage latency
-decomposition opens: it watches the observed batched reply p95 and the
-admission queue depth and moves three runtime knobs of a
-:class:`~repro.serve.LocalizationService` with an AIMD law —
-multiplicative tightening when the SLO is violated, additive relaxation
-when there is comfortable headroom:
+decomposition opens: it watches the observed reply p95 and moves one
+runtime knob of a :class:`~repro.serve.LocalizationService` — the
+admission queue's ``capacity`` — with an AIMD law. When the SLO is
+violated, capacity shrinks multiplicatively (× ``decrease``), so
+excess load is refused *typed* at the door instead of aging past its
+deadline inside; under comfortable headroom it regrows additively
+(+ ``capacity_step``) toward its baseline.
 
-``target_p95_s``
-    The :class:`~repro.serve.scheduler.AdaptiveBatchController` linger
-    SLO. Tightened (× ``decrease``) when observed p95 overshoots —
-    the scheduler lingers less, trading batch depth for latency —
-    and relaxed (+ ``target_step_s``) toward the configured ceiling
-    when there is headroom, recovering fusion efficiency.
-``fusion_min_depth``
-    The scheduler's fused-path threshold. Raised when overloaded at
-    shallow queue depth (singleton dispatch is cheaper than fusion
-    bookkeeping there), lowered back toward its baseline on headroom.
-``admission_capacity``
-    The admission queue's ``capacity``. Shrunk when the queue is the
-    problem (deep backlog while the SLO is violated) so excess load is
-    refused *typed* at the door instead of aging past its deadline
-    inside, and re-grown additively on headroom.
+The linger window is not the governor's to move: the scheduler's
+:class:`~repro.serve.scheduler.AdaptiveBatchController` already adapts
+it on every drain, bounded by ``max_wait_s``.
 
 Two guards keep the loop stable: **hysteresis** (a violation or
 headroom streak must persist ``patience`` consecutive ticks before any
 move) and a **cooldown** (after a move the governor holds for
-``cooldown_ticks`` ticks so the system can express the new settings).
-Every knob is clamped to a configured range, and every adjustment is
+``cooldown_ticks`` ticks so the system can express the new setting).
+Capacity is clamped to a configured range, and every adjustment is
 counted in :meth:`~repro.serve.metrics.ServerMetrics.
 record_governor_adjustment`, appended to a bounded event log, and
-logged — an operator can always reconstruct *why* the knobs are where
-they are.
+logged — an operator can always reconstruct *why* the capacity is
+where it is.
 """
 
 from __future__ import annotations
@@ -49,13 +39,13 @@ _LOG = logging.getLogger(__name__)
 
 
 class GatewayGovernor:
-    """AIMD feedback controller over one service's latency knobs.
+    """AIMD feedback controller over one service's admission capacity.
 
     Parameters
     ----------
     service:
-        A started :class:`~repro.serve.LocalizationService` (the knobs
-        live on ``service.scheduler.controller`` and ``service.queue``).
+        A started :class:`~repro.serve.LocalizationService` (the knob
+        is ``service.queue.capacity``).
     slo_p95_s:
         The reply-latency p95 objective the loop defends.
     interval_s:
@@ -64,12 +54,15 @@ class GatewayGovernor:
     patience / cooldown_ticks:
         Hysteresis: consecutive out-of-band ticks required before a
         move, and post-move hold ticks.
-    decrease / target_step_s / capacity_step:
-        The AIMD constants: multiplicative-decrease factor and the two
-        additive-increase steps.
+    decrease / capacity_step:
+        The AIMD constants: multiplicative-decrease factor and
+        additive-increase step.
     headroom:
         Relaxation threshold as a fraction of the SLO: p95 below
         ``headroom * slo_p95_s`` counts as comfortable.
+    capacity_range:
+        ``(floor, ceiling)`` clamp of the capacity; defaults to an
+        eighth of the service's capacity up to that capacity.
     p95_source:
         Override for the observed p95 (a callable returning seconds);
         defaults to the service's reply-latency reservoir. Lets tests
@@ -84,11 +77,8 @@ class GatewayGovernor:
         patience: int = 2,
         cooldown_ticks: int = 2,
         decrease: float = 0.7,
-        target_step_s: float = 0.005,
         capacity_step: int = 64,
         headroom: float = 0.5,
-        target_range_s: Optional[tuple] = None,
-        depth_range: tuple = (1, 8),
         capacity_range: Optional[tuple] = None,
         p95_source: Optional[Callable[[], float]] = None,
         event_capacity: int = 128,
@@ -120,30 +110,17 @@ class GatewayGovernor:
         self.patience = int(patience)
         self.cooldown_ticks = int(cooldown_ticks)
         self.decrease = float(decrease)
-        self.target_step_s = float(target_step_s)
         self.capacity_step = int(capacity_step)
         self.headroom = float(headroom)
-        queue = service.queue
-        controller = service.scheduler.controller
-        baseline_capacity = int(queue.capacity)
-        self.target_range_s = (
-            tuple(target_range_s)
-            if target_range_s is not None
-            else (self.slo_p95_s / 8.0, self.slo_p95_s)
-        )
-        self.depth_range = (int(depth_range[0]), int(depth_range[1]))
+        baseline_capacity = int(service.queue.capacity)
         self.capacity_range = (
             tuple(int(c) for c in capacity_range)
             if capacity_range is not None
             else (max(1, baseline_capacity // 8), baseline_capacity)
         )
-        self._baseline_depth = int(service.scheduler.fusion_min_depth)
         self._p95_source = p95_source or (
             lambda: service.metrics.latency_quantiles()["p95"]
         )
-        if controller.target_p95_s is None:
-            # The loop needs a live knob to move; seed it at the SLO.
-            controller.target_p95_s = self.slo_p95_s
         self.ticks = 0
         self.adjustments_total = 0
         self._over = 0
@@ -165,128 +142,54 @@ class GatewayGovernor:
         p95 = float(self._p95_source())
         if not np.isfinite(p95):
             return []  # no traffic yet; nothing to react to
+        capacity = int(self.service.queue.capacity)
         if p95 > self.slo_p95_s:
             self._over += 1
             self._under = 0
             if self._over >= self.patience:
-                return self._apply(self._tighten(p95), p95)
+                return self._apply(
+                    int(capacity * self.decrease),
+                    "p95 over SLO: shed at admission", p95,
+                )
         elif p95 < self.headroom * self.slo_p95_s:
             self._under += 1
             self._over = 0
             if self._under >= self.patience:
-                return self._apply(self._relax(p95), p95)
+                return self._apply(
+                    capacity + self.capacity_step,
+                    "headroom: re-admit load", p95,
+                )
         else:
             self._over = 0
             self._under = 0
         return []
 
-    def _tighten(self, p95: float) -> List[Dict]:
-        """SLO violated: multiplicative decrease of latency spenders."""
-        moves = []
-        queue = self.service.queue
-        controller = self.service.scheduler.controller
-        current = float(controller.target_p95_s)
-        proposed = self._clamp(current * self.decrease, self.target_range_s)
-        if proposed != current:
-            controller.target_p95_s = proposed
-            moves.append(self._move("target_p95_s", current, proposed,
-                                    "p95 over SLO: linger less"))
-        depth = queue.depth_hint()
-        if depth >= max(2, queue.capacity // 2):
-            # The backlog is the problem: shed at the door.
-            current_cap = int(queue.capacity)
-            proposed_cap = self._clamp(
-                int(current_cap * self.decrease), self.capacity_range
-            )
-            if proposed_cap != current_cap:
-                queue.capacity = proposed_cap
-                moves.append(self._move(
-                    "admission_capacity", current_cap, proposed_cap,
-                    "p95 over SLO with deep backlog: shed at admission",
-                ))
-        else:
-            # Shallow queue yet slow: fusion bookkeeping is not paying
-            # for itself; dispatch more batches singly.
-            current_depth = int(self.service.scheduler.fusion_min_depth)
-            proposed_depth = self._clamp(current_depth + 1, self.depth_range)
-            if proposed_depth != current_depth:
-                self._set_fusion_depth(proposed_depth)
-                moves.append(self._move(
-                    "fusion_min_depth", current_depth, proposed_depth,
-                    "p95 over SLO at shallow depth: widen singleton path",
-                ))
-        return moves
-
-    def _relax(self, p95: float) -> List[Dict]:
-        """Comfortable headroom: additive recovery toward baselines."""
-        moves = []
-        queue = self.service.queue
-        controller = self.service.scheduler.controller
-        current = float(controller.target_p95_s)
-        proposed = self._clamp(
-            current + self.target_step_s, self.target_range_s
-        )
-        if proposed != current:
-            controller.target_p95_s = proposed
-            moves.append(self._move("target_p95_s", current, proposed,
-                                    "headroom: linger longer for fusion"))
-        current_cap = int(queue.capacity)
-        proposed_cap = self._clamp(
-            current_cap + self.capacity_step, self.capacity_range
-        )
-        if proposed_cap != current_cap:
-            queue.capacity = proposed_cap
-            moves.append(self._move(
-                "admission_capacity", current_cap, proposed_cap,
-                "headroom: re-admit load",
-            ))
-        current_depth = int(self.service.scheduler.fusion_min_depth)
-        if current_depth > self._baseline_depth:
-            proposed_depth = self._clamp(
-                current_depth - 1, self.depth_range
-            )
-            if proposed_depth != current_depth:
-                self._set_fusion_depth(proposed_depth)
-                moves.append(self._move(
-                    "fusion_min_depth", current_depth, proposed_depth,
-                    "headroom: restore fusion depth",
-                ))
-        return moves
-
-    def _apply(self, moves: List[Dict], p95: float) -> List[Dict]:
+    def _apply(self, proposed: int, reason: str, p95: float) -> List[Dict]:
+        """Move the capacity to ``proposed`` (clamped); count and log it."""
         self._over = 0
         self._under = 0
-        if not moves:
+        queue = self.service.queue
+        current = int(queue.capacity)
+        lo, hi = self.capacity_range
+        proposed = min(max(proposed, lo), hi)
+        if proposed == current:
             return []
+        queue.capacity = proposed
         self._cooldown = self.cooldown_ticks
+        move = {
+            "knob": "admission_capacity", "old": current, "new": proposed,
+            "reason": reason, "p95_s": p95, "tick": self.ticks,
+        }
+        self.adjustments_total += 1
+        self.events.append(move)
         metrics = getattr(self.service, "metrics", None)
-        for move in moves:
-            move["p95_s"] = p95
-            move["tick"] = self.ticks
-            self.adjustments_total += 1
-            self.events.append(move)
-            if metrics is not None:
-                metrics.record_governor_adjustment(move["knob"])
-            _LOG.info(
-                "governor: %s %s -> %s (%s; p95=%.4fs slo=%.4fs)",
-                move["knob"], move["old"], move["new"], move["reason"],
-                p95, self.slo_p95_s,
-            )
-        return moves
-
-    def _set_fusion_depth(self, depth: int) -> None:
-        scheduler = self.service.scheduler
-        scheduler.fusion_min_depth = depth
-        scheduler.controller.fusion_min_depth = depth
-
-    @staticmethod
-    def _move(knob: str, old, new, reason: str) -> Dict:
-        return {"knob": knob, "old": old, "new": new, "reason": reason}
-
-    @staticmethod
-    def _clamp(value, bounds):
-        lo, hi = bounds
-        return min(max(value, lo), hi)
+        if metrics is not None:
+            metrics.record_governor_adjustment(move["knob"])
+        _LOG.info(
+            "governor: %s %s -> %s (%s; p95=%.4fs slo=%.4fs)",
+            move["knob"], current, proposed, reason, p95, self.slo_p95_s,
+        )
+        return [move]
 
     # ------------------------------------------------------------------
     # Background thread and reporting.
@@ -315,9 +218,7 @@ class GatewayGovernor:
         self._thread = None
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready controller state, knob values, and recent events."""
-        scheduler = self.service.scheduler
-        queue = self.service.queue
+        """JSON-ready controller state, knob value, and recent events."""
         return {
             "slo_p95_s": self.slo_p95_s,
             "ticks": self.ticks,
@@ -325,10 +226,6 @@ class GatewayGovernor:
             "cooldown": self._cooldown,
             "over_streak": self._over,
             "under_streak": self._under,
-            "knobs": {
-                "target_p95_s": scheduler.controller.target_p95_s,
-                "fusion_min_depth": scheduler.fusion_min_depth,
-                "admission_capacity": queue.capacity,
-            },
+            "knobs": {"admission_capacity": self.service.queue.capacity},
             "events": list(self.events),
         }

@@ -16,7 +16,6 @@ from repro.serve.admission import (
     REJECTED,
     TIMED_OUT,
     AdmissionQueue,
-    EnvelopePool,
     PendingRequest,
 )
 from repro.serve.metrics import MetricsServer, ServerMetrics
@@ -34,11 +33,7 @@ from repro.serve.requests import (
     TrackStepReply,
     TrackStepRequest,
 )
-from repro.serve.scheduler import (
-    AdaptiveBatchController,
-    BatchArena,
-    MicroBatchScheduler,
-)
+from repro.serve.scheduler import AdaptiveBatchController, MicroBatchScheduler
 from repro.serve.service import LocalizationService
 
 __all__ = [
@@ -47,7 +42,6 @@ __all__ = [
     "REJECTED",
     "TIMED_OUT",
     "AdmissionQueue",
-    "EnvelopePool",
     "PendingRequest",
     "MetricsServer",
     "ServerMetrics",
@@ -64,7 +58,6 @@ __all__ = [
     "TrackStepReply",
     "TrackStepRequest",
     "AdaptiveBatchController",
-    "BatchArena",
     "MicroBatchScheduler",
     "LocalizationService",
 ]

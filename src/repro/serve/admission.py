@@ -35,12 +35,12 @@ makes the drain/dispatch race testable with a :class:`~repro.faults.
 FakeClock`; the condition-variable waits below deliberately stay on
 real ``time.monotonic`` so a fake clock can never hang a thread.
 
-The micro-batch linger inside :meth:`take` comes in two flavors: the
-fixed ``batch_wait`` window, and — when the scheduler passes its
-:class:`~repro.serve.scheduler.AdaptiveBatchController` — an adaptive
-window sized from the controller's arrival-rate EWMA and the
-instantaneous queue depth (see the controller's docstring for the
-policy). Either way every wait is a condition-variable wait: a
+The micro-batch linger inside :meth:`take` belongs to the
+:class:`~repro.serve.scheduler.AdaptiveBatchController` that the
+scheduler attaches to the queue: the controller sizes the window from
+its arrival-rate EWMA and the instantaneous queue depth (see its
+docstring for the policy). A bare queue, with no controller attached,
+drains at once. Every wait is a condition-variable wait: a
 non-positive ``wait_timeout`` is clamped to a small floor instead of
 degenerating into a hot poll of the scheduler loop.
 """
@@ -67,11 +67,15 @@ CLOSED = "closed"
 _POLICIES = ("reject", "block")
 
 #: Floor of the empty-queue condition-variable wait. A ``wait_timeout``
-#: (or scheduler ``idle_wait_s``) of zero used to make :meth:`take`
-#: return immediately on an empty queue, turning the scheduler loop
-#: into a 100%-CPU poll; clamping to this floor keeps the wait a real
-#: cv sleep while staying far below any reply-latency budget.
+#: of zero used to make :meth:`take` return immediately on an empty
+#: queue, turning the scheduler loop into a 100%-CPU poll; clamping to
+#: this floor keeps the wait a real cv sleep while staying far below
+#: any reply-latency budget.
 MIN_IDLE_WAIT_S = 0.001
+
+#: Default empty-queue wait of :meth:`AdmissionQueue.take`; the
+#: scheduler's loop uses it, so it is also the stop-signal latency.
+IDLE_WAIT_S = 0.05
 
 #: ``dataclass(slots=True)`` needs Python 3.10; on 3.9 the envelope
 #: keeps a ``__dict__`` — identical semantics, only the memory win of
@@ -85,10 +89,8 @@ class PendingRequest:
 
     ``expires_at`` is an absolute ``time.monotonic()`` instant derived
     from the request's relative ``deadline_s`` at submission (``None``
-    = no deadline). Slotted (no per-instance ``__dict__``) and
-    recyclable through :class:`EnvelopePool` — envelopes are pure
-    scheduler-internal plumbing, so the allocation churn of one object
-    per request is a fixed cost worth pooling on the hot path.
+    = no deadline). Slotted (no per-instance ``__dict__``) where the
+    interpreter supports it.
     """
 
     request: object
@@ -98,7 +100,7 @@ class PendingRequest:
     batch_size: int = field(default=0)
     #: Per-stage trace stamps ``[(stage, monotonic_t), ...]`` appended
     #: by the scheduler as the request crosses admission → fuse →
-    #: solve → reply. ``None`` until the first stamp; reset on reuse.
+    #: solve → reply. ``None`` until the first stamp.
     stages: Optional[list] = field(default=None)
 
     @classmethod
@@ -110,20 +112,6 @@ class PendingRequest:
             request=request, future=Future(), submitted_at=now,
             expires_at=expires_at,
         )
-
-    def rewrap(self, request, now: Optional[float] = None) -> "PendingRequest":
-        """Reset this envelope in place for a new request (pool reuse)."""
-        now = _clock.monotonic() if now is None else now
-        deadline_s = getattr(request, "deadline_s", None)
-        self.request = request
-        self.future = Future()  # futures escape to callers; never reused
-        self.submitted_at = now
-        self.expires_at = (
-            None if deadline_s is None else now + float(deadline_s)
-        )
-        self.batch_size = 0
-        self.stages = None
-        return self
 
     def stamp(self, stage: str, now: Optional[float] = None) -> None:
         """Mark the *end* of ``stage`` at ``now`` (monotonic seconds)."""
@@ -164,52 +152,6 @@ class PendingRequest:
         return (_clock.monotonic() if now is None else now) - self.submitted_at
 
 
-class EnvelopePool:
-    """Freelist of :class:`PendingRequest` envelopes.
-
-    ``acquire`` is called from many client threads, ``release`` from
-    the scheduler thread once the envelope's future has resolved; the
-    underlying :class:`collections.deque` makes both lock-free. The
-    reply :class:`~concurrent.futures.Future` is *never* reused — it
-    escapes to the submitting client — only the envelope shell is.
-    Release is owned by whoever drained the envelope from the queue
-    (or refused it admission); an envelope must not be touched after
-    it is released.
-    """
-
-    def __init__(self, capacity: int = 1024):
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._free: Deque[PendingRequest] = deque()
-        self.reuses = 0
-        self.allocations = 0
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, request) -> PendingRequest:
-        try:
-            item = self._free.pop()
-        except IndexError:
-            self.allocations += 1
-            return PendingRequest.wrap(request)
-        self.reuses += 1
-        return item.rewrap(request)
-
-    def release(self, item: PendingRequest) -> None:
-        """Return a completed envelope to the freelist.
-
-        The request/future references are dropped so a pooled shell
-        never pins a reply (or its numpy payload) alive.
-        """
-        item.request = None
-        item.future = None
-        item.expires_at = None
-        if len(self._free) < self.capacity:
-            self._free.append(item)
-
-
 class AdmissionQueue:
     """Bounded multi-client FIFO with round-robin fair draining.
 
@@ -226,15 +168,6 @@ class AdmissionQueue:
         Optional cap on one client's queued requests. A client at its
         cap is refused (both policies) while other clients are still
         admitted — the fairness backstop against a single flooder.
-    eager_single:
-        Skip the :meth:`take` batch-fill linger when exactly one
-        request is queued. A lone closed-loop client otherwise pays the
-        full ``batch_wait`` on *every* request for a batch that never
-        fills (the 1-client serving regression); with several requests
-        already queued the linger still runs, so fusion under load is
-        unaffected. Off by default — opt-in latency policy, not queue
-        semantics. Superseded by the adaptive controller's depth-k
-        bypass when one is passed to :meth:`take`.
     urgent_slack_s:
         Deadline slack below which a queued request is *urgent*: the
         drain pulls urgent lane heads earliest-deadline-first before
@@ -248,7 +181,6 @@ class AdmissionQueue:
         policy: str = "reject",
         block_timeout_s: Optional[float] = 5.0,
         per_client_limit: Optional[int] = None,
-        eager_single: bool = False,
         urgent_slack_s: float = 0.01,
     ):
         if capacity < 1:
@@ -273,16 +205,15 @@ class AdmissionQueue:
         self.policy = policy
         self.block_timeout_s = block_timeout_s
         self.per_client_limit = per_client_limit
-        self.eager_single = bool(eager_single)
         self.urgent_slack_s = float(urgent_slack_s)
-        #: Optional AdaptiveBatchController observing arrivals; set by
-        #: the scheduler that owns this queue (duck-typed, no import).
+        #: Optional AdaptiveBatchController that observes arrivals and
+        #: drains and sizes the linger; set by the scheduler that owns
+        #: this queue (duck-typed, no import).
         self.controller = None
         self._lanes: "OrderedDict[str, Deque[PendingRequest]]" = OrderedDict()
         self._turns: Deque[str] = deque()  # round-robin client order
         self._depth = 0
         self._deadline_count = 0  # queued items carrying a deadline
-        self._last_arrival = 0.0  # time.monotonic() of the newest offer
         self._closed = False
         self._cond = threading.Condition()
 
@@ -316,7 +247,7 @@ class AdmissionQueue:
 
         ``REJECTED``/``TIMED_OUT``/``CLOSED`` mean the item was *not*
         enqueued; the caller owns completing its future with the
-        matching typed error reply (and releasing the envelope).
+        matching typed error reply.
         """
         client_id = item.request.client_id
         with self._cond:
@@ -359,11 +290,9 @@ class AdmissionQueue:
             self._depth += 1
             if item.expires_at is not None:
                 self._deadline_count += 1
-            now = time.monotonic()
-            self._last_arrival = now
             controller = self.controller
             if controller is not None:
-                controller.observe_arrival(now)
+                controller.observe_arrival(time.monotonic())
             self._cond.notify_all()
             return ADMITTED
 
@@ -371,19 +300,16 @@ class AdmissionQueue:
     def take(
         self,
         max_items: int,
-        wait_timeout: Optional[float] = 0.05,
-        batch_wait: float = 0.0,
-        controller=None,
+        wait_timeout: Optional[float] = IDLE_WAIT_S,
     ) -> Tuple[List[PendingRequest], List[PendingRequest]]:
         """Drain up to ``max_items`` in fair order; purge expired work.
 
         Micro-batching trigger: block until the queue is non-empty (at
         most ``wait_timeout`` seconds — ``None`` waits indefinitely,
         non-positive values clamp to :data:`MIN_IDLE_WAIT_S` so the
-        caller's loop can never hot-poll), then linger for the batch to
-        fill to ``max_items`` before draining. The linger window is
-        ``batch_wait`` seconds, or — when an adaptive ``controller`` is
-        passed — whatever the controller sizes from its arrival-rate
+        caller's loop can never hot-poll), then, when a controller is
+        attached, linger for the batch to fill to ``max_items`` for as
+        long as the controller sizes the window from its arrival-rate
         EWMA and the current depth (including a zero window: the
         depth-k fusion bypass). Returns ``(batch, expired)``; expired
         envelopes (deadline lapsed while queued) are removed from the
@@ -403,52 +329,31 @@ class AdmissionQueue:
         with self._cond:
             if not self._wait_nonempty(wait_timeout):
                 return [], []
-            if controller is not None and controller.adaptive:
-                self._linger_adaptive(max_items, controller)
-            elif batch_wait > 0 and self._depth < max_items:
-                if not (self.eager_single and self._depth == 1):
-                    deadline = time.monotonic() + batch_wait
-                    while self._depth < max_items and not self._closed:
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
+            controller = self.controller
+            if controller is not None:
+                self._linger(max_items, controller)
             batch, expired = self._drain_locked(max_items)
             if controller is not None:
                 controller.observe_drain(len(batch) + len(expired))
             return batch, expired
 
-    def _linger_adaptive(self, max_items: int, controller) -> None:
-        """Adaptive batch-fill linger (lock held).
+    def _linger(self, max_items: int, controller) -> None:
+        """Batch-fill linger (lock held).
 
-        The controller picks a hard window from depth/EWMA/SLO slack;
-        inside it we drain early as soon as the arrival flow *pauses*
-        for a settle gap — so a burst is collected whole without ever
-        paying dead linger time after it ends.
+        The controller picks a hard window from the depth and its
+        EWMAs; inside it we drain early as soon as the arrival flow
+        *pauses* for a settle gap — so a burst is collected whole
+        without ever paying dead linger time after it ends.
         """
-        if self._depth >= max_items or controller.should_bypass(self._depth):
-            return
-        now = time.monotonic()
-        oldest_age = now - self._oldest_submitted_locked(now)
-        window = controller.linger_window_s(self._depth, oldest_age, max_items)
+        window = controller.linger_window_s(self._depth, max_items)
         if window <= 0:
             return
-        deadline = now + window
+        deadline = time.monotonic() + window
         while self._depth < max_items and not self._closed:
-            now = time.monotonic()
-            settle_at = self._last_arrival + controller.settle_s()
-            remaining = min(deadline, settle_at) - now
+            remaining = min(deadline, controller.settle_at()) - time.monotonic()
             if remaining <= 0:
                 break
             self._cond.wait(remaining)
-
-    def _oldest_submitted_locked(self, now: float) -> float:
-        """Earliest ``submitted_at`` among lane heads (lanes are FIFO)."""
-        oldest = now
-        for lane in self._lanes.values():
-            if lane and lane[0].submitted_at < oldest:
-                oldest = lane[0].submitted_at
-        return oldest
 
     def _wait_nonempty(self, timeout: Optional[float]) -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout

@@ -75,25 +75,21 @@ class ServerMetrics:
         self,
         kernel_cache=None,
         controller=None,
-        arena=None,
-        envelope_pool=None,
         governor=None,
     ) -> None:
         """Register live scheduler internals for snapshot reporting.
 
         Probes are read (plain counter attributes, no locks) at
         :meth:`snapshot` time, which is what makes the kernel LRU
-        cache, the adaptive batch controller, the batch arena, and the
-        envelope pool visible through ``/metrics`` without threading
-        every counter bump through this object's lock. ``None`` values
-        are skipped, so services attach only what they have.
+        cache and the adaptive batch controller visible through
+        ``/metrics`` without threading every counter bump through this
+        object's lock. ``None`` values are skipped, so services attach
+        only what they have.
         """
         with self._lock:
             for name, probe in (
                 ("kernel_cache", kernel_cache),
                 ("controller", controller),
-                ("arena", arena),
-                ("envelope_pool", envelope_pool),
                 ("governor", governor),
             ):
                 if probe is not None:
@@ -318,16 +314,6 @@ class ServerMetrics:
             controller = self._probes.get("controller")
             if controller is not None:
                 snap["batch_controller"] = controller.snapshot()
-            arena = self._probes.get("arena")
-            if arena is not None:
-                snap["batch_arena"] = arena.snapshot()
-            pool = self._probes.get("envelope_pool")
-            if pool is not None:
-                snap["envelope_pool"] = {
-                    "reuses": pool.reuses,
-                    "allocations": pool.allocations,
-                    "free": len(pool),
-                }
             governor = self._probes.get("governor")
             if governor is not None:
                 snap["governor"] = governor.snapshot()

@@ -38,7 +38,6 @@ from repro.serve.admission import (
     REJECTED,
     TIMED_OUT,
     AdmissionQueue,
-    EnvelopePool,
     PendingRequest,
 )
 from repro.serve.metrics import ServerMetrics
@@ -82,28 +81,13 @@ class LocalizationService:
         build.
     max_batch / max_wait_s:
         Micro-batching trigger (``max_batch=1`` is per-request
-        dispatch; the benchmark's baseline). With ``adaptive`` on,
-        ``max_wait_s`` is the hard ceiling of the controller-sized
-        linger window rather than a fixed wait.
-    adaptive / target_p95_s / fusion_min_depth:
-        The scheduler's :class:`~repro.serve.scheduler.
-        AdaptiveBatchController` knobs: ``adaptive`` (default on)
-        sizes the linger window from the arrival-rate EWMA and queue
-        depth; ``target_p95_s`` optionally caps how long the oldest
-        queued request may age before dispatch (SLO-aware);
-        ``fusion_min_depth`` is the depth below which fusion is
-        bypassed and requests dispatch singly (the depth-k
-        generalization of ``eager_single``). ``adaptive=False``
-        restores the fixed-window scheduler exactly.
+        dispatch; the benchmark's baseline). ``max_wait_s`` is the
+        ceiling of the linger window that the scheduler's
+        :class:`~repro.serve.scheduler.AdaptiveBatchController` sizes
+        from the arrival-rate EWMA and queue depth.
     queue_capacity / admission_policy / block_timeout_s / per_client_limit:
         Admission control (see :class:`~repro.serve.admission.
         AdmissionQueue`).
-    eager_single:
-        On by default for a service: a lone queued request dispatches
-        without the batch-fill linger (the 1-client latency fix); the
-        linger still runs whenever two or more requests are queued.
-        Only consulted with ``adaptive=False`` — the adaptive
-        controller's depth bypass supersedes it.
     metrics:
         Optional externally owned :class:`ServerMetrics`.
     retry_policy:
@@ -129,16 +113,11 @@ class LocalizationService:
         map_resolution: Optional[float] = None,
         max_batch: int = 32,
         max_wait_s: float = 0.002,
-        adaptive: bool = True,
-        target_p95_s: Optional[float] = None,
-        fusion_min_depth: int = 2,
         queue_capacity: int = 512,
         admission_policy: str = "reject",
         block_timeout_s: Optional[float] = 5.0,
         per_client_limit: Optional[int] = None,
-        eager_single: bool = True,
         metrics: Optional[ServerMetrics] = None,
-        idle_wait_s: float = 0.05,
         retry_policy=_DEFAULT_RETRIES,
         fault_threshold: int = 3,
         cooldown_s: float = 5.0,
@@ -178,10 +157,8 @@ class LocalizationService:
             policy=admission_policy,
             block_timeout_s=block_timeout_s,
             per_client_limit=per_client_limit,
-            eager_single=eager_single,
             urgent_slack_s=max(0.01, 4.0 * max_wait_s),
         )
-        self._envelopes = EnvelopePool(capacity=max(64, queue_capacity))
         self.scheduler = MicroBatchScheduler(
             localizer=self.localizer,
             queue=self.queue,
@@ -191,11 +168,6 @@ class LocalizationService:
             session_lookup=self._session_for,
             max_batch=max_batch,
             max_wait_s=max_wait_s,
-            adaptive=adaptive,
-            target_p95_s=target_p95_s,
-            fusion_min_depth=fusion_min_depth,
-            envelope_pool=self._envelopes,
-            idle_wait_s=idle_wait_s,
             retry_policy=retry_policy,
             fault_threshold=fault_threshold,
             cooldown_s=cooldown_s,
@@ -205,8 +177,6 @@ class LocalizationService:
                 fingerprint_map.cache if fingerprint_map is not None else None
             ),
             controller=self.scheduler.controller,
-            arena=self.scheduler.arena,
-            envelope_pool=self._envelopes,
         )
         self._sessions: Dict[str, TrackingSession] = {}
         self._sessions_lock = threading.Lock()
@@ -254,7 +224,6 @@ class LocalizationService:
         if not drain:
             for item in self.queue.drain_all():
                 self._complete_shutdown(item)
-                self._envelopes.release(item)
                 flushed += 1
         if self._started:
             self.scheduler.stop()
@@ -262,7 +231,6 @@ class LocalizationService:
         # submit(); anything still queued (scheduler died) flushes here.
         for item in self.queue.drain_all():
             self._complete_shutdown(item)
-            self._envelopes.release(item)
             flushed += 1
         checkpoints: Dict[str, str] = {}
         if checkpoint_dir is not None:
@@ -358,10 +326,7 @@ class LocalizationService:
                 f"request must be a LocalizeRequest or TrackStepRequest, "
                 f"got {type(request).__name__}"
             )
-        item = self._envelopes.acquire(request)
-        # Capture the future before the envelope can reach the
-        # scheduler: once offered, the scheduler may answer *and
-        # recycle* the envelope before offer() even returns.
+        item = PendingRequest.wrap(request)
         future = item.future
         self.metrics.record_submit()
         outcome = self.queue.offer(item)
@@ -380,7 +345,6 @@ class LocalizationService:
                 latency_s=latency,
             )
         )
-        self._envelopes.release(item)
         self.metrics.record_error(code, latency)
         return future
 

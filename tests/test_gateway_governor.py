@@ -2,10 +2,9 @@
 
 The closed loop is tested deterministically: ``p95_source`` replays a
 scripted load shift (calm -> overload -> recovery) against the real
-knob objects (``scheduler.controller``, ``scheduler.fusion_min_depth``,
-``queue.capacity``), so every assertion about hysteresis, cooldown,
-clamping, and multi-knob movement is exact — no sleeps, no real
-latency needed.
+knob (``queue.capacity``), so every assertion about hysteresis,
+cooldown, clamping, and the multiplicative-decrease /
+additive-increase law is exact — no sleeps, no real latency needed.
 """
 
 import numpy as np
@@ -62,33 +61,20 @@ def _governor(service, script, **kwargs):
 
 
 class TestControlLaw:
-    def test_load_shift_moves_at_least_two_knobs_and_recovers(self, service):
-        """The ISSUE-9 contract: a scripted overload makes the governor
-        move >= 2 distinct knobs; when p95 returns inside the SLO the
-        loop stops tightening."""
+    def test_load_shift_sheds_capacity_and_recovers(self, service):
+        """A scripted overload shrinks admission capacity; when p95
+        returns inside the SLO the loop stops tightening."""
         script = _Script(
             [0.010, 0.010]          # calm
             + [0.120] * 8           # overload: 2.4x the 50ms SLO
             + [0.030] * 6           # recovered: inside SLO, above headroom
         )
         governor = _governor(service, script)
-        baseline = {
-            "target_p95_s": float(
-                service.scheduler.controller.target_p95_s
-            ),
-            "fusion_min_depth": int(service.scheduler.fusion_min_depth),
-        }
+        baseline = int(service.queue.capacity)
         for _ in range(16):
             governor.tick()
-        moved = {e["knob"] for e in governor.events}
-        assert len(moved) >= 2, f"only moved {moved}"
-        assert "target_p95_s" in moved
-        assert service.scheduler.controller.target_p95_s < (
-            baseline["target_p95_s"]
-        )
-        assert service.scheduler.fusion_min_depth > (
-            baseline["fusion_min_depth"]
-        )
+        assert {e["knob"] for e in governor.events} == {"admission_capacity"}
+        assert service.queue.capacity < baseline
         adjustments_after_overload = governor.adjustments_total
         # The recovered tail (in-SLO, above headroom) must be quiet.
         for _ in range(4):
@@ -97,7 +83,7 @@ class TestControlLaw:
         # Every move was counted in the service metrics too.
         counted = service.metrics.governor_adjustments
         assert sum(counted.values()) == governor.adjustments_total
-        assert set(counted) == moved
+        assert set(counted) == {"admission_capacity"}
 
     def test_hysteresis_needs_a_patience_streak(self, service):
         script = _Script([0.120, 0.010, 0.120, 0.010, 0.120, 0.010])
@@ -114,58 +100,57 @@ class TestControlLaw:
             assert governor.tick() == []  # held by the cooldown
         assert governor.tick() != []  # cooldown expired, still violating
 
+    def test_overload_shrinks_capacity_by_decrease_to_the_floor(
+        self, service
+    ):
+        script = _Script([0.120] * 20)
+        governor = _governor(service, script, patience=1, cooldown_ticks=0)
+        floor = governor.capacity_range[0]
+        for _ in range(20):
+            governor.tick()
+        moves = list(governor.events)
+        assert len(moves) >= 2
+        for move in moves:
+            assert move["knob"] == "admission_capacity"
+            assert move["new"] == max(
+                floor, int(move["old"] * governor.decrease)
+            )
+        assert moves[-1]["new"] == floor
+        assert service.queue.capacity == floor
+
     def test_knobs_clamp_at_their_ranges(self, service):
-        script = _Script([0.500] * 60)  # unbounded overload
         governor = _governor(
-            service, script, patience=1, cooldown_ticks=0,
-            depth_range=(1, 4),
+            service, _Script([0.500] * 60), patience=1, cooldown_ticks=0,
+            capacity_range=(100, 256),
         )
+        for _ in range(60):  # unbounded overload
+            governor.tick()
+        assert service.queue.capacity == 100
+        # Clamped knobs stop producing events: one more tick, no moves.
+        assert governor.tick() == []
+        governor._p95_source = _Script([0.001] * 60)  # deep headroom
         for _ in range(60):
             governor.tick()
-        controller = service.scheduler.controller
-        assert controller.target_p95_s >= governor.target_range_s[0]
-        assert controller.target_p95_s == pytest.approx(
-            governor.target_range_s[0]
-        )
-        assert service.scheduler.fusion_min_depth <= 4
-        # Clamped knobs stop producing events: one more tick, no moves.
+        assert service.queue.capacity == 256
         assert governor.tick() == []
 
     def test_relax_restores_baselines_on_headroom(self, service):
         overload = _Script([0.120] * 6)
         governor = _governor(service, overload, patience=1, cooldown_ticks=0)
-        baseline_depth = int(service.scheduler.fusion_min_depth)
+        baseline = int(service.queue.capacity)
         for _ in range(6):
             governor.tick()
-        tightened_target = float(service.scheduler.controller.target_p95_s)
-        assert service.scheduler.fusion_min_depth > baseline_depth
+        assert service.queue.capacity < baseline
         governor._p95_source = _Script([0.001] * 40)  # deep headroom
         for _ in range(40):
             governor.tick()
-        assert service.scheduler.fusion_min_depth == baseline_depth
-        assert service.scheduler.controller.target_p95_s > tightened_target
-        relax_reasons = {
-            e["reason"] for e in governor.events if "headroom" in e["reason"]
-        }
-        assert relax_reasons  # the recovery arm actually ran
-
-    def test_deep_backlog_sheds_admission_capacity(self, service):
-        script = _Script([0.120] * 6)
-        governor = _governor(service, script, patience=1, cooldown_ticks=0)
-        queue = service.queue
-        baseline_capacity = int(queue.capacity)
-        # Fake a deep backlog: the governor reads depth_hint() only.
-        original = queue.depth_hint
-        queue.depth_hint = lambda: baseline_capacity
-        try:
-            for _ in range(4):
-                governor.tick()
-        finally:
-            queue.depth_hint = original
-        assert queue.capacity < baseline_capacity
-        assert queue.capacity >= governor.capacity_range[0]
-        moved = {e["knob"] for e in governor.events}
-        assert "admission_capacity" in moved
+        assert service.queue.capacity == baseline
+        relax = [e for e in governor.events if "headroom" in e["reason"]]
+        assert relax  # the recovery arm actually ran
+        for move in relax:
+            assert move["new"] == min(
+                baseline, move["old"] + governor.capacity_step
+            )
 
     def test_nan_p95_is_a_no_op(self, service):
         script = _Script([float("nan")] * 5)
@@ -173,16 +158,6 @@ class TestControlLaw:
         for _ in range(5):
             assert governor.tick() == []
         assert governor.adjustments_total == 0
-
-    def test_seeds_controller_target_at_the_slo(self, scenario):
-        net, sniffers, fmap = scenario
-        with LocalizationService(
-            net.field, net.positions[sniffers], fingerprint_map=fmap,
-        ) as svc:
-            assert svc.scheduler.controller.target_p95_s is None
-            GatewayGovernor(svc, slo_p95_s=0.040,
-                            p95_source=lambda: float("nan"))
-            assert svc.scheduler.controller.target_p95_s == 0.040
 
 
 class TestLifecycleAndReporting:
@@ -194,8 +169,8 @@ class TestLifecycleAndReporting:
         assert snap["slo_p95_s"] == 0.050
         assert snap["ticks"] == 1
         assert snap["adjustments_total"] >= 1
-        assert set(snap["knobs"]) == {
-            "target_p95_s", "fusion_min_depth", "admission_capacity"
+        assert snap["knobs"] == {
+            "admission_capacity": service.queue.capacity
         }
         assert snap["events"][0]["p95_s"] == 0.120
         assert snap["events"][0]["tick"] == 1

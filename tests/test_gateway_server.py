@@ -91,7 +91,13 @@ class TestLifecycle:
 
             pong = _run(go())
             assert pong["type"] == "pong"
+            # The server handles the client's FIN on its own event loop,
+            # possibly after the client's exit has returned.
+            deadline = time.monotonic() + 5.0
             snap = gateway.snapshot()
+            while snap["connections_open"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+                snap = gateway.snapshot()
             assert snap["connections_opened"] == 1
             assert snap["connections_open"] == 0  # closed on exit
 
@@ -182,7 +188,11 @@ class TestExactlyOneReply:
     def test_dead_connection_reply_is_dropped_not_hung(self, scenario):
         """Close right after sending: the reply is counted, never blocks."""
         obs = _observations(scenario, 1, seed=2)[0]
-        with _service(scenario) as service, GatewayServer(service) as gateway:
+        # The scheduler starts only once the gateway has seen the hang-up:
+        # client, gateway and solver share one interpreter, so otherwise
+        # the reply can be written before the client gets to close.
+        service = _service(scenario)
+        with GatewayServer(service) as gateway:
             async def go():
                 _, writer = await asyncio.open_connection(
                     "127.0.0.1", gateway.port
@@ -197,10 +207,16 @@ class TestExactlyOneReply:
 
             _run(go())
             deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if gateway.metrics.replies_dropped >= 1:
-                    break
-                time.sleep(0.02)
+            while time.monotonic() < deadline and (
+                service.metrics.requests_submitted < 1
+                or gateway.metrics.connections_open
+            ):
+                time.sleep(0.01)
+            with service:
+                while time.monotonic() < deadline:
+                    if gateway.metrics.replies_dropped >= 1:
+                        break
+                    time.sleep(0.02)
             assert gateway.metrics.replies_dropped >= 1
             # The service still resolved its future and stayed healthy.
             assert service.metrics.replies_ok >= 1

@@ -1,19 +1,17 @@
-"""Adaptive micro-batching: controller policy, hot-path fixed costs,
-and the bitwise parity sweep.
+"""Adaptive micro-batching: controller policy and the bitwise parity
+sweep.
 
 Three layers under test:
 
 * :class:`~repro.serve.AdaptiveBatchController` policy unit tests —
-  depth-k bypass, EWMA window sizing, the SLO cap, settle-early drain
-  — plus the :class:`~repro.serve.BatchArena` / :class:`~repro.serve.
-  EnvelopePool` fixed-cost machinery.
+  depth-k bypass, EWMA window sizing, settle-early drain.
 * Admission-queue behavior the controller plugs into: the
   ``wait_timeout=0`` busy-spin clamp (regression test) and the
   SLO-aware earliest-deadline-first urgent drain.
-* End-to-end parity: sweeping client counts, the adaptive scheduler,
-  the fixed-window scheduler, and per-request dispatch
-  (``max_batch=1``) must produce float64-bitwise-identical replies —
-  including NaN-dropout observations and a sharded fingerprint map.
+* End-to-end parity: sweeping client counts, the batching scheduler
+  and per-request dispatch (``max_batch=1``) must produce
+  float64-bitwise-identical replies — including NaN-dropout
+  observations and a sharded fingerprint map.
 """
 
 import time
@@ -29,8 +27,6 @@ from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.serve import (
     AdaptiveBatchController,
-    BatchArena,
-    EnvelopePool,
     LocalizationService,
     LocalizeRequest,
     MetricsServer,
@@ -44,45 +40,48 @@ from repro.traffic import FluxObservation, MeasurementModel, simulate_flux
 # ----------------------------------------------------------------------
 class TestAdaptiveBatchController:
     def test_bypass_below_fusion_min_depth(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002, fusion_min_depth=2)
+        ctl = AdaptiveBatchController(max_wait_s=0.002)
+        assert ctl.FUSION_MIN_DEPTH == 2
         # Fresh controller: batch EWMA is 1.0 < 2, depth 1 < 2 -> bypass.
-        assert ctl.linger_window_s(1, 0.0, 16) == 0.0
+        assert ctl.linger_window_s(1, 16) == 0.0
         assert ctl.bypasses == 1
 
     def test_depth_at_threshold_lingers(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002, fusion_min_depth=2)
-        window = ctl.linger_window_s(2, 0.0, 16)
+        ctl = AdaptiveBatchController(max_wait_s=0.002)
+        window = ctl.linger_window_s(2, 16)
         assert 0.0 < window <= 0.002
         assert ctl.windows == 1
 
     def test_full_batch_dispatches_immediately(self):
         ctl = AdaptiveBatchController(max_wait_s=0.002)
-        assert ctl.linger_window_s(16, 0.0, 16) == 0.0
+        assert ctl.linger_window_s(16, 16) == 0.0
+        # A full drain is neither a bypass nor a window.
+        assert ctl.bypasses == 0 and ctl.windows == 0
 
     def test_batch_ewma_releases_bypass(self):
         # Sustained large drains mean fusion is paying; even a
         # momentarily shallow queue should linger for the batch.
-        ctl = AdaptiveBatchController(max_wait_s=0.002, fusion_min_depth=4)
+        ctl = AdaptiveBatchController(max_wait_s=0.002)
         for _ in range(20):
             ctl.observe_drain(8)
-        assert ctl.batch_ewma > 4
-        assert ctl.linger_window_s(1, 0.0, 16) > 0.0
+        assert ctl.batch_ewma > ctl.FUSION_MIN_DEPTH
+        assert ctl.linger_window_s(1, 16) > 0.0
 
     def test_lone_client_drains_keep_bypass_engaged(self):
         # The closed-loop trap: a single client's drains are size 1
         # forever, so the bypass must stay on no matter the gap EWMA.
-        ctl = AdaptiveBatchController(max_wait_s=0.002, fusion_min_depth=2)
+        ctl = AdaptiveBatchController(max_wait_s=0.002)
         now = 100.0
         for _ in range(50):
             ctl.observe_arrival(now)
             ctl.observe_drain(1)
             now += 1e-4  # gaps far shorter than max_wait_s
-        assert ctl.linger_window_s(1, 0.0, 16) == 0.0
+        assert ctl.linger_window_s(1, 16) == 0.0
 
     def test_gap_ewma_tracks_arrivals_and_skips_idle(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.01, ewma_alpha=0.5)
+        ctl = AdaptiveBatchController(max_wait_s=0.01)
         now = 10.0
-        for _ in range(20):
+        for _ in range(40):
             ctl.observe_arrival(now)
             now += 1e-3
         assert ctl.gap_ewma_s == pytest.approx(1e-3, rel=0.1)
@@ -91,109 +90,33 @@ class TestAdaptiveBatchController:
         assert ctl.gap_ewma_s == before
 
     def test_window_predicts_fill_time(self):
-        ctl = AdaptiveBatchController(max_wait_s=1.0, ewma_alpha=0.5)
+        ctl = AdaptiveBatchController(max_wait_s=1.0)
         now = 10.0
-        for _ in range(20):
+        for _ in range(40):
             ctl.observe_arrival(now)
             now += 1e-3
         # 12 more arrivals expected to fill 16 from depth 4.
-        window = ctl.linger_window_s(4, 0.0, 16)
+        window = ctl.linger_window_s(4, 16)
         assert window == pytest.approx(12 * ctl.gap_ewma_s)
-
-    def test_target_p95_caps_window_by_oldest_age(self):
-        ctl = AdaptiveBatchController(max_wait_s=1.0, target_p95_s=0.1)
-        capped = ctl.linger_window_s(4, oldest_age_s=0.04, max_items=16)
-        assert capped <= 0.5 * 0.1 - 0.04 + 1e-12
-        # Oldest request already past half the SLO: dispatch now.
-        assert ctl.linger_window_s(4, oldest_age_s=0.06, max_items=16) == 0.0
 
     def test_settle_bounded_by_max_wait(self):
         ctl = AdaptiveBatchController(max_wait_s=0.002)
         assert 0.0 < ctl.settle_s() <= 0.002
+        ctl.observe_arrival(50.0)
+        assert ctl.settle_at() == 50.0 + ctl.settle_s()
 
     def test_snapshot_keys(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002, fusion_min_depth=3)
-        ctl.linger_window_s(1, 0.0, 16)
+        ctl = AdaptiveBatchController(max_wait_s=0.002)
+        ctl.linger_window_s(1, 16)
         snap = ctl.snapshot()
-        for key in ("adaptive", "fusion_min_depth", "target_p95_s",
-                    "gap_ewma_s", "batch_ewma", "bypasses", "windows",
+        for key in ("gap_ewma_s", "batch_ewma", "bypasses", "windows",
                     "last_window_s", "window_mean_s"):
             assert key in snap
-        assert snap["fusion_min_depth"] == 3
         assert snap["bypasses"] == 1
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             AdaptiveBatchController(max_wait_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatchController(max_wait_s=0.002, fusion_min_depth=0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatchController(max_wait_s=0.002, target_p95_s=0.0)
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatchController(max_wait_s=0.002, ewma_alpha=0.0)
-
-
-# ----------------------------------------------------------------------
-# Fixed-cost machinery: arena and envelope pool
-# ----------------------------------------------------------------------
-class TestBatchArena:
-    def test_reuse_hits_same_storage(self):
-        arena = BatchArena()
-        first = arena.take("k", (8, 4))
-        second = arena.take("k", (8, 4))
-        assert arena.grows == 1 and arena.hits == 1
-        assert first.base is second.base
-        assert second.shape == (8, 4)
-
-    def test_growth_is_geometric(self):
-        arena = BatchArena()
-        arena.take("k", 10)
-        buf = arena._buffers["k"]
-        assert buf.size == 64  # the minimum power-of-two capacity
-        arena.take("k", 100)
-        assert arena._buffers["k"].size == 128
-        arena.take("k", 100)  # same size again: no realloc
-        assert arena.grows == 2 and arena.hits == 1
-
-    def test_dtype_change_reallocates(self):
-        arena = BatchArena()
-        arena.take("k", 8, dtype=np.float64)
-        out = arena.take("k", 8, dtype=np.int64)
-        assert out.dtype == np.int64
-        assert arena.grows == 2
-
-    def test_snapshot(self):
-        arena = BatchArena()
-        arena.take("a", 8)
-        arena.take("a", 8)
-        snap = arena.snapshot()
-        assert snap["hits"] == 1 and snap["grows"] == 1
-        assert snap["buffers"] == 1 and snap["bytes"] == 64 * 8
-
-
-class TestEnvelopePool:
-    def test_reuse_cycle(self):
-        pool = EnvelopePool(capacity=4)
-        req_a = SimpleNamespace(client_id="a", deadline_s=None)
-        item = pool.acquire(req_a)
-        assert pool.allocations == 1 and pool.reuses == 0
-        first_future = item.future
-        pool.release(item)
-        assert item.request is None and item.future is None
-        recycled = pool.acquire(SimpleNamespace(client_id="b", deadline_s=0.5))
-        assert recycled is item
-        assert pool.reuses == 1
-        assert recycled.future is not first_future  # futures never reused
-        assert recycled.expires_at is not None
-
-    def test_capacity_bounds_freelist(self):
-        pool = EnvelopePool(capacity=1)
-        items = [pool.acquire(SimpleNamespace(client_id=str(i),
-                                              deadline_s=None))
-                 for i in range(3)]
-        for item in items:
-            pool.release(item)
-        assert len(pool) == 1
 
 
 # ----------------------------------------------------------------------
@@ -339,16 +262,9 @@ class TestParitySweep:
     def test_adaptive_matches_per_request_dispatch(self, scenario, clients):
         work = _requests(scenario, clients, per_client=2, seed=clients,
                          dropout_every=3)
-        adaptive = _replies_for(scenario, work, adaptive=True)
+        batched = _replies_for(scenario, work)
         oracle = _replies_for(scenario, work, max_batch=1)
-        assert adaptive == oracle
-
-    def test_adaptive_matches_fixed_window(self, scenario):
-        work = _requests(scenario, clients=4, per_client=4, seed=77,
-                         dropout_every=5)
-        adaptive = _replies_for(scenario, work, adaptive=True)
-        fixed = _replies_for(scenario, work, adaptive=False)
-        assert adaptive == fixed
+        assert batched == oracle
 
     def test_parity_with_sharded_map(self, scenario):
         _, _, fmap = scenario
@@ -356,16 +272,9 @@ class TestParitySweep:
         shard = submaps[0]
         work = _requests(scenario, clients=4, per_client=2, seed=88,
                          dropout_every=4)
-        adaptive = _replies_for(scenario, work, fmap=shard, adaptive=True)
-        fixed = _replies_for(scenario, work, fmap=shard, adaptive=False)
+        batched = _replies_for(scenario, work, fmap=shard)
         oracle = _replies_for(scenario, work, fmap=shard, max_batch=1)
-        assert adaptive == fixed == oracle
-
-    def test_parity_with_slo_target(self, scenario):
-        work = _requests(scenario, clients=4, per_client=2, seed=99)
-        slo = _replies_for(scenario, work, adaptive=True, target_p95_s=0.05)
-        oracle = _replies_for(scenario, work, max_batch=1)
-        assert slo == oracle
+        assert batched == oracle
 
 
 # ----------------------------------------------------------------------
@@ -388,28 +297,7 @@ class TestMetricsExposure:
         assert 0.0 <= cache["hit_rate"] <= 1.0
         assert cache["size"] <= cache["capacity"]
         controller = snap["batch_controller"]
-        assert controller["adaptive"] is True
         assert controller["bypasses"] + controller["windows"] > 0
-        arena = snap["batch_arena"]
-        assert arena["hits"] + arena["grows"] > 0
-        pool = snap["envelope_pool"]
-        # Sequential calls recycle the same envelope shell.
-        assert pool["reuses"] >= 1
-        assert pool["allocations"] >= 1
-
-    def test_arena_hits_grow_across_batches(self, scenario):
-        work = _requests(scenario, clients=1, per_client=6, seed=12)
-        net, sniffers, fmap = scenario
-        with LocalizationService(
-            net.field, net.positions[sniffers], fingerprint_map=fmap,
-            max_batch=8, max_wait_s=0.002,
-        ) as service:
-            for request in work[0]:
-                service.call(request)
-            arena = service.metrics.snapshot()["batch_arena"]
-        # Steady-state batches hit preallocated storage; only the first
-        # few batches should ever grow a buffer.
-        assert arena["hits"] > 0
 
     def test_metrics_endpoint_serves_probes(self, scenario):
         import json
@@ -426,8 +314,7 @@ class TestMetricsExposure:
             with MetricsServer(service.metrics, port=0) as endpoint:
                 url = f"http://127.0.0.1:{endpoint.port}/metrics"
                 payload = json.loads(urllib.request.urlopen(url).read())
-        for section in ("kernel_cache", "batch_controller", "batch_arena",
-                        "envelope_pool"):
+        for section in ("kernel_cache", "batch_controller"):
             assert section in payload
         assert payload["kernel_cache"]["hits"] + \
             payload["kernel_cache"]["misses"] > 0

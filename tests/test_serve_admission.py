@@ -12,6 +12,7 @@ from repro.serve import (
     CLOSED,
     REJECTED,
     TIMED_OUT,
+    AdaptiveBatchController,
     AdmissionQueue,
     PendingRequest,
 )
@@ -22,6 +23,13 @@ def _item(client="c", request_id="r", deadline_s=None, now=None):
         client_id=client, request_id=request_id, deadline_s=deadline_s
     )
     return PendingRequest.wrap(request, now=now)
+
+
+def _lingering_queue(max_wait_s):
+    """A queue with a controller attached, as the scheduler wires it."""
+    queue = AdmissionQueue(capacity=8)
+    queue.controller = AdaptiveBatchController(max_wait_s=max_wait_s)
+    return queue
 
 
 class TestPendingRequest:
@@ -123,25 +131,28 @@ class TestDeadlines:
 
 class TestBatchingAndShutdown:
     def test_take_lingers_to_fill_the_batch(self):
-        queue = AdmissionQueue(capacity=8)
+        queue = _lingering_queue(max_wait_s=0.5)
         queue.offer(_item("a", "0"))
+        queue.offer(_item("b", "1"))  # depth 2: past the bypass
 
         def late_producer():
             time.sleep(0.02)
-            queue.offer(_item("b", "1"))
+            queue.offer(_item("c", "2"))
 
         thread = threading.Thread(target=late_producer)
         thread.start()
-        batch, _ = queue.take(2, wait_timeout=0.5, batch_wait=0.5)
+        batch, _ = queue.take(3, wait_timeout=0.5)
         thread.join()
-        assert len(batch) == 2
+        assert len(batch) == 3
 
     def test_take_returns_partial_after_batch_wait(self):
-        queue = AdmissionQueue(capacity=8)
+        # The controller's window never exceeds max_wait_s.
+        queue = _lingering_queue(max_wait_s=0.02)
         queue.offer(_item("a", "0"))
+        queue.offer(_item("b", "1"))
         started = time.monotonic()
-        batch, _ = queue.take(4, wait_timeout=0.5, batch_wait=0.02)
-        assert len(batch) == 1
+        batch, _ = queue.take(4, wait_timeout=0.5)
+        assert len(batch) == 2
         assert time.monotonic() - started < 0.4
 
     def test_take_empty_times_out(self):
@@ -169,41 +180,46 @@ class TestBatchingAndShutdown:
         assert queue.depth() == 0
 
 
-class TestEagerSingle:
+class TestControllerLinger:
     def test_lone_item_skips_the_linger(self):
-        queue = AdmissionQueue(capacity=8, eager_single=True)
+        queue = _lingering_queue(max_wait_s=0.25)
         queue.offer(_item("a", "0"))
         started = time.monotonic()
-        batch, _ = queue.take(4, wait_timeout=0.5, batch_wait=0.25)
-        # The 0.25s batch-fill linger is bypassed at depth 1.
+        batch, _ = queue.take(4, wait_timeout=0.5)
+        # The controller's depth bypass skips the linger at depth 1.
         assert time.monotonic() - started < 0.2
         assert [i.request.request_id for i in batch] == ["0"]
+        assert queue.controller.bypasses == 1
 
     def test_two_queued_items_still_linger_and_fuse(self):
-        queue = AdmissionQueue(capacity=8, eager_single=True)
+        queue = _lingering_queue(max_wait_s=0.5)
         queue.offer(_item("a", "0"))
         queue.offer(_item("b", "1"))
 
         late = threading.Timer(0.03, lambda: queue.offer(_item("c", "2")))
         late.start()
         try:
-            batch, _ = queue.take(4, wait_timeout=0.5, batch_wait=0.5)
+            batch, _ = queue.take(4, wait_timeout=0.5)
         finally:
             late.join()
         # Depth was 2 at take time, so the linger ran and picked up
         # the third request — fusion under load is unchanged.
         assert len(batch) == 3
+        assert queue.controller.windows == 1
 
-    def test_off_by_default_at_the_queue(self):
+    def test_bare_queue_drains_at_once(self):
         queue = AdmissionQueue(capacity=8)
-        assert queue.eager_single is False
         queue.offer(_item("a", "0"))
+        queue.offer(_item("b", "1"))
 
-        late = threading.Timer(0.02, lambda: queue.offer(_item("b", "1")))
+        late = threading.Timer(0.2, lambda: queue.offer(_item("c", "2")))
         late.start()
         try:
-            batch, _ = queue.take(4, wait_timeout=0.5, batch_wait=0.5)
+            started = time.monotonic()
+            batch, _ = queue.take(4, wait_timeout=0.5)
+            elapsed = time.monotonic() - started
         finally:
             late.join()
-        # Without eager_single a lone item lingers for company.
+        # No controller attached: nothing lingers for company.
         assert len(batch) == 2
+        assert elapsed < 0.15

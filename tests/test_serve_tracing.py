@@ -85,6 +85,17 @@ class TestStageDecomposition:
         assert "gateway_in" not in stages
         assert "gateway_out" not in stages
 
+    def test_lone_requests_stamp_admission_once(self, served):
+        # Sequential lone requests each drain as a batch of one; each
+        # must record exactly one admission sample, equal to its queue
+        # wait.
+        service, _, replies = served
+        assert all(r.batch_size == 1 for r in replies)
+        snap = service.metrics.snapshot()
+        admission = snap["stages"]["admission"]
+        assert admission["count"] == len(replies)
+        assert admission["p50_s"] == snap["queue_wait_p50_s"]
+
     def test_trace_durations_sum_to_the_total(self, served):
         service, requests, _ = served
         traces = service.metrics.recent_traces()
