@@ -537,8 +537,8 @@ def _engine_args(p: argparse.ArgumentParser) -> None:
         "--chunk-size",
         type=int,
         default=4096,
-        help="candidate sinks per kernel-evaluation chunk (bounds the "
-        "evaluator's working set)",
+        help="candidate sinks per kernel-evaluation chunk, the unit of "
+        "fan-out over --workers",
     )
     group.add_argument(
         "--dtype",

@@ -35,11 +35,10 @@ class EngineConfig:
         1`` run in float64 because parallel units write disjoint output
         slices and no reduction order changes.
     chunk_size:
-        Candidate (sink) rows per kernel-evaluation chunk. Bounds the
-        evaluator's working set: one chunk touches
-        ``O(chunk_size * sniffers)`` temporaries instead of the full
-        ``candidates x sniffers`` pair grid. Also the unit of work the
-        executor fans out.
+        Candidate (sink) rows per kernel-evaluation chunk: the unit of
+        work the executor fans out. It does not bound the working set;
+        the evaluator works through every chunk in row blocks of a
+        fixed pair budget (``repro.engine.kernels._BLOCK_PAIRS``).
     dtype:
         ``"float64"`` (default) or ``"float32"`` for geometry-kernel
         evaluation. float32 halves kernel memory traffic; the batched

@@ -96,10 +96,10 @@ class DiscreteFluxModel:
         thousands of candidates per filtering round. Evaluation is
         delegated to :func:`repro.engine.kernels.
         evaluate_geometry_kernels`: broadcast over the (sink, node)
-        product (no flattened pair-grid materialization), streamed in
-        ``chunk_size`` blocks, and fanned out over ``engine``'s workers
-        when one is passed — bitwise-identical to the serial float64
-        result either way. ``out`` lets batch producers (the
+        product (no flattened pair-grid materialization) and fanned
+        out in ``chunk_size`` spans over ``engine``'s workers when one
+        is passed — bitwise-identical to the serial float64 result
+        either way. ``out`` lets batch producers (the
         fingerprint-map builder) write kernels straight into their own
         storage.
         """

@@ -75,7 +75,7 @@ def build_fingerprint_map(
         Optional ``(n,)`` deployment indices of the sniffers (defaults
         to ``arange(n)``); stored so observations can be aligned.
     block_size:
-        Cells per kernel-evaluation batch.
+        Cells per kernel-evaluation chunk, the unit of fan-out.
     engine:
         Optional :class:`repro.engine.Engine`; cell batches are fanned
         out across its workers, each writing its block of the signature
@@ -104,8 +104,7 @@ def build_fingerprint_map(
     cells = grid_cells(field, resolution)
     model = DiscreteFluxModel(field, sniffer_positions, d_floor=d_floor)
     # One chunked (and, with an engine, parallel) evaluation straight
-    # into the signature matrix — ``block_size`` still bounds the
-    # per-chunk working set, now inside the engine evaluator.
+    # into the signature matrix, ``block_size`` cells per chunk.
     signatures = np.empty((cells.shape[0], sniffer_positions.shape[0]))
     model.geometry_kernels(
         cells, engine=engine, out=signatures, chunk_size=block_size

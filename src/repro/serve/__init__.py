@@ -27,6 +27,7 @@ from repro.serve.requests import (
     ERROR_SHUTDOWN,
     ERROR_UNKNOWN_SESSION,
     ERROR_WORKER_CRASHED,
+    MAX_CANDIDATE_ROWS,
     ErrorReply,
     LocalizeReply,
     LocalizeRequest,
@@ -52,6 +53,7 @@ __all__ = [
     "ERROR_SHUTDOWN",
     "ERROR_UNKNOWN_SESSION",
     "ERROR_WORKER_CRASHED",
+    "MAX_CANDIDATE_ROWS",
     "ErrorReply",
     "LocalizeReply",
     "LocalizeRequest",

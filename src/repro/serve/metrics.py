@@ -71,12 +71,7 @@ class ServerMetrics:
         self.endpoint: Optional[Dict[str, object]] = None  # bound HTTP addr
         self._probes: Dict[str, object] = {}  # live objects we snapshot
 
-    def attach_probes(
-        self,
-        kernel_cache=None,
-        controller=None,
-        governor=None,
-    ) -> None:
+    def attach_probes(self, kernel_cache=None, controller=None) -> None:
         """Register live scheduler internals for snapshot reporting.
 
         Probes are read (plain counter attributes, no locks) at
@@ -90,7 +85,6 @@ class ServerMetrics:
             for name, probe in (
                 ("kernel_cache", kernel_cache),
                 ("controller", controller),
-                ("governor", governor),
             ):
                 if probe is not None:
                     self._probes[name] = probe
@@ -314,9 +308,6 @@ class ServerMetrics:
             controller = self._probes.get("controller")
             if controller is not None:
                 snap["batch_controller"] = controller.snapshot()
-            governor = self._probes.get("governor")
-            if governor is not None:
-                snap["governor"] = governor.snapshot()
             return snap
 
     def to_json(self, indent: int = 2) -> str:

@@ -38,6 +38,13 @@ ERROR_UNKNOWN_SESSION = "unknown_session"
 ERROR_INTERNAL = "internal"
 ERROR_WORKER_CRASHED = "worker_crashed"
 
+#: Most candidate rows (``user_count x restarts x candidate_count``) one
+#: localize request may ask for. Each row is one float64 kernel over the
+#: sniffers, held in memory for the whole batch: at 180 sniffers the cap
+#: is 180 MiB. It admits the paper's Fig. 5 budget of 10,000 candidates
+#: per user at up to 4 users and 3 restarts.
+MAX_CANDIDATE_ROWS = 1 << 17
+
 #: ``dataclass(slots=True)`` needs Python 3.10; on 3.9 the classes
 #: simply keep a ``__dict__`` — identical semantics, only the
 #: per-instance memory/attribute-lookup win is lost.
@@ -82,7 +89,8 @@ class LocalizeRequest:
         The flux window to fit, over the service's sniffer set.
     user_count .. seed_top_k:
         The :meth:`repro.fingerprint.NLSLocalizer.localize` search
-        budget knobs.
+        budget knobs. ``user_count x restarts x candidate_count`` may
+        not exceed :data:`MAX_CANDIDATE_ROWS`.
     seed:
         Integer seed of the request's private RNG streams. Identical
         requests (same seed, same observation, same knobs) produce
@@ -125,6 +133,14 @@ class LocalizeRequest:
             value = getattr(self, name)
             if int(value) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        rows = int(self.user_count) * int(self.restarts) * int(
+            self.candidate_count
+        )
+        if rows > MAX_CANDIDATE_ROWS:
+            raise ConfigurationError(
+                f"user_count x restarts x candidate_count = {rows} candidate "
+                f"rows exceeds MAX_CANDIDATE_ROWS = {MAX_CANDIDATE_ROWS}"
+            )
         if not isinstance(self.observation, FluxObservation):
             raise ConfigurationError(
                 f"observation must be a FluxObservation, "

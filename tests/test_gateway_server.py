@@ -135,6 +135,31 @@ class TestExactlyOneReply:
         assert gateway.metrics.replies_dropped == 0
         assert gateway.metrics.requests_forwarded == 30
 
+    def test_oversized_budget_is_refused_and_its_batch_mate_answered(
+        self, scenario
+    ):
+        """A budget past MAX_CANDIDATE_ROWS is a typed bad_request, never
+        an allocation that fails the whole fused batch."""
+        obs = _observations(scenario, 1, seed=6)[0]
+        with _service(scenario) as service, GatewayServer(service) as gateway:
+            async def go():
+                async with GatewayClient(
+                    "127.0.0.1", gateway.port, timeout_s=60.0
+                ) as client:
+                    return await asyncio.gather(
+                        client.localize(obs, id="huge",
+                                        candidate_count=50_000_000, seed=1),
+                        client.localize(obs, id="small",
+                                        candidate_count=24, seed=2),
+                    )
+
+            huge, small = _run(go())
+        assert huge["type"] == "error"
+        assert huge["code"] == "bad_request"
+        assert "MAX_CANDIDATE_ROWS" in huge["message"]
+        assert small["ok"] is True
+        assert small["id"] == "small"
+
     def test_malformed_frame_gets_typed_error_and_connection_survives(
         self, scenario
     ):

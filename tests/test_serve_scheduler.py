@@ -299,6 +299,70 @@ class TestBatchOfOne:
         assert all(r.step is not None for r in replies)
 
 
+class TestFusedSingleUserSolve:
+    """The K=1 group solve is the factored sweep solver, row for row."""
+
+    def test_matches_factored_solver_bitwise(self, scenario):
+        from repro.fingerprint.nls import NLSLocalizer
+        from repro.fingerprint.objective import solve_thetas_candidates
+        from repro.serve.admission import PendingRequest
+        from repro.serve.scheduler import (
+            fuse_pool_kernels,
+            plan_localize,
+            solve_single_user_fused,
+        )
+
+        net, sniffers, fmap = scenario
+        requests = [
+            r for r in _mixed_requests(net, sniffers) if r.user_count == 1
+        ]
+        dropout = requests[-1]
+        for i, (count, restarts) in enumerate([(16, 1), (40, 2)]):
+            # A pure-seed pool (Fortran-ordered under dropout) and a
+            # two-restart plan.
+            requests.append(LocalizeRequest(
+                request_id=f"extra-{i}", client_id="c5",
+                observation=dropout.observation, candidate_count=count,
+                restarts=restarts, seed=600 + i,
+            ))
+        localizer = NLSLocalizer(net.field, net.positions[sniffers])
+        plans = [
+            plan_localize(localizer, fmap, PendingRequest.wrap(r))
+            for r in requests
+        ]
+        fuse_pool_kernels(localizer.model, plans)
+        groups = {}
+        for plan in plans:
+            arity = plan.objective._weighted_target.shape[0]
+            groups.setdefault(arity, []).append(plan)
+        assert len(groups) == 2
+        for group in groups.values():
+            for plan, result in zip(group, solve_single_user_fused(group)):
+                # The solver's row-contiguous layout (a Fortran-ordered
+                # pure-seed block would sum in another order).
+                kernels = np.ascontiguousarray(np.concatenate(
+                    [row[0] for row in plan.pool_kernels], axis=0
+                ))
+                positions = np.concatenate(
+                    [row[0] for row in plan.pools], axis=0
+                )
+                thetas, objs = solve_thetas_candidates(
+                    kernels, None, plan.objective._weighted_target
+                )
+                order = np.argsort(objs, kind="stable")[: plan.request.top_m]
+                want = [
+                    (positions[i].tobytes(), thetas[i].tobytes(),
+                     float(objs[i]))
+                    for i in order
+                ]
+                got = [
+                    (fit.positions.tobytes(), fit.thetas.tobytes(),
+                     fit.objective)
+                    for fit in result.fits
+                ]
+                assert got == want, plan.request.request_id
+
+
 class TestStitchedKernelLayout:
     """Stitched pool kernels are C-contiguous, the layout the descent
     was validated on: a Fortran-ordered dropout block rounds the K=2

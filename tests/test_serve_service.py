@@ -21,6 +21,7 @@ from repro.network import build_network, sample_sniffers_percentage
 from repro.serve import (
     ERROR_SHUTDOWN,
     ERROR_UNKNOWN_SESSION,
+    MAX_CANDIDATE_ROWS,
     LocalizationService,
     LocalizeRequest,
     MetricsServer,
@@ -29,6 +30,7 @@ from repro.serve import (
 from repro.smc import SequentialMonteCarloTracker, TrackerConfig
 from repro.stream import SyntheticLiveSource, TrackingSession
 from repro.traffic import MeasurementModel, simulate_flux
+from repro.traffic.measurement import FluxObservation
 
 _CFG = TrackerConfig(prediction_count=100, keep_count=5)
 
@@ -237,6 +239,35 @@ class TestLifecycle:
         service = _service(scenario)
         with pytest.raises(ConfigurationError):
             service.submit({"request_id": "r"})
+
+
+class TestRequestBudget:
+    """``user_count x restarts x candidate_count`` is capped up front."""
+
+    @staticmethod
+    def _request(**knobs):
+        return LocalizeRequest(
+            request_id="r", client_id="c",
+            observation=FluxObservation(
+                time=0.0, sniffers=np.arange(3), values=np.ones(3)
+            ),
+            **knobs,
+        )
+
+    def test_paper_and_benchmark_budgets_admitted(self):
+        # Fig. 5: 10,000 candidates per user, here at 4 users x 3 restarts.
+        self._request(user_count=4, restarts=3, candidate_count=10_000)
+        self._request(user_count=2, candidate_count=512)
+        self._request(candidate_count=MAX_CANDIDATE_ROWS)
+
+    def test_oversized_budget_refused(self):
+        with pytest.raises(ConfigurationError, match="MAX_CANDIDATE_ROWS"):
+            self._request(candidate_count=50_000_000)
+        with pytest.raises(ConfigurationError, match="MAX_CANDIDATE_ROWS"):
+            self._request(
+                user_count=2, restarts=2,
+                candidate_count=MAX_CANDIDATE_ROWS // 4 + 1,
+            )
 
 
 class TestSharedState:
