@@ -408,8 +408,8 @@ def cmd_track_stream(args) -> int:
 
     def on_step(sess, step):
         if step is None:
-            reason = list(sess.metrics.windows_skipped)[-1]
-            print(f"{sess.windows_consumed - 1:>6}  skipped ({reason})")
+            print(f"{sess.windows_consumed - 1:>6}  "
+                  f"skipped ({sess.last_skip_reason})")
         else:
             print(
                 f"{sess.windows_consumed - 1:>6}  t={step.time:<8g} "

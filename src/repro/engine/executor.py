@@ -1,13 +1,13 @@
 """The parallel executor behind every engine-aware hot path.
 
 :class:`Engine` wraps an :class:`~repro.engine.config.EngineConfig`
-plus one lazily created worker pool, and exposes exactly two
+plus one lazily created thread pool, and exposes exactly two
 primitives:
 
 ``map(fn, items)``
     Ordered fan-out — results come back in submission order, so a
-    caller that consumes them positionally (per-user rankings,
-    per-session drains) sees the same data flow as a serial loop.
+    caller that consumes them positionally (per-user rankings) sees the
+    same data flow as a serial loop.
 
 ``run_chunks(total, task, chunk_size=None)``
     Splits ``range(total)`` into contiguous ``[start, stop)`` spans and
@@ -23,7 +23,7 @@ children deadlocks). Engine-aware call sites therefore pass
 
 Resilience: an Engine built with a :class:`~repro.faults.RetryPolicy`
 re-runs failed units (a mapped item, a chunk span) on *transient*
-failures — injected faults, backend crashes, ``FloatingPointError`` —
+failures — injected faults, engine errors, ``FloatingPointError`` —
 under bounded backoff. Both primitives are retry-safe by construction:
 ``map`` results are per-item and ``run_chunks`` tasks rewrite their
 disjoint spans from scratch, so a retried unit is bitwise-identical to
@@ -56,7 +56,7 @@ class Engine:
         mapped item and every chunk task is re-run under bounded
         backoff on transient failures (see module docstring); when
         ``None`` (default) failures propagate on the first occurrence.
-    workers / chunk_size / dtype / backend:
+    workers / chunk_size / dtype:
         Shortcuts building an :class:`EngineConfig` in place, e.g.
         ``Engine(workers=4)``.
 
@@ -101,7 +101,7 @@ class Engine:
         return (
             f"Engine(workers={self.config.workers}, "
             f"chunk_size={self.config.chunk_size}, "
-            f"dtype={self.config.dtype!r}, backend={self.config.backend!r})"
+            f"dtype={self.config.dtype!r})"
         )
 
     # ------------------------------------------------------------------

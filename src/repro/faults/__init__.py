@@ -3,8 +3,8 @@
 The production layers built in PRs 1–4 (streaming, fingerprint map,
 parallel engine, batched serving) are exercised under *failure* through
 this package: seeded :class:`FaultPlan`\\ s fire at named injection
-sites wired into the engine's process backend, kernel evaluation,
-stream sources, checkpoint persistence, and the serve scheduler;
+sites wired into kernel evaluation, stream sources, checkpoint
+persistence, the serve scheduler, fleet workers and the gateway;
 :class:`RetryPolicy` bounds the recovery attempts those layers make;
 and the injectable :mod:`clock <repro.faults.clock>` makes every
 deadline and backoff decision testable without real sleeps.

@@ -8,8 +8,6 @@ calls) at the places production failures actually happen:
 ======================== ==================================================
 site                      effect at the call site
 ======================== ==================================================
-``engine.worker.crash``   fork-backend worker ``os._exit``\\ s mid-chunk
-``engine.worker.hang``    fork-backend worker sleeps ``delay_s`` mid-chunk
 ``engine.kernel.transient`` kernel chunk raises :class:`FaultInjected`
                           (a transient numerical failure; retryable)
 ``stream.source.stall``   observation stream sleeps ``delay_s``
@@ -42,13 +40,10 @@ Determinism and overhead are the two contracts:
   attribute read and a ``None`` check per fault point, nothing else.
   No plan object, no RNG, no lock is ever touched.
 
-Fork caveat: process-backend workers inherit the armed plan by
-``fork``, so worker-side sites (``engine.worker.*``) fire in the child
-with the child's *copy* of the counters — the parent's
-``fired``/``opportunities`` tallies do not include child-side
-activations, and every retry's fresh pool inherits the same pre-fire
-state. Worker-crash faults are therefore persistent (each retry crashes
-again) — which is exactly what the serial-fallback path is for.
+Fork caveat: fleet workers inherit the armed plan by ``fork``, so the
+worker-side site (``fleet.worker.exit``) fires in the child with the
+child's *copy* of the counters — the parent's ``fired``/
+``opportunities`` tallies do not include child-side activations.
 """
 
 from __future__ import annotations
@@ -71,8 +66,6 @@ _PathLike = Union[str, Path]
 #: outside this set fail construction (typos must not silently disarm
 #: a chaos run); pass ``strict=False`` for experimental custom sites.
 KNOWN_SITES = (
-    "engine.worker.crash",
-    "engine.worker.hang",
     "engine.kernel.transient",
     "stream.source.stall",
     "stream.source.duplicate",
@@ -138,7 +131,7 @@ class FaultPlan:
     """A seeded set of :class:`FaultSpec`\\ s with firing state.
 
     Thread-safe: fault points are hit from scheduler threads, stream
-    pumps, and engine workers concurrently; all decision state mutates
+    pumps, and engine threads concurrently; all decision state mutates
     under one lock.
     """
 

@@ -12,8 +12,8 @@ maps by deployment hash (field + sniffer positions + ``d_floor``), so:
   invalidates the old entry: the next ``get_or_build`` builds a fresh
   map, and stale entries age out of the bounded store.
 
-Thread-safe: sessions are drained on a thread pool
-(:class:`repro.stream.manager.SessionManager`), so concurrent
+Thread-safe: several :class:`repro.serve.LocalizationService`\\ s may
+share one registry from different threads, so concurrent
 ``get_or_build`` calls for the same deployment must not race a
 half-built map into view. The build itself runs outside the lock only
 for distinct deployments.

@@ -1,11 +1,11 @@
 """Graceful backend degradation for the serve scheduler.
 
 The scheduler normally evaluates fused batches through a parallel
-:class:`~repro.engine.executor.Engine` (thread or process backend).
-When that backend starts failing persistently — a crashing fork worker,
+:class:`~repro.engine.executor.Engine` (its thread pool). When that
+backend starts failing persistently — kernel chunks that keep raising,
 a wedged pool — retries alone cannot help: the fault follows the
-backend. :class:`BackendGovernor` implements the recovery ladder the
-ISSUE calls graceful degradation:
+backend. :class:`BackendGovernor` implements the recovery ladder of
+graceful degradation:
 
 1. Count *consecutive* backend faults; any success resets the streak.
 2. At ``fault_threshold`` consecutive faults, lease the backend out:

@@ -870,17 +870,13 @@ class MicroBatchScheduler:
                 continue
             for item in group:
                 try:
-                    observation = item.request.observation
-                    reason = session.validate(observation)
-                    step = session.process(observation)
-                    if step is None and reason is None:
-                        reason = session.SKIP_STEP_FAILED
+                    step = session.process(item.request.observation)
                     reply = TrackStepReply(
                         request_id=item.request.request_id,
                         client_id=item.request.client_id,
                         session_id=session_id,
                         step=step,
-                        skip_reason=reason,
+                        skip_reason=session.last_skip_reason,
                         estimates=session.estimates(),
                         latency_s=item.latency(),
                         batch_size=batch_size,

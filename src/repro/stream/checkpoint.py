@@ -126,7 +126,6 @@ def save_checkpoint(
             "last_time": session.last_time,
             "windows_processed": session.metrics.windows_processed,
             "windows_skipped": dict(session.metrics.windows_skipped),
-            "windows_dropped": session.metrics.windows_dropped,
         }
     )
     arrays = {
@@ -248,10 +247,11 @@ def load_checkpoint(
         )
     if fingerprint_map is not None:
         tracker.attach_map(fingerprint_map)
+    # Unknown counters are ignored: older checkpoints also carry a
+    # queue-drop count that sessions no longer keep.
     metrics = StreamMetrics()
     metrics.windows_processed = int(counters["windows_processed"])
     metrics.windows_skipped.update(counters["windows_skipped"])
-    metrics.windows_dropped = int(counters["windows_dropped"])
     session = TrackingSession(
         session_id, tracker, truth=truth, metrics=metrics
     )

@@ -1,10 +1,8 @@
 """Operational metrics for the streaming tracking service.
 
 Every :class:`~repro.stream.session.TrackingSession` owns a
-:class:`StreamMetrics`; the :class:`~repro.stream.manager.SessionManager`
-aggregates them. Metrics are plain counters plus a bounded latency
-reservoir, exportable as JSON for dashboards and the perf-trajectory
-benchmarks.
+:class:`StreamMetrics`: plain counters plus a bounded latency
+reservoir, exportable as JSON for dashboards and checkpoints.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ class StreamMetrics:
     def __init__(self, latency_capacity: int = 4096):
         self.windows_processed = 0
         self.windows_skipped: Counter = Counter()
-        self.windows_dropped = 0
         self._latencies = LatencyReservoir(latency_capacity)
         self._error_sum = 0.0
         self._error_count = 0
@@ -57,10 +54,6 @@ class StreamMetrics:
         """Account one window rejected by session validation."""
         self.windows_skipped[reason] += 1
 
-    def record_drop(self, count: int = 1) -> None:
-        """Account windows shed by queue backpressure before processing."""
-        self.windows_dropped += int(count)
-
     # ------------------------------------------------------------------
     @property
     def skipped_total(self) -> int:
@@ -83,7 +76,6 @@ class StreamMetrics:
             "windows_processed": self.windows_processed,
             "windows_skipped": dict(self.windows_skipped),
             "windows_skipped_total": self.skipped_total,
-            "windows_dropped": self.windows_dropped,
             "latency_p50_s": quantiles["p50"],
             "latency_p95_s": quantiles["p95"],
             "mean_error": self.mean_error(),
@@ -98,22 +90,3 @@ class StreamMetrics:
         payload = {k: _nan_safe(v) for k, v in self.to_dict().items()}
         return json.dumps(payload, indent=indent, sort_keys=True)
 
-
-def merge_metrics(metrics_by_session: Dict[str, StreamMetrics]) -> Dict[str, object]:
-    """Fleet-level summary across sessions (for the manager / benchmarks)."""
-    summary: Dict[str, object] = {
-        "sessions": len(metrics_by_session),
-        "windows_processed": sum(
-            m.windows_processed for m in metrics_by_session.values()
-        ),
-        "windows_skipped_total": sum(
-            m.skipped_total for m in metrics_by_session.values()
-        ),
-        "windows_dropped": sum(
-            m.windows_dropped for m in metrics_by_session.values()
-        ),
-        "per_session": {
-            sid: m.to_dict() for sid, m in metrics_by_session.items()
-        },
-    }
-    return summary

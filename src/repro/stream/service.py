@@ -4,7 +4,8 @@
 (``repro track-stream``) and the examples; :func:`resume_or_create`
 implements the crash-recovery contract (load the checkpoint when one
 exists, otherwise build a fresh session). Multi-session deployments
-compose the same pieces through :class:`repro.stream.manager.SessionManager`.
+run their sessions on one :class:`repro.serve.LocalizationService`,
+whose drain checkpoints use the same format.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ class TrackingSession:
     Parameters
     ----------
     session_id:
-        Stable identifier (used by the manager, checkpoints, metrics).
+        Stable identifier (used by services, checkpoints, metrics).
     tracker:
         The wrapped SMC tracker. The session owns it: callers must not
         step it directly while the session is live.
@@ -72,6 +72,7 @@ class TrackingSession:
         self.last_time: Optional[float] = None
         self.windows_consumed = 0  # every observation offered, good or bad
         self.last_step: Optional[TrackerStep] = None
+        self.last_skip_reason: Optional[str] = None  # None: window processed
         self.step_errors: Counter = Counter()  # exception type -> count
         self.last_error: Optional[str] = None  # "Type: message" of newest
 
@@ -100,11 +101,12 @@ class TrackingSession:
         """Offer one window to the tracker; never raises on bad input.
 
         Returns the tracker step for an accepted window, or ``None``
-        when the window was skipped (the skip reason is counted in
-        ``metrics.windows_skipped``).
+        when the window was skipped; the skip reason is kept in
+        ``last_skip_reason`` and counted in ``metrics.windows_skipped``.
         """
         self.windows_consumed += 1
         reason = self.validate(observation)
+        self.last_skip_reason = reason
         if reason is not None:
             self.metrics.record_skip(reason)
             return None
@@ -125,6 +127,7 @@ class TrackingSession:
                 "skipping it", self.session_id, observation.time,
                 exc_info=True,
             )
+            self.last_skip_reason = self.SKIP_STEP_FAILED
             self.metrics.record_skip(self.SKIP_STEP_FAILED)
             return None
         latency = _time.perf_counter() - started

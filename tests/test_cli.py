@@ -245,6 +245,51 @@ class TestTrackStream:
         out = capsys.readouterr().out
         assert '"windows_processed": 3' in out
 
+    def test_each_skip_prints_its_own_reason(self, tmp_path, capsys):
+        """A reason seen before must not stand in for this window's."""
+        import numpy as np
+
+        from repro.geometry import RectangularField
+        from repro.network import build_network, sample_sniffers_percentage
+        from repro.stream import SyntheticLiveSource, observation_to_jsonl
+        from repro.traffic.measurement import FluxObservation
+        from repro.util.persistence import save_network
+
+        net = build_network(
+            field=RectangularField(15, 15), node_count=225, radius=2.0,
+            rng=np.random.default_rng(11),
+        )
+        sniffers = sample_sniffers_percentage(net, 20, rng=1)
+        t0, t1, t2 = list(
+            SyntheticLiveSource(net, sniffers, user_count=1, rounds=3, rng=2)
+        )
+        negative = t2.values.copy()
+        negative[0] = -1.0
+        t2_bad = FluxObservation(
+            time=t2.time, sniffers=t2.sniffers, values=negative
+        )
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text("".join(
+            observation_to_jsonl(o) + "\n" for o in (t0, t1, t0, t2_bad, t0)
+        ))
+        net_path = save_network(net, tmp_path / "net.npz")
+        rc = main(
+            [
+                "--seed", "5", "track-stream",
+                "--network", str(net_path), "--jsonl", str(feed),
+                "--users", "1", "--predictions", "120",
+            ]
+        )
+        assert rc == 0
+        skipped = [
+            line.split()[0] + " " + line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if "skipped (" in line
+        ]
+        assert skipped == [
+            "2 (out_of_order)", "3 (bad_values)", "4 (out_of_order)"
+        ]
+
 
 class TestAblationExperiments:
     def test_ablation_id_parses(self):

@@ -4,7 +4,7 @@ Covers the executor primitives (ordered ``map``, disjoint-span
 ``run_chunks``, lifecycle), the batched theta solvers' equivalence to
 scipy's NNLS and to each other, and the bitwise parallel == serial
 guarantee at every integration point (coordinate descent, fingerprint
-map builder, stream manager).
+map builder, SMC tracker).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.fpmap import build_fingerprint_map
 from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.smc import SequentialMonteCarloTracker, TrackerConfig
-from repro.stream import SessionManager, SyntheticLiveSource, TrackingSession
+from repro.stream import SyntheticLiveSource
 from repro.traffic import MeasurementModel, simulate_flux
 
 # The solvers compare against scipy within the envelope the ridge
@@ -48,7 +48,6 @@ _RIDGE_TOL = 1e-4
         {"workers": -1},
         {"chunk_size": 0},
         {"dtype": "float16"},
-        {"backend": "mpi"},
     ],
 )
 def test_config_validation(kwargs):
@@ -299,36 +298,3 @@ def test_smc_tracker_accepts_engine_bitwise(deployment):
         parallel = run(eng)
     for a, b in zip(serial, parallel):
         assert np.array_equal(a.estimates, b.estimates)
-
-
-def test_session_manager_engine_drain(deployment):
-    net, sniffers = deployment
-    cfg = TrackerConfig(prediction_count=60, keep_count=5)
-    observations = list(
-        SyntheticLiveSource(net, sniffers, user_count=1, rounds=2, rng=9)
-    )
-
-    def run(**kwargs):
-        manager = SessionManager(queue_size=32, **kwargs)
-        for index in range(3):
-            tracker = SequentialMonteCarloTracker(
-                net.field, net.positions[sniffers], user_count=1, config=cfg,
-                rng=200 + index,
-            )
-            manager.add_session(TrackingSession(f"s{index}", tracker))
-        for obs in observations:
-            for sid in manager.session_ids:
-                manager.submit(sid, obs)
-        processed = manager.drain()
-        estimates = {
-            sid: manager.session(sid).last_step.estimates.copy()
-            for sid in manager.session_ids
-        }
-        return processed, estimates
-
-    want_processed, want = run()
-    with Engine(workers=2) as eng:
-        got_processed, got = run(engine=eng)
-    assert want_processed == got_processed == 3 * len(observations)
-    for sid in want:
-        assert np.array_equal(want[sid], got[sid])

@@ -2,7 +2,7 @@
 
 The contract under test: every configuration of
 :func:`repro.engine.kernels.evaluate_geometry_kernels` — chunked,
-parallel, process-backed, preallocated output — produces float64 values
+parallel, preallocated output — produces float64 values
 bitwise identical to :func:`reference_geometry_kernels`, the pre-engine
 pair-grid implementation kept as oracle; float32 mode stays within a
 small relative envelope.
@@ -69,15 +69,6 @@ def test_parallel_threads_bitwise_equal_serial(field):
     nodes, sinks = _scenario(field, m=301)
     want = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
     with Engine(workers=4, chunk_size=32) as eng:
-        got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, engine=eng)
-    assert np.array_equal(want, got)
-
-
-def test_process_backend_bitwise_equal_serial():
-    field = RectangularField(15, 15)
-    nodes, sinks = _scenario(field, m=4097)  # above the process-path floor
-    want = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
-    with Engine(workers=2, backend="process", chunk_size=1024) as eng:
         got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, engine=eng)
     assert np.array_equal(want, got)
 

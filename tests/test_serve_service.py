@@ -156,8 +156,53 @@ class TestTrackingSessions:
                 observation=windows[0],  # out of order
             )).result(timeout=30)
         assert first.ok and first.skip_reason is None
-        assert stale.ok and stale.skip_reason is not None
+        assert stale.ok
+        assert stale.skip_reason == TrackingSession.SKIP_OUT_OF_ORDER
         assert stale.step is None
+
+    def test_sessions_interleave_through_one_queue(self, scenario):
+        """Three sessions stream from their own threads into one
+        service; each ends bit for bit where a standalone loop does."""
+        net, sniffers, fmap = scenario
+        seeds = {"a": (3, 11), "b": (4, 12), "c": (5, 13)}
+        windows = {
+            sid: list(SyntheticLiveSource(
+                net, sniffers, user_count=2, rounds=5, rng=source_seed
+            ))
+            for sid, (source_seed, _) in seeds.items()
+        }
+        replies = {sid: [] for sid in seeds}
+
+        def stream(sid):
+            for r, obs in enumerate(windows[sid]):
+                replies[sid].append(service.submit(TrackStepRequest(
+                    request_id=f"{sid}{r}", client_id=sid, session_id=sid,
+                    observation=obs,
+                )).result(timeout=30))
+
+        with _service(scenario, max_batch=8) as service:
+            for sid, (_, tracker_seed) in seeds.items():
+                service.open_session(sid, user_count=2, config=_CFG,
+                                     rng=tracker_seed)
+            threads = [threading.Thread(target=stream, args=(sid,))
+                       for sid in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        for sid, (_, tracker_seed) in seeds.items():
+            assert len(replies[sid]) == 5
+            assert all(r.ok and r.skip_reason is None for r in replies[sid])
+            local = TrackingSession(sid, SequentialMonteCarloTracker(
+                net.field, net.positions[sniffers], 2,
+                config=_CFG, rng=tracker_seed, fingerprint_map=fmap,
+            ))
+            for obs in windows[sid]:
+                local.process(obs)
+            session = service.close_session(sid)
+            assert session.windows_consumed == local.windows_consumed == 5
+            assert np.array_equal(session.estimates(), local.estimates())
 
     def test_unknown_session_is_a_typed_error(self, scenario):
         windows = self._windows(scenario, rounds=1)

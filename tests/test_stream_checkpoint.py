@@ -1,5 +1,7 @@
 """Checkpoint/resume: bitwise determinism and archive robustness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,6 @@ class TestCheckpointContents:
         session = make_session()
         session.process(observations[0])
         session.process("garbage")  # one skip
-        session.metrics.record_drop(3)
         path = save_checkpoint(session, tmp_path / "c.npz")
         resumed = load_checkpoint(path)
         assert resumed.session_id == "ckpt"
@@ -104,7 +105,31 @@ class TestCheckpointContents:
         assert resumed.last_time == observations[0].time
         assert resumed.metrics.windows_processed == 1
         assert resumed.metrics.windows_skipped["bad_type"] == 1
-        assert resumed.metrics.windows_dropped == 3
+
+    def test_retired_drop_counter_still_loads(self, scenario, tmp_path):
+        """Older checkpoints carry a ``windows_dropped`` counter; they
+        load and step bit for bit like the session they came from."""
+        observations, make_session = scenario
+        session = make_session()
+        for observation in observations[:3]:
+            session.process(observation)
+        path = save_checkpoint(session, tmp_path / "c.npz")
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        counters = json.loads(str(arrays["counters_json"]))
+        counters["windows_dropped"] = 3
+        arrays["counters_json"] = np.array(json.dumps(counters))
+        older = tmp_path / "older.npz"
+        np.savez_compressed(older, **arrays)
+
+        resumed = load_checkpoint(older)
+        assert resumed.windows_consumed == session.windows_consumed
+        assert resumed.metrics.windows_processed == 3
+        for observation in observations[3:]:
+            session.process(observation)
+            resumed.process(observation)
+            assert np.array_equal(resumed.estimates(), session.estimates())
+        assert resumed.windows_consumed == len(observations)
 
     def test_config_roundtrip(self, scenario, tmp_path):
         observations, make_session = scenario

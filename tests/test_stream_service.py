@@ -11,7 +11,6 @@ from repro.stream import (
     StreamMetrics,
     SyntheticLiveSource,
     TrackingSession,
-    merge_metrics,
     resume_or_create,
     run_stream,
 )
@@ -188,16 +187,6 @@ class TestMetricsExport:
         q = metrics.latency_quantiles()
         assert q["p95"] <= 100.0
         assert metrics.windows_processed == 5
-
-    def test_merge_metrics_totals(self):
-        a, b = StreamMetrics(), StreamMetrics()
-        a.record_window(0.01)
-        b.record_window(0.02)
-        b.record_skip("bad_type")
-        summary = merge_metrics({"a": a, "b": b})
-        assert summary["sessions"] == 2
-        assert summary["windows_processed"] == 2
-        assert summary["windows_skipped_total"] == 1
 
     def test_metrics_validation(self):
         with pytest.raises(ConfigurationError):
