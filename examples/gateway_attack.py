@@ -3,7 +3,7 @@
 
 Spins up the full serving stack behind a :class:`repro.gateway.
 GatewayServer` — asyncio TCP front door, micro-batched localization
-service, AIMD governor — then plays the attacker from the *client*
+service — then plays the attacker from the *client*
 side of real sockets: concurrent localizations and a tracked session,
 all speaking the newline-delimited JSON protocol. Finishes with the
 per-stage latency decomposition (gateway_in → admission → fuse →
@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import build_network, sample_sniffers_percentage, simulate_flux
 from repro.fpmap import build_fingerprint_map
-from repro.gateway import GatewayClient, GatewayGovernor, GatewayServer
+from repro.gateway import GatewayClient, GatewayServer
 from repro.geometry import RectangularField
 from repro.serve import LocalizationService
 from repro.stream import SyntheticLiveSource
@@ -96,50 +96,44 @@ def main() -> None:
         net.field, net.positions[sniffers], fingerprint_map=fmap,
         max_batch=8, max_wait_s=0.002,
     )
-    with service:
-        governor = GatewayGovernor(service, slo_p95_s=0.050,
-                                   interval_s=0.05)
-        with GatewayServer(service, governor=governor) as gateway:
-            print(f"Gateway listening on 127.0.0.1:{gateway.port} "
-                  f"(ephemeral bind)\n")
-            replies, estimates, dump = asyncio.run(
-                drive(gateway.port, work, windows)
-            )
+    with service, GatewayServer(service) as gateway:
+        print(f"Gateway listening on 127.0.0.1:{gateway.port} "
+              f"(ephemeral bind)\n")
+        replies, estimates, dump = asyncio.run(
+            drive(gateway.port, work, windows)
+        )
 
-            flat = [r for batch in replies for r in batch]
-            ok = sum(1 for r in flat if r.get("ok"))
-            print(f"Localizations over the wire: {ok}/{len(flat)} ok "
-                  f"from {CLIENTS} concurrent connections")
-            print(f"Tracked session: {TRACK_ROUNDS} windows, final "
-                  f"estimates {np.round(np.asarray(estimates), 2).tolist()}")
+        flat = [r for batch in replies for r in batch]
+        ok = sum(1 for r in flat if r.get("ok"))
+        print(f"Localizations over the wire: {ok}/{len(flat)} ok "
+              f"from {CLIENTS} concurrent connections")
+        print(f"Tracked session: {TRACK_ROUNDS} windows, final "
+              f"estimates {np.round(np.asarray(estimates), 2).tolist()}")
 
-            snap = gateway.snapshot()
-            print(f"\nGateway: {snap['connections_opened']} connections, "
-                  f"{snap['frames_received']} frames in / "
-                  f"{snap['frames_sent']} out, "
-                  f"{snap['replies_dropped']} replies dropped, "
-                  f"{snap['protocol_errors']} protocol errors")
-            print(f"Governor: {snap['governor']['adjustments_total']} "
-                  f"adjustments over {snap['governor']['ticks']} ticks "
-                  f"(SLO p95 <= 50 ms)")
+        snap = gateway.snapshot()
+        print(f"\nGateway: {snap['connections_opened']} connections, "
+              f"{snap['frames_received']} frames in / "
+              f"{snap['frames_sent']} out, "
+              f"{snap['replies_dropped']} replies dropped, "
+              f"{snap['protocol_errors']} protocol errors")
 
-            print("\nPer-stage latency decomposition (p95, from "
-                  "trace_dump):")
-            stages = dump["stages"]
-            for stage in STAGE_ORDER:
-                if stage not in stages:
-                    continue
-                info = stages[stage]
-                print(f"  {stage:<12} {1e3 * info['p95_s']:>8.2f} ms "
-                      f"({info['count']} samples)")
-            sample = dump["traces"][-1]
-            total_ms = 1e3 * sample["total_s"]
-            print(f"\nOne traced request ({sample['span_id']}): "
-                  f"{total_ms:.2f} ms total")
-            for stage, seconds in sorted(sample["stages"].items(),
-                                         key=lambda kv: -kv[1]):
-                print(f"  {stage:<12} {1e3 * seconds:>8.2f} ms "
-                      f"({100 * seconds / sample['total_s']:.0f}%)")
+        print("\nPer-stage latency decomposition (p95, from "
+              "trace_dump):")
+        stages = dump["stages"]
+        for stage in STAGE_ORDER:
+            if stage not in stages:
+                continue
+            info = stages[stage]
+            print(f"  {stage:<12} {1e3 * info['p95_s']:>8.2f} ms "
+                  f"({info['count']} samples)")
+        sample = dump["traces"][-1]
+        total_ms = 1e3 * sample["total_s"]
+        print(f"\nOne traced request ({sample['span_id']}): "
+              f"{total_ms:.2f} ms total")
+        for stage, seconds in sorted(sample["stages"].items(),
+                                     key=lambda kv: -kv[1]):
+            print(f"  {stage:<12} {1e3 * seconds:>8.2f} ms "
+                  f"({100 * seconds / sample['total_s']:.0f}%)")
     print("\nEvery reply above crossed a real TCP socket — the same "
           "frames, spans, and knobs the CLI's `repro gateway` serves.")
 

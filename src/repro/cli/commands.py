@@ -1072,7 +1072,7 @@ def cmd_gateway(args) -> int:
 
     from repro.errors import ConfigurationError
     from repro.faults import injected
-    from repro.gateway import GatewayGovernor, GatewayServer
+    from repro.gateway import GatewayServer
     from repro.serve import LocalizationService, MetricsServer
 
     gen = as_generator(args.seed)
@@ -1145,17 +1145,8 @@ def cmd_gateway(args) -> int:
         print(f"cannot load fault plan {args.fault_plan}: {exc}",
               file=sys.stderr)
         return 1
-    governor = None
-    if args.slo_p95_ms is not None:
-        governor = GatewayGovernor(
-            service,
-            slo_p95_s=args.slo_p95_ms / 1000.0,
-            interval_s=args.governor_interval_ms / 1000.0,
-        )
     service.start()
-    gateway = GatewayServer(
-        service, host="127.0.0.1", port=args.port, governor=governor
-    )
+    gateway = GatewayServer(service, host="127.0.0.1", port=args.port)
     guard = _ShutdownGuard()
     code = 0
     endpoint = None
@@ -1164,8 +1155,6 @@ def cmd_gateway(args) -> int:
         print(
             f"gateway on 127.0.0.1:{port} fronting "
             f"{sniffers.size}/{net.node_count} sniffed nodes"
-            + (f"; governor SLO p95 {args.slo_p95_ms:g}ms"
-               if governor is not None else "")
         )
         if args.metrics_port is not None:
             endpoint = MetricsServer(service.metrics, port=args.metrics_port)
@@ -1201,12 +1190,6 @@ def cmd_gateway(args) -> int:
         f"{snap['replies_dropped']} replies dropped, "
         f"{snap['protocol_errors']} protocol errors"
     )
-    if governor is not None:
-        gov = governor.snapshot()
-        print(
-            f"governor: {gov['ticks']} ticks, "
-            f"{gov['adjustments_total']} adjustments; knobs {gov['knobs']}"
-        )
     metrics_json = service.metrics.to_json()
     if args.metrics_out:
         Path(args.metrics_out).write_text(metrics_json + "\n")

@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan",
         default=None,
         help="arm this fault-plan JSON (repro.faults) for the load run: "
-        "batch-fuse/kernel faults are retried, backends degrade to serial",
+        "batch-fuse/kernel faults are retried",
     )
     p.set_defaults(handler=commands.cmd_serve)
 
@@ -454,19 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="idle-serve mode: stop after this many seconds "
         "(default: wait for SIGINT/SIGTERM)",
-    )
-    p.add_argument(
-        "--slo-p95-ms",
-        type=float,
-        default=None,
-        help="enable the closed-loop governor defending this reply-p95 "
-        "SLO (auto-tunes the admission capacity)",
-    )
-    p.add_argument(
-        "--governor-interval-ms",
-        type=float,
-        default=500.0,
-        help="governor control-loop tick period",
     )
     p.add_argument("--max-batch", type=int, default=32)
     p.add_argument("--max-wait-ms", type=float, default=2.0)

@@ -21,14 +21,11 @@ out through the same Engine (a saturated pool waiting on its own
 children deadlocks). Engine-aware call sites therefore pass
 ``engine=None`` to the inner calls they fan out.
 
-Resilience: an Engine built with a :class:`~repro.faults.RetryPolicy`
-re-runs failed units (a mapped item, a chunk span) on *transient*
-failures — injected faults, engine errors, ``FloatingPointError`` —
-under bounded backoff. Both primitives are retry-safe by construction:
-``map`` results are per-item and ``run_chunks`` tasks rewrite their
-disjoint spans from scratch, so a retried unit is bitwise-identical to
-a first-try success. Exhausted budgets surface as typed
-:class:`~repro.errors.RetriesExhausted`.
+Failures propagate on their first occurrence. Both primitives are
+retry-safe by construction — ``map`` results are per-item and
+``run_chunks`` tasks rewrite their disjoint spans from scratch — so a
+caller that retries the whole call (the serve scheduler's fused pass)
+gets a result bitwise-identical to a first-try success.
 """
 
 from __future__ import annotations
@@ -51,11 +48,6 @@ class Engine:
     config:
         Full configuration; mutually exclusive with the keyword
         shortcuts below.
-    retry_policy:
-        Optional :class:`~repro.faults.RetryPolicy`. When set, every
-        mapped item and every chunk task is re-run under bounded
-        backoff on transient failures (see module docstring); when
-        ``None`` (default) failures propagate on the first occurrence.
     workers / chunk_size / dtype:
         Shortcuts building an :class:`EngineConfig` in place, e.g.
         ``Engine(workers=4)``.
@@ -67,18 +59,12 @@ class Engine:
     a closed Engine silently degrades to inline execution.
     """
 
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        retry_policy=None,
-        **overrides,
-    ):
+    def __init__(self, config: Optional[EngineConfig] = None, **overrides):
         if config is None:
             config = EngineConfig(**overrides)
         elif overrides:
             raise TypeError("pass either a config or keyword overrides, not both")
         self.config = config
-        self.retry_policy = retry_policy
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
         self._closed = False
@@ -114,25 +100,9 @@ class Engine:
                 )
             return self._pool
 
-    def _resilient(self, fn: Callable[..., R], label: str) -> Callable[..., R]:
-        """``fn`` wrapped under this engine's retry policy (identity if none)."""
-        if self.retry_policy is None:
-            return fn
-        from repro.faults.retry import call_with_retry
-
-        policy = self.retry_policy
-
-        def wrapped(*args):
-            return call_with_retry(
-                lambda: fn(*args), policy, label=label
-            )
-
-        return wrapped
-
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Apply ``fn`` to every item; results in submission order."""
         items = list(items)
-        fn = self._resilient(fn, "engine.map item")
         if not self.parallel or len(items) < 2:
             return [fn(item) for item in items]
         return list(self._ensure_pool().map(fn, items))
@@ -155,7 +125,6 @@ class Engine:
         spans = [
             (start, min(start + size, total)) for start in range(0, total, size)
         ]
-        task = self._resilient(task, "engine.run_chunks span")
         if not self.parallel or len(spans) < 2:
             for start, stop in spans:
                 task(start, stop)

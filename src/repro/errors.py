@@ -59,12 +59,14 @@ class StreamError(ReproError):
 
 
 class EngineError(ReproError):
-    """The parallel kernel engine hit a structural execution failure.
+    """An execution failure of the serving machinery, not of the math.
 
     Per-chunk *numerical* problems are not engine errors — kernels
     raise :class:`FittingError`/``FloatingPointError`` style failures
-    that retries can absorb. This covers the execution machinery
-    itself, such as a worker process that died (:class:`WorkerCrashed`).
+    that retries can absorb. The kernel engine runs on threads of the
+    calling process, so it has no worker process that could die; the
+    one subclass is a fleet worker process that died
+    (:class:`WorkerCrashed`).
     """
 
 

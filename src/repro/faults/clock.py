@@ -1,7 +1,7 @@
 """Injectable monotonic time for deadlines, backoff, and chaos tests.
 
 Every resilience decision in the library — request-deadline expiry,
-retry backoff sleeps, the backend governor's cool-down — reads time
+retry backoff sleeps — reads time
 through this module instead of calling :func:`time.monotonic`
 directly. In production the installed clock *is* the system clock (one
 attribute read of overhead); tests and chaos harnesses install a

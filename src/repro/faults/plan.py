@@ -9,7 +9,8 @@ calls) at the places production failures actually happen:
 site                      effect at the call site
 ======================== ==================================================
 ``engine.kernel.transient`` kernel chunk raises :class:`FaultInjected`
-                          (a transient numerical failure; retryable)
+                          (a transient numerical failure; the serve
+                          scheduler's fused pass retries it)
 ``stream.source.stall``   observation stream sleeps ``delay_s``
 ``stream.source.duplicate`` one window is delivered twice
 ``stream.source.torn``    a window arrives truncated (half its sniffers)

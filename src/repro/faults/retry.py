@@ -2,8 +2,9 @@
 
 :class:`RetryPolicy` is a frozen description — attempts, backoff curve,
 jitter band — and :func:`call_with_retry` is the one executor every
-retrying call site shares (the engine's kernel evaluation, the
-checkpoint writer, the serve scheduler's fused pass). Backoff sleeps go
+retrying call site shares (the serve scheduler's fused kernel pass,
+the checkpoint writes of ``run_stream`` and the service drain, and the
+fleet workers' checkpoint writes). Backoff sleeps go
 through the injected clock (:mod:`repro.faults.clock`), so chaos tests
 retry "for seconds" in microseconds, and jitter draws from a caller-
 seeded RNG — a retried computation is exactly as deterministic as its

@@ -31,8 +31,6 @@ _SUMMED_KEYS = (
     "batches",
     "fused_candidate_rows",
     "retries_total",
-    "backend_fallbacks",
-    "backend_reescalations",
     "internal_faults_total",
 )
 

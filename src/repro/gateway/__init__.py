@@ -7,14 +7,13 @@ cheap concurrent connections into the admission queue of one
 :class:`~repro.serve.LocalizationService` or
 :class:`~repro.fleet.ServeFleet`, preserving the serve layer's
 exactly-one-typed-reply guarantee end to end. Requests are stamped with
-span ids at the door, the scheduler records per-stage timestamps as
-they cross admission → fuse → solve → reply, and
-:class:`GatewayGovernor` closes the loop by auto-tuning the service's
-admission capacity from the observed reply p95.
+span ids at the door, and the scheduler records per-stage timestamps as
+they cross admission → fuse → solve → reply. Excess load is shed at
+the door: the service's fixed admission capacity answers it with a
+typed ``admission_rejected`` reply under the ``reject`` policy.
 """
 
 from repro.gateway.client import GatewayClient
-from repro.gateway.governor import GatewayGovernor
 from repro.gateway.protocol import (
     MAX_FRAME_BYTES,
     decode_frame,
@@ -30,7 +29,6 @@ from repro.gateway.server import GatewayMetrics, GatewayServer
 
 __all__ = [
     "GatewayClient",
-    "GatewayGovernor",
     "GatewayMetrics",
     "GatewayServer",
     "MAX_FRAME_BYTES",

@@ -161,9 +161,6 @@ class GatewayServer:
         port, published via :attr:`port` and in :meth:`snapshot`.
     name:
         Span-id prefix, useful when several gateways front one fleet.
-    governor:
-        Optional :class:`~repro.gateway.governor.GatewayGovernor`;
-        started and stopped with the server.
     """
 
     def __init__(
@@ -172,7 +169,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         name: str = "gw",
-        governor=None,
         subscribe_interval_s: float = 0.25,
     ):
         if not callable(getattr(backend, "submit", None)):
@@ -188,7 +184,6 @@ class GatewayServer:
         self.host = host
         self._requested_port = int(port)
         self.name = str(name)
-        self.governor = governor
         self.subscribe_interval_s = float(subscribe_interval_s)
         self.metrics = GatewayMetrics()
         backend_metrics = getattr(backend, "metrics", None)
@@ -232,8 +227,6 @@ class GatewayServer:
                 f"gateway failed to bind {self.host}:{self._requested_port} "
                 f"({self._startup_error})"
             )
-        if self.governor is not None:
-            self.governor.start()
         return self._bound_port
 
     def _run(self, started: threading.Event) -> None:
@@ -281,8 +274,6 @@ class GatewayServer:
         """Stop accepting, cancel connection tasks, join the thread."""
         if self._thread is None:
             return
-        if self.governor is not None:
-            self.governor.stop()
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10.0)
         self._thread = None
@@ -295,7 +286,7 @@ class GatewayServer:
         self.stop()
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-ready gateway state: endpoint, counters, governor."""
+        """JSON-ready gateway state: endpoint and counters."""
         snap = {
             "name": self.name,
             "host": self.host,
@@ -303,8 +294,6 @@ class GatewayServer:
             "backend": type(self.backend).__name__,
         }
         snap.update(self.metrics.snapshot())
-        if self.governor is not None:
-            snap["governor"] = self.governor.snapshot()
         return snap
 
     # ------------------------------------------------------------------
@@ -543,8 +532,8 @@ class GatewayServer:
     ) -> None:
         session_id = str(frame.get("session_id") or "")
         user_count = frame.get("user_count", 1)
-        seed = int(frame.get("seed", 0))
         try:
+            seed = int(frame.get("seed", 0))
             if not session_id:
                 raise ConfigurationError("open_session needs a session_id")
             if hasattr(self.backend, "fleet_snapshot"):
@@ -571,8 +560,6 @@ class GatewayServer:
 
     def _metrics_payload(self) -> Dict:
         payload = {"gateway": self.metrics.snapshot()}
-        if self.governor is not None:
-            payload["governor"] = self.governor.snapshot()
         if self._server_metrics is not None:
             payload["service"] = self._server_metrics.snapshot()
         elif hasattr(self.backend, "fleet_snapshot"):

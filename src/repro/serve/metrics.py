@@ -56,8 +56,6 @@ class ServerMetrics:
         self.fused_candidate_rows = 0
         self.queue_depth = 0  # gauge: sampled at each batch drain
         self.retries: Counter = Counter()  # by retried-operation label
-        self.backend_fallbacks = 0  # parallel backend leased out (serial mode)
-        self.backend_reescalations = 0  # parallel backend restored
         self.internal_faults: Counter = Counter()  # by origin site
         # Per-stage latency decomposition (admission → fuse → solve →
         # reply, plus gateway_in/gateway_out when a gateway fronts the
@@ -67,7 +65,6 @@ class ServerMetrics:
         self._stage_capacity = int(latency_capacity)
         self._traces: deque = deque(maxlen=trace_capacity)
         self.traces_recorded = 0
-        self.governor_adjustments: Counter = Counter()  # by knob name
         self.endpoint: Optional[Dict[str, object]] = None  # bound HTTP addr
         self._probes: Dict[str, object] = {}  # live objects we snapshot
 
@@ -136,16 +133,6 @@ class ServerMetrics:
         """One bounded-backoff retry of ``label`` (the RetryPolicy hook)."""
         with self._lock:
             self.retries[label] += 1
-
-    def record_backend_fallback(self) -> None:
-        """The scheduler degraded from its parallel backend to serial."""
-        with self._lock:
-            self.backend_fallbacks += 1
-
-    def record_backend_reescalation(self) -> None:
-        """The scheduler restored its parallel backend after a cool-down."""
-        with self._lock:
-            self.backend_reescalations += 1
 
     def record_internal_fault(self, where: str) -> None:
         """A swallowed-but-observed internal failure (e.g. prematch pass)."""
@@ -222,11 +209,6 @@ class ServerMetrics:
         return out
 
     # ------------------------------------------------------------------
-    def record_governor_adjustment(self, knob: str) -> None:
-        """The gateway governor moved ``knob`` (every move is counted)."""
-        with self._lock:
-            self.governor_adjustments[knob] += 1
-
     def set_endpoint(self, host: str, port: int) -> None:
         """Record the bound HTTP endpoint for snapshot reporting."""
         with self._lock:
@@ -273,8 +255,6 @@ class ServerMetrics:
                 "fused_candidate_rows": self.fused_candidate_rows,
                 "retries": {str(k): v for k, v in sorted(self.retries.items())},
                 "retries_total": int(sum(self.retries.values())),
-                "backend_fallbacks": self.backend_fallbacks,
-                "backend_reescalations": self.backend_reescalations,
                 "internal_faults": {
                     str(k): v for k, v in sorted(self.internal_faults.items())
                 },
@@ -286,13 +266,6 @@ class ServerMetrics:
                 "queue_wait_p95_s": waits["p95"],
                 "stages": self._stage_quantiles_locked(),
                 "traces_recorded": self.traces_recorded,
-                "governor_adjustments": {
-                    str(k): v
-                    for k, v in sorted(self.governor_adjustments.items())
-                },
-                "governor_adjustments_total": int(
-                    sum(self.governor_adjustments.values())
-                ),
             }
             if self.endpoint is not None:
                 snap["metrics_endpoint"] = dict(self.endpoint)

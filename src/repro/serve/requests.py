@@ -11,6 +11,7 @@ answered, never silently dropped.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Type
@@ -89,13 +90,14 @@ class LocalizeRequest:
         The flux window to fit, over the service's sniffer set.
     user_count .. seed_top_k:
         The :meth:`repro.fingerprint.NLSLocalizer.localize` search
-        budget knobs. ``user_count x restarts x candidate_count`` may
-        not exceed :data:`MAX_CANDIDATE_ROWS`.
+        budget knobs, each an integer ``>= 1`` (``bool`` is refused).
+        ``user_count x restarts x candidate_count`` may not exceed
+        :data:`MAX_CANDIDATE_ROWS`.
     seed:
-        Integer seed of the request's private RNG streams. Identical
-        requests (same seed, same observation, same knobs) produce
-        bitwise-identical replies whether they were solved alone or
-        inside a micro-batch — the scheduler's fused paths are all
+        Integer seed ``>= 0`` of the request's private RNG streams.
+        Identical requests (same seed, same observation, same knobs)
+        produce bitwise-identical replies whether they were solved alone
+        or inside a micro-batch — the scheduler's fused paths are all
         row-local.
     use_map:
         Seed candidate pools from the service's fingerprint map when it
@@ -128,11 +130,23 @@ class LocalizeRequest:
     def __post_init__(self) -> None:
         _require_identity(self.request_id, self.client_id)
         _require_deadline(self.deadline_s)
-        for name in ("user_count", "candidate_count", "top_m", "restarts",
-                     "sweeps", "seed_top_k"):
+        for name, floor in (
+            ("user_count", 1), ("candidate_count", 1), ("top_m", 1),
+            ("restarts", 1), ("sweeps", 1), ("seed_top_k", 1), ("seed", 0),
+        ):
             value = getattr(self, name)
-            if int(value) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+            # int() would admit "3" or 24.5 here, and the raw value
+            # would then fail its whole fused batch in the solve.
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral
+            ):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
+            if value < floor:
+                raise ConfigurationError(
+                    f"{name} must be >= {floor}, got {value}"
+                )
         rows = int(self.user_count) * int(self.restarts) * int(
             self.candidate_count
         )

@@ -56,10 +56,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, FaultInjected, RetriesExhausted
+from repro.errors import ConfigurationError, FaultInjected
 from repro.faults import clock as _clock
 from repro.faults.plan import should_fire
-from repro.faults.retry import TRANSIENT_ERRORS, call_with_retry
+from repro.faults.retry import call_with_retry
 from repro.fingerprint.candidates import MapSeededCandidates, UniformCandidates
 from repro.fingerprint.nls import (
     NLSLocalizer,
@@ -71,7 +71,6 @@ from repro.fingerprint.objective import _RIDGE
 from repro.fingerprint.results import CompositionFit, LocalizationResult
 from repro.serve.admission import AdmissionQueue, PendingRequest
 from repro.serve.metrics import ServerMetrics
-from repro.serve.resilience import BackendGovernor
 from repro.serve.requests import (
     ERROR_DEADLINE_EXPIRED,
     ERROR_INTERNAL,
@@ -88,10 +87,6 @@ from repro.serve.requests import (
 _SOLVE_BLOCK_ROWS = 8192
 
 _LOG = logging.getLogger(__name__)
-
-#: Failures of the fused evaluation worth a retry / serial fallback
-#: (transient set plus an exhausted bounded retry of that set).
-_BACKEND_FAULTS = TRANSIENT_ERRORS + (RetriesExhausted,)
 
 #: Inter-arrival gaps above this are idle time, not traffic, and are
 #: excluded from the controller's rate EWMA (a client coming back from
@@ -591,16 +586,11 @@ class MicroBatchScheduler:
         with ``max_wait_s`` as its ceiling.
     retry_policy:
         Optional :class:`~repro.faults.RetryPolicy` for the fused
-        kernel evaluation. Transient failures (injected faults, engine
-        errors) are retried under bounded backoff before the serial
-        fallback is attempted; every retry is counted in
-        ``metrics.retries``.
-    fault_threshold / cooldown_s:
-        The :class:`~repro.serve.resilience.BackendGovernor` knobs:
-        after ``fault_threshold`` consecutive fused-evaluation faults
-        the parallel backend is leased out for ``cooldown_s``
-        injected-clock seconds (batches evaluate serially — always
-        bitwise-identical in float64), then restored.
+        kernel evaluation. Transient failures
+        (:data:`~repro.faults.retry.TRANSIENT_ERRORS`) are retried under
+        bounded backoff, and every retry is counted in
+        ``metrics.retries``. A pass that still fails answers each of its
+        requests with one ``internal`` error reply.
     """
 
     def __init__(
@@ -614,8 +604,6 @@ class MicroBatchScheduler:
         max_batch: int = 32,
         max_wait_s: float = 0.002,
         retry_policy=None,
-        fault_threshold: int = 3,
-        cooldown_s: float = 5.0,
     ):
         if max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {max_batch}")
@@ -631,13 +619,6 @@ class MicroBatchScheduler:
         queue.controller = self.controller
         self._match_workspace: Dict[str, np.ndarray] = {}
         self.retry_policy = retry_policy
-        self.governor = BackendGovernor(
-            engine,
-            fault_threshold=fault_threshold,
-            cooldown_s=cooldown_s,
-            on_fallback=metrics.record_backend_fallback,
-            on_reescalate=metrics.record_backend_reescalation,
-        )
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -717,7 +698,6 @@ class MicroBatchScheduler:
             # Stage 1 of the latency decomposition: queue wait ends here.
             item.stamp("admission", taken_at)
         batch_size = len(live)
-        engine = self.governor.current_engine()
 
         localize = [i for i in live if isinstance(i.request, LocalizeRequest)]
         track = [i for i in live if isinstance(i.request, TrackStepRequest)]
@@ -753,7 +733,7 @@ class MicroBatchScheduler:
         fused_rows = 0
         if plans:
             try:
-                fused_rows = self._fused_kernels(plans, engine)
+                fused_rows = self._fused_kernels(plans)
             except Exception as exc:
                 for plan in plans:
                     self._complete_error(
@@ -794,7 +774,7 @@ class MicroBatchScheduler:
 
         for plan in multis:
             try:
-                result = solve_multi_user(plan, engine=engine)
+                result = solve_multi_user(plan, engine=self.engine)
             except Exception as exc:
                 self._complete_error(
                     plan.item, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
@@ -805,45 +785,27 @@ class MicroBatchScheduler:
 
         self._process_track(track, batch_size, taken_at)
 
-    def _fused_kernels(self, plans: List[_LocalizePlan], engine) -> int:
-        """The fused kernel pass under the resilience ladder.
+    def _fused_kernels(self, plans: List[_LocalizePlan]) -> int:
+        """The fused kernel pass, under ``retry_policy`` when one is set.
 
-        Bounded retries first (when a policy is set), then — if the
-        parallel backend keeps failing — a one-shot serial fallback for
-        *this* batch, with the governor counting the fault toward a
-        cool-down lease. Serial evaluation of the same pools is bitwise-
-        identical in float64, so degradation never changes a reply.
+        A retry re-evaluates the same pools from scratch, so its rows
+        are bitwise-identical to a first-try success.
         """
 
-        def run(eng) -> int:
-            if self.retry_policy is None:
-                return fuse_pool_kernels(self.localizer.model, plans,
-                                         engine=eng)
-            return call_with_retry(
-                lambda: fuse_pool_kernels(self.localizer.model, plans,
-                                          engine=eng),
-                self.retry_policy,
-                on_retry=lambda attempt, exc: self.metrics.record_retry(
-                    "serve.batch.fuse"
-                ),
-                label="serve.batch.fuse",
-            )
+        def run() -> int:
+            return fuse_pool_kernels(self.localizer.model, plans,
+                                     engine=self.engine)
 
-        if engine is None:
-            return run(None)
-        try:
-            rows = run(engine)
-        except _BACKEND_FAULTS as exc:
-            self.governor.record_fault()
-            _LOG.warning(
-                "fused kernel pass failed on the parallel backend "
-                "(%s: %s); evaluating this batch serially",
-                type(exc).__name__, exc,
-            )
-            self.metrics.record_internal_fault("serve.batch.fuse")
-            return run(None)
-        self.governor.record_success()
-        return rows
+        if self.retry_policy is None:
+            return run()
+        return call_with_retry(
+            run,
+            self.retry_policy,
+            on_retry=lambda attempt, exc: self.metrics.record_retry(
+                "serve.batch.fuse"
+            ),
+            label="serve.batch.fuse",
+        )
 
     def _process_track(
         self,

@@ -94,10 +94,8 @@ class LocalizationService:
         :class:`~repro.faults.RetryPolicy` for the scheduler's fused
         kernel pass and the drain checkpoint writes. The default is a
         small bounded policy (3 attempts); pass ``None`` explicitly to
-        disable retries.
-    fault_threshold / cooldown_s:
-        Backend-degradation knobs forwarded to the scheduler's
-        :class:`~repro.serve.resilience.BackendGovernor`.
+        disable retries. A fused pass that still fails answers each of
+        its requests with one ``internal`` error reply.
     """
 
     _DEFAULT_RETRIES = "default"
@@ -119,8 +117,6 @@ class LocalizationService:
         per_client_limit: Optional[int] = None,
         metrics: Optional[ServerMetrics] = None,
         retry_policy=_DEFAULT_RETRIES,
-        fault_threshold: int = 3,
-        cooldown_s: float = 5.0,
     ):
         if retry_policy == self._DEFAULT_RETRIES:
             retry_policy = RetryPolicy(max_attempts=3, base_delay_s=0.005,
@@ -169,8 +165,6 @@ class LocalizationService:
             max_batch=max_batch,
             max_wait_s=max_wait_s,
             retry_policy=retry_policy,
-            fault_threshold=fault_threshold,
-            cooldown_s=cooldown_s,
         )
         self.metrics.attach_probes(
             kernel_cache=(

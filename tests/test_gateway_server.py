@@ -138,8 +138,9 @@ class TestExactlyOneReply:
     def test_oversized_budget_is_refused_and_its_batch_mate_answered(
         self, scenario
     ):
-        """A budget past MAX_CANDIDATE_ROWS is a typed bad_request, never
-        an allocation that fails the whole fused batch."""
+        """A budget past MAX_CANDIDATE_ROWS, or a knob that is not an
+        integer, is a typed bad_request, never a request that fails the
+        whole fused batch."""
         obs = _observations(scenario, 1, seed=6)[0]
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():
@@ -151,12 +152,18 @@ class TestExactlyOneReply:
                                         candidate_count=50_000_000, seed=1),
                         client.localize(obs, id="small",
                                         candidate_count=24, seed=2),
+                        client.localize(obs, id="textual",
+                                        candidate_count=24, top_m="3",
+                                        seed=3),
                     )
 
-            huge, small = _run(go())
+            huge, small, textual = _run(go())
         assert huge["type"] == "error"
         assert huge["code"] == "bad_request"
         assert "MAX_CANDIDATE_ROWS" in huge["message"]
+        assert textual["type"] == "error"
+        assert textual["code"] == "bad_request"
+        assert "top_m" in textual["message"]
         assert small["ok"] is True
         assert small["id"] == "small"
 
@@ -292,6 +299,37 @@ class TestSessionsOverTheWire:
         assert first["type"] == "session_opened"
         assert second["type"] == "error"
         assert second["code"] == "bad_request"
+
+    def test_non_numeric_seed_is_a_typed_error_frame(self, scenario):
+        """A seed that is not a number gets ``bad_request``, and the
+        connection keeps serving."""
+        with _service(scenario) as service, GatewayServer(service) as gateway:
+            async def go():
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", gateway.port
+                )
+                frames = []
+                try:
+                    for frame in (
+                        {"type": "open_session", "id": "s1",
+                         "session_id": "x", "seed": "abc"},
+                        {"type": "ping", "id": "after"},
+                    ):
+                        writer.write(protocol.encode_frame(frame))
+                        await writer.drain()
+                        line = await asyncio.wait_for(reader.readline(), 30)
+                        frames.append(json.loads(line))
+                    return frames
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+            error, pong = _run(go())
+            assert service.session_ids == []
+        assert error["type"] == "error"
+        assert error["code"] == "bad_request"
+        assert error["id"] == "s1"
+        assert pong == {"type": "pong", "id": "after"}
 
 
 class TestObservability:

@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Engine
-from repro.errors import (
-    ConfigurationError,
-    FaultInjected,
-    RetriesExhausted,
-)
+from repro.errors import ConfigurationError, FaultInjected
 from repro.faults import (
     FakeClock,
     FaultPlan,
@@ -28,12 +24,12 @@ from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.serve import (
     ERROR_DEADLINE_EXPIRED,
+    ERROR_INTERNAL,
     LocalizationService,
     LocalizeRequest,
 )
 from repro.serve.admission import PendingRequest
 from repro.serve.metrics import ServerMetrics
-from repro.serve.resilience import BackendGovernor
 from repro.smc import SequentialMonteCarloTracker, TrackerConfig
 from repro.stream import TrackingSession
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
@@ -77,104 +73,15 @@ def _tracker(net, sniffers, rng=3):
 
 
 # ----------------------------------------------------------------------
-# Engine: retry policy + typed worker-death errors.
+# Engine: failures propagate; the serve scheduler owns the retry.
 # ----------------------------------------------------------------------
 class TestEngineRetry:
-    def test_map_retries_transients(self):
-        calls = []
-
-        def flaky(x):
-            calls.append(x)
-            if calls.count(x) == 1 and x == 2:
-                raise FaultInjected("transient")
-            return x * x
-
-        eng = Engine(retry_policy=_FAST_RETRIES)
-        assert eng.map(flaky, [1, 2, 3]) == [1, 4, 9]
-
-    def test_run_chunks_retries_transients(self):
-        failed = []
-        out = np.zeros(8)
-
-        def task(start, stop):
-            if start == 4 and not failed:
-                failed.append(1)
-                raise FaultInjected("transient")
-            out[start:stop] = 1.0
-
-        eng = Engine(retry_policy=_FAST_RETRIES)
-        eng.run_chunks(8, task, chunk_size=4)
-        assert out.sum() == 8.0
-
     def test_no_policy_propagates_first_failure(self):
         def broken(x):
             raise FaultInjected("down")
 
         with pytest.raises(FaultInjected):
             Engine().map(broken, [1, 2])
-
-    def test_exhaustion_is_typed(self):
-        def broken(x):
-            raise FaultInjected("permanently down")
-
-        eng = Engine(retry_policy=RetryPolicy(max_attempts=2,
-                                              base_delay_s=0.0,
-                                              max_delay_s=0.0))
-        with pytest.raises(RetriesExhausted):
-            eng.map(broken, [1, 2])
-
-    def test_config_and_policy_both_kwargs_ok(self):
-        from repro.engine import EngineConfig
-
-        eng = Engine(EngineConfig(workers=2), retry_policy=_FAST_RETRIES)
-        assert eng.retry_policy is _FAST_RETRIES
-        eng.close()
-
-
-# ----------------------------------------------------------------------
-# BackendGovernor: fallback ladder under an injected clock.
-# ----------------------------------------------------------------------
-class TestBackendGovernor:
-    def test_none_engine_always_serial(self):
-        governor = BackendGovernor(None)
-        assert governor.current_engine() is None
-        assert governor.record_fault() is False
-
-    def test_threshold_then_cooldown_then_reescalate(self):
-        events = []
-        eng = Engine()
-        fake = FakeClock()
-        governor = BackendGovernor(
-            eng, fault_threshold=2, cooldown_s=10.0,
-            on_fallback=lambda: events.append("down"),
-            on_reescalate=lambda: events.append("up"),
-        )
-        with clock.installed(fake):
-            assert governor.current_engine() is eng
-            assert governor.record_fault() is False
-            assert governor.record_fault() is True  # threshold
-            assert events == ["down"]
-            assert governor.current_engine() is None  # leased out
-            fake.advance(9.0)
-            assert governor.current_engine() is None  # still cooling
-            fake.advance(2.0)
-            assert governor.current_engine() is eng  # re-escalated
-            assert events == ["down", "up"]
-            assert governor.streak == 0
-
-    def test_success_resets_streak(self):
-        governor = BackendGovernor(Engine(), fault_threshold=3)
-        governor.record_fault()
-        governor.record_fault()
-        governor.record_success()
-        assert governor.streak == 0
-        assert governor.record_fault() is False
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            BackendGovernor(None, fault_threshold=0)
-        with pytest.raises(ConfigurationError):
-            BackendGovernor(None, cooldown_s=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -281,55 +188,52 @@ class TestServeDegradation:
                 np.testing.assert_array_equal(fa.thetas, fb.thetas)
                 assert fa.objective == fb.objective
 
-    def test_persistent_faults_degrade_then_reescalate(self, scenario):
+    @pytest.mark.parametrize(
+        "engine_kwargs",
+        [None, {}, {"workers": 2, "chunk_size": 16}],
+        ids=["no-engine", "serial-engine", "threaded-engine"],
+    )
+    def test_persistent_fuse_fault_is_one_typed_reply_per_request(
+        self, scenario, engine_kwargs
+    ):
+        """A fault the retries cannot absorb costs one retry budget and
+        answers each request once with ``internal``, whatever the engine."""
         net, sniffers = scenario
-        eng = Engine(workers=2, chunk_size=16)
-        metrics = ServerMetrics()
+        eng = None if engine_kwargs is None else Engine(**engine_kwargs)
         service = LocalizationService(
             net.field, net.positions[sniffers], engine=eng,
-            max_batch=2, metrics=metrics,
-            retry_policy=RetryPolicy(max_attempts=2, base_delay_s=0.0,
-                                     max_delay_s=0.0),
-            fault_threshold=2, cooldown_s=30.0,
+            retry_policy=_FAST_RETRIES,
         )
         scheduler = service.scheduler
-        fake = FakeClock(start=0.0)
         plan = FaultPlan([FaultSpec("serve.batch.fuse", times=None)], seed=2)
         try:
-            with clock.installed(fake):
-                with injected(plan):
-                    # Each batch exhausts its retry budget (the fault is
-                    # unlimited), counts one governor fault, and answers
-                    # via the serial fallback... which also faults, so
-                    # replies come back as typed internal errors — but
-                    # exactly one reply each, none lost.
-                    for seed in (10, 11):
-                        item = PendingRequest.wrap(
-                            _requests(net, sniffers, 1, seed=seed)[0]
-                        )
-                        scheduler._process([item])
-                        assert item.future.result(timeout=5) is not None
-                    assert scheduler.governor.degraded
-                    assert metrics.backend_fallbacks == 1
-                # Disarmed + cooled down: the backend comes back.
-                fake.advance(31.0)
-                item = PendingRequest.wrap(
-                    _requests(net, sniffers, 1, seed=12)[0]
-                )
-                scheduler._process([item])
-                assert item.future.result(timeout=5).ok
-                assert not scheduler.governor.degraded
-                assert metrics.backend_reescalations == 1
+            items = [
+                PendingRequest.wrap(request)
+                for request in _requests(net, sniffers, 2, seed=10)
+            ]
+            with injected(plan):
+                scheduler._process(items)
+            for item in items:
+                reply = item.future.result(timeout=5)
+                assert reply.code == ERROR_INTERNAL
+                assert "RetriesExhausted" in reply.message
+            assert plan.fired("serve.batch.fuse") == 3
+            snapshot = service.metrics.snapshot()
+            assert snapshot["retries_total"] == 2
+            assert snapshot["replies_error"] == {ERROR_INTERNAL: 2}
+            # Disarmed: the next batch is answered normally.
+            item = PendingRequest.wrap(
+                _requests(net, sniffers, 1, seed=12)[0]
+            )
+            scheduler._process([item])
+            assert item.future.result(timeout=5).ok
         finally:
-            eng.close()
-        snapshot = metrics.snapshot()
-        assert snapshot["retries_total"] >= 2
-        assert snapshot["backend_fallbacks"] == 1
+            if eng is not None:
+                eng.close()
 
     def test_metrics_snapshot_has_resilience_keys(self):
         snapshot = ServerMetrics().snapshot()
-        for key in ("retries", "retries_total", "backend_fallbacks",
-                    "backend_reescalations", "internal_faults",
+        for key in ("retries", "retries_total", "internal_faults",
                     "internal_faults_total"):
             assert key in snapshot
 

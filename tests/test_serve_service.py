@@ -304,6 +304,9 @@ class TestRequestBudget:
         self._request(user_count=4, restarts=3, candidate_count=10_000)
         self._request(user_count=2, candidate_count=512)
         self._request(candidate_count=MAX_CANDIDATE_ROWS)
+        # Integer knobs of any integral type pass, numpy's included.
+        self._request(candidate_count=np.int32(24), seed=np.int64(7),
+                      top_m=np.uint8(3))
 
     def test_oversized_budget_refused(self):
         with pytest.raises(ConfigurationError, match="MAX_CANDIDATE_ROWS"):
@@ -313,6 +316,21 @@ class TestRequestBudget:
                 user_count=2, restarts=2,
                 candidate_count=MAX_CANDIDATE_ROWS // 4 + 1,
             )
+
+    @pytest.mark.parametrize("knob, value", [
+        ("top_m", "3"),
+        ("candidate_count", 24.5),
+        ("user_count", 1.5),
+        ("restarts", 1.5),
+        ("candidate_count", True),
+        ("sweeps", 2.0),
+        ("seed_top_k", "8"),
+        ("seed", "7"),
+        ("seed", -1),
+    ])
+    def test_non_integer_or_negative_knob_refused(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            self._request(**{knob: value})
 
 
 class TestSharedState:
