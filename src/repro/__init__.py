@@ -72,7 +72,6 @@ from repro.fingerprint import (
 )
 from repro.fpmap import (
     FingerprintMap,
-    MapRegistry,
     SpatialIndex,
     build_fingerprint_map,
 )
@@ -138,7 +137,6 @@ __all__ = [
     "CompositionFit",
     "brief_flux_map",
     "FingerprintMap",
-    "MapRegistry",
     "SpatialIndex",
     "build_fingerprint_map",
     "SequentialMonteCarloTracker",

@@ -770,8 +770,6 @@ def cmd_fleet(args) -> int:
             workers=args.fleet_workers,
             fingerprint_map=fmap,
             map_resolution=args.map_resolution if fmap is None else None,
-            map_mode=args.map_mode,
-            cluster_cells=args.cluster_cells,
             checkpoint_dir=args.checkpoint_dir,
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1000.0,
@@ -867,9 +865,7 @@ def cmd_fleet(args) -> int:
         threading.Thread(target=run_track, args=work, name=work[0])
         for work in track_work
     ]
-    map_tag = (
-        f" ({args.map_mode} map)" if fleet.fingerprint_map is not None else ""
-    )
+    map_tag = " (map-seeded)" if fleet.fingerprint_map is not None else ""
     print(
         f"fleet of {args.fleet_workers} workers serving "
         f"{len(localize_work)} localize clients x {args.requests} requests "

@@ -358,19 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build the deployment's map at this resolution before serving",
     )
     p.add_argument(
-        "--map-mode",
-        choices=["full", "sharded"],
-        default="full",
-        help="full: every worker shares the whole map (bitwise parity); "
-        "sharded: each worker loads only its spatial cluster shard",
-    )
-    p.add_argument(
-        "--cluster-cells",
-        type=int,
-        default=4,
-        help="grid cells per spatial cluster side (sharded mode)",
-    )
-    p.add_argument(
         "--track-sessions",
         type=int,
         default=0,

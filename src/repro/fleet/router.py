@@ -68,7 +68,7 @@ from repro.fleet.worker import (
     checkpoint_path,
     worker_main,
 )
-from repro.fpmap.registry import MapRegistry
+from repro.fpmap import build_fingerprint_map
 from repro.serve.requests import (
     ERROR_SHUTDOWN,
     ERROR_UNKNOWN_SESSION,
@@ -78,8 +78,6 @@ from repro.serve.requests import (
     TrackStepRequest,
 )
 
-_MAP_MODES = ("full", "sharded")
-
 #: Poll interval of the pump loop's liveness check.
 _PUMP_TICK_S = 0.05
 
@@ -87,9 +85,8 @@ _PUMP_TICK_S = 0.05
 class _Worker:
     """Router-side record of one worker slot (survives respawns)."""
 
-    def __init__(self, worker_id: int, spec: WorkerSpec):
+    def __init__(self, worker_id: int):
         self.id = worker_id
-        self.spec = spec
         self.proc: Optional[mp.process.BaseProcess] = None
         self.conn = None
         self.alive = False
@@ -123,7 +120,7 @@ class _Session:
 
 
 class ServeFleet:
-    """N-worker sharded serving fleet for one deployment.
+    """N-worker serving fleet for one deployment.
 
     Parameters
     ----------
@@ -132,15 +129,12 @@ class ServeFleet:
         LocalizationService`.
     workers:
         Initial worker-process count (>= 1).
-    fingerprint_map / registry / map_resolution:
-        Map wiring. A prebuilt map (or one built via ``registry`` when
-        ``map_resolution`` is set) is handed to every worker in
-        ``map_mode="full"`` — replies then match a single-process
-        service bitwise. ``map_mode="sharded"`` spatially partitions it
-        through the registry (:meth:`~repro.fpmap.registry.MapRegistry.
-        get_or_partition`) so each worker loads ~1/N of the cells;
-        coverage per worker shrinks accordingly and the fleet size is
-        fixed (no :meth:`add_worker`/:meth:`remove_worker`).
+    fingerprint_map / map_resolution:
+        The deployment's one map: a prebuilt one, or, without it, one
+        built here at ``map_resolution``. Every worker (including ones
+        added or respawned later) serves this same map, shared with the
+        forked children copy-on-write, so replies match a
+        single-process service bitwise.
     checkpoint_dir:
         Where session checkpoints live. ``None`` uses a private temp
         directory (cleaned by :meth:`stop`). Checkpoints are the
@@ -161,10 +155,7 @@ class ServeFleet:
         d_floor: float = 1.0,
         workers: int = 2,
         fingerprint_map=None,
-        registry: Optional[MapRegistry] = None,
         map_resolution: Optional[float] = None,
-        map_mode: str = "full",
-        cluster_cells: int = 4,
         checkpoint_dir: Optional[str] = None,
         redelivery_limit: int = 3,
         replicas: int = 64,
@@ -177,10 +168,6 @@ class ServeFleet:
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if map_mode not in _MAP_MODES:
-            raise ConfigurationError(
-                f"map_mode must be one of {_MAP_MODES}, got {map_mode!r}"
-            )
         if redelivery_limit < 1:
             raise ConfigurationError(
                 f"redelivery_limit must be >= 1, got {redelivery_limit}"
@@ -188,33 +175,26 @@ class ServeFleet:
         self.field = field
         self.sniffer_positions = np.asarray(sniffer_positions, dtype=float)
         self.d_floor = float(d_floor)
-        self.map_mode = map_mode
-        self.cluster_cells = int(cluster_cells)
         self.redelivery_limit = int(redelivery_limit)
         self.metrics = FleetMetrics()
-        self.registry = registry
         if fingerprint_map is None and map_resolution is not None:
-            if registry is None:
-                registry = self.registry = MapRegistry()
-            fingerprint_map = registry.get_or_build(
+            fingerprint_map = build_fingerprint_map(
                 field, self.sniffer_positions,
                 resolution=map_resolution, d_floor=d_floor,
             )
-        elif fingerprint_map is not None and registry is not None:
-            registry.register(fingerprint_map)
         self.fingerprint_map = fingerprint_map
-        if map_mode == "sharded" and fingerprint_map is None:
-            raise ConfigurationError(
-                "map_mode='sharded' needs a fingerprint map "
-                "(pass fingerprint_map= or map_resolution=)"
-            )
         self._tmpdir = None
         if checkpoint_dir is None:
             self._tmpdir = tempfile.TemporaryDirectory(prefix="fleet-ckpt-")
             checkpoint_dir = self._tmpdir.name
         os.makedirs(checkpoint_dir, exist_ok=True)
         self.checkpoint_dir = str(checkpoint_dir)
-        self._service_knobs = dict(
+        self._spec = WorkerSpec(
+            field=self.field,
+            sniffer_positions=self.sniffer_positions,
+            d_floor=self.d_floor,
+            fingerprint_map=fingerprint_map,
+            checkpoint_dir=self.checkpoint_dir,
             max_batch=max_batch,
             max_wait_s=max_wait_s,
             queue_capacity=queue_capacity,
@@ -244,10 +224,8 @@ class ServeFleet:
         if self._started:
             raise ConfigurationError("fleet already started")
         self._started = True
-        shard_maps = self._shard_maps(self._initial_workers)
         for worker_id in range(self._initial_workers):
-            spec = self._worker_spec(shard_maps[worker_id])
-            worker = _Worker(worker_id, spec)
+            worker = _Worker(worker_id)
             self._workers[worker_id] = worker
             self._spawn(worker)
             worker.alive = True
@@ -319,31 +297,11 @@ class ServeFleet:
     # ------------------------------------------------------------------
     # Worker plumbing.
     # ------------------------------------------------------------------
-    def _worker_spec(self, shard_map) -> WorkerSpec:
-        return WorkerSpec(
-            field=self.field,
-            sniffer_positions=self.sniffer_positions,
-            d_floor=self.d_floor,
-            fingerprint_map=shard_map,
-            checkpoint_dir=self.checkpoint_dir,
-            **self._service_knobs,
-        )
-
-    def _shard_maps(self, count: int) -> List[object]:
-        if self.fingerprint_map is None:
-            return [None] * count
-        if self.map_mode == "full" or count == 1:
-            return [self.fingerprint_map] * count
-        registry = self.registry if self.registry is not None else MapRegistry()
-        return registry.get_or_partition(
-            self.fingerprint_map, count, self.cluster_cells
-        )
-
     def _spawn(self, worker: _Worker) -> None:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(worker.id, worker.spec, child_conn),
+            args=(worker.id, self._spec, child_conn),
             name=f"fleet-worker-{worker.id}",
             daemon=True,
         )
@@ -729,15 +687,9 @@ class ServeFleet:
     # ------------------------------------------------------------------
     def add_worker(self) -> int:
         """Grow the fleet by one worker and rebalance (~1/N migrates)."""
-        if self.map_mode == "sharded":
-            raise ConfigurationError(
-                "sharded map fleets are fixed-size (the cell partition "
-                "is per-worker); use map_mode='full' to scale live"
-            )
         with self._lock:
             worker_id = max(self._workers) + 1 if self._workers else 0
-            spec = self._worker_spec(self._shard_maps(1)[0])
-            worker = _Worker(worker_id, spec)
+            worker = _Worker(worker_id)
             self._workers[worker_id] = worker
             self._spawn(worker)
             worker.alive = True
@@ -747,11 +699,6 @@ class ServeFleet:
 
     def remove_worker(self, worker_id: int) -> None:
         """Shrink the fleet: migrate its sessions off, then stop it."""
-        if self.map_mode == "sharded":
-            raise ConfigurationError(
-                "sharded map fleets are fixed-size (the cell partition "
-                "is per-worker); use map_mode='full' to scale live"
-            )
         with self._lock:
             if worker_id not in self._workers:
                 raise ConfigurationError(f"unknown worker {worker_id}")

@@ -2,8 +2,8 @@
 
 Each worker process runs its own :class:`~repro.serve.service.
 LocalizationService` — admission queue, micro-batch scheduler, optional
-engine, optional fingerprint-map shard — and speaks a tiny envelope
-protocol with the router over a pair of pipes:
+engine, the deployment's fingerprint map when it has one — and speaks a
+tiny envelope protocol with the router over a pair of pipes:
 
 parent -> worker
     ``("req", seq, request)`` — serve one Localize/TrackStep request;
@@ -77,10 +77,10 @@ class SessionSpec:
 class WorkerSpec:
     """Constructor arguments of one worker's in-process service.
 
-    Built by the router, inherited by the forked child. The
-    ``fingerprint_map`` is the worker's slice (the full map in
-    ``map_mode="full"``, a spatial shard in ``"sharded"``, ``None``
-    without a map); fork makes the handoff copy-on-write.
+    Built once by the router and inherited by every forked child. The
+    ``fingerprint_map`` is the deployment's one map (``None`` without a
+    map), the same object for every worker; fork makes the handoff
+    copy-on-write.
     """
 
     field: object

@@ -5,7 +5,7 @@ a cheap online matching stage. This package applies that split to the
 paper's flux attack: :func:`build_fingerprint_map` precomputes the
 discrete flux model's geometry kernel at every cell of a spatial grid,
 :class:`FingerprintMap` persists the result (npz, versioned metadata,
-deployment hash) and serves signature/spatial queries through a
+deployment hash) and serves signature queries through a
 :class:`SpatialIndex`, and the NLS / SMC layers consume the top map
 matches as search seeds (see
 :class:`repro.fingerprint.candidates.MapSeededCandidates` and the SMC
@@ -16,7 +16,6 @@ from repro.fpmap.builder import build_fingerprint_map, grid_cells
 from repro.fpmap.cache import KernelLRUCache
 from repro.fpmap.index import SpatialIndex
 from repro.fpmap.map import FPMAP_FORMAT, FingerprintMap, MapMatch
-from repro.fpmap.registry import MapRegistry, shared_registry
 
 __all__ = [
     "FPMAP_FORMAT",
@@ -24,8 +23,6 @@ __all__ = [
     "MapMatch",
     "SpatialIndex",
     "KernelLRUCache",
-    "MapRegistry",
     "build_fingerprint_map",
     "grid_cells",
-    "shared_registry",
 ]

@@ -1,18 +1,12 @@
-"""Spatial and signature indexing over fingerprint-map cells.
+"""Signature index over fingerprint-map cells.
 
-Two query families serve the online stages:
-
-* **range-by-position** / **kNN-by-position** — "which map cells lie
-  near this point?" Used for local refinement and SMC reseeding.
-  Backed by uniform-grid bucketing (:class:`repro.geometry.grid.
-  SpatialHashGrid`), with a ``scipy.spatial.cKDTree`` fallback for
-  degenerate bucket geometries or when explicitly requested.
-* **kNN-by-signature** — "which cells' precomputed flux kernels best
-  explain this observed flux vector?" The kernel scale ``theta`` is
-  unknown, so the match metric is the residual of the per-cell
-  best-fit ``theta >= 0`` — an exact, fully vectorized scan (one
-  matvec over the signature matrix), which at fingerprint-map sizes
-  (10^3..10^5 cells) is faster than any approximate structure.
+One query serves the online stages: **kNN-by-signature** — "which
+cells' precomputed flux kernels best explain this observed flux
+vector?" The kernel scale ``theta`` is unknown, so the match metric is
+the residual of the per-cell best-fit ``theta >= 0`` — an exact, fully
+vectorized scan (one matvec over the signature matrix), which at
+fingerprint-map sizes (10^3..10^5 cells) is faster than any
+approximate structure.
 """
 
 from __future__ import annotations
@@ -22,9 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.grid import SpatialHashGrid
-
-_BACKENDS = ("auto", "grid", "kdtree")
 
 
 def _workspace_buffer(workspace: dict, name: str, shape) -> np.ndarray:
@@ -44,127 +35,29 @@ def _workspace_buffer(workspace: dict, name: str, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _load_kdtree():
-    try:
-        from scipy.spatial import cKDTree
-    except ImportError:  # pragma: no cover - scipy is a hard dep today
-        return None
-    return cKDTree
-
-
 class SpatialIndex:
-    """Position + signature index over a fixed cell set.
+    """Clamped-projection signature scan over a fixed cell set.
 
     Parameters
     ----------
-    positions:
-        ``(C, 2)`` cell center positions.
     signatures:
-        Optional ``(C, n)`` per-cell flux kernels; required for
-        :meth:`knn_by_signature`.
-    cell_size:
-        Bucket side for the uniform grid; derived from the point
-        density when omitted.
-    backend:
-        ``"grid"`` (uniform-grid bucketing), ``"kdtree"`` (scipy), or
-        ``"auto"`` — grid, falling back to the kd-tree when the derived
-        bucket size degenerates (all points coincident / zero extent).
+        ``(C, n)`` per-cell flux kernels: row ``c`` is cell ``c``'s
+        kernel at the ``n`` sniffers.
     """
 
-    def __init__(
-        self,
-        positions: np.ndarray,
-        signatures: Optional[np.ndarray] = None,
-        cell_size: Optional[float] = None,
-        backend: str = "auto",
-    ):
-        positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 2 or positions.shape[1] != 2 or positions.shape[0] == 0:
+    def __init__(self, signatures: np.ndarray):
+        signatures = np.asarray(signatures, dtype=float)
+        if signatures.ndim != 2 or signatures.shape[0] == 0:
             raise ConfigurationError(
-                f"positions must be (C>=1, 2), got {positions.shape}"
+                f"signatures must be (C>=1, n), got {signatures.shape}"
             )
-        if backend not in _BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {_BACKENDS}, got {backend!r}"
-            )
-        self.positions = positions
-        self.signatures = None
-        if signatures is not None:
-            signatures = np.asarray(signatures, dtype=float)
-            if signatures.ndim != 2 or signatures.shape[0] != positions.shape[0]:
-                raise ConfigurationError(
-                    f"signatures {signatures.shape} must be (C, n) with "
-                    f"C={positions.shape[0]}"
-                )
-            self.signatures = signatures
-
-        span = positions.max(axis=0) - positions.min(axis=0)
-        extent = float(max(span[0], span[1]))
-        if cell_size is None:
-            cell_size = extent / max(np.sqrt(positions.shape[0]), 1.0)
-        self._grid: Optional[SpatialHashGrid] = None
-        self._tree = None
-        self.backend = backend
-        if backend in ("auto", "grid") and cell_size > 0:
-            self._grid = SpatialHashGrid(positions, cell_size)
-            self.backend = "grid"
-        else:
-            tree_cls = _load_kdtree()
-            if tree_cls is None:
-                raise ConfigurationError(
-                    "kd-tree backend requested but scipy is unavailable"
-                )
-            self._tree = tree_cls(positions)
-            self.backend = "kdtree"
-        self._diameter = max(extent * np.sqrt(2.0), 1e-9)
+        self.signatures = signatures
         self._sig_norms: Optional[np.ndarray] = None
 
     @property
     def cell_count(self) -> int:
-        return self.positions.shape[0]
+        return self.signatures.shape[0]
 
-    # ------------------------------------------------------------------
-    # Position-space queries.
-    # ------------------------------------------------------------------
-    def range_by_position(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of cells within ``radius`` of ``center`` (unsorted)."""
-        center = np.asarray(center, dtype=float).reshape(2)
-        if radius <= 0:
-            raise ConfigurationError(f"radius must be > 0, got {radius}")
-        if self._grid is not None:
-            return self._grid.query_radius(center, radius)
-        return np.asarray(
-            self._tree.query_ball_point(center, radius), dtype=np.int64
-        )
-
-    def knn_by_position(self, point: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the ``k`` cells nearest to ``point``, nearest first."""
-        point = np.asarray(point, dtype=float).reshape(2)
-        k = min(int(k), self.cell_count)
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        if self._tree is not None:
-            _, idx = self._tree.query(point, k=k)
-            return np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        # Grid backend: expand the search radius until k cells are in
-        # range, then rank exactly.
-        radius = max(self._grid.cell_size, 1e-9)
-        found = self._grid.query_radius(point, radius)
-        while found.size < k and radius < 2.0 * self._diameter:
-            radius *= 2.0
-            found = self._grid.query_radius(point, radius)
-        if found.size < k:  # disconnected corner cases: brute force
-            found = np.arange(self.cell_count, dtype=np.int64)
-        d = np.hypot(
-            self.positions[found, 0] - point[0],
-            self.positions[found, 1] - point[1],
-        )
-        order = np.argsort(d, kind="stable")[:k]
-        return found[order]
-
-    # ------------------------------------------------------------------
-    # Signature-space queries.
-    # ------------------------------------------------------------------
     def knn_by_signature(
         self,
         target: np.ndarray,
@@ -192,11 +85,6 @@ class SpatialIndex:
         -------
         ``(indices, thetas, residuals)`` sorted by ascending residual.
         """
-        if self.signatures is None:
-            raise ConfigurationError(
-                "this index was built without signatures; "
-                "pass signatures= to enable kNN-by-signature"
-            )
         k = min(int(k), self.cell_count)
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
@@ -266,11 +154,6 @@ class SpatialIndex:
         observation, ascending by residual. Returned arrays are fresh
         (ranking copies them out); nothing aliases the workspace.
         """
-        if self.signatures is None:
-            raise ConfigurationError(
-                "this index was built without signatures; "
-                "pass signatures= to enable kNN-by-signature"
-            )
         sig = self.signatures
         targets = np.asarray(targets, dtype=float)
         if targets.ndim != 2 or targets.shape[1] != sig.shape[1]:

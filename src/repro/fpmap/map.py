@@ -152,13 +152,9 @@ class FingerprintMap:
 
     @property
     def index(self) -> SpatialIndex:
-        """Lazily built spatial/signature index over the cells."""
+        """Lazily built signature index over the cells."""
         if self._index is None:
-            self._index = SpatialIndex(
-                self.cell_positions,
-                signatures=self.signatures,
-                cell_size=self.resolution,
-            )
+            self._index = SpatialIndex(self.signatures)
         return self._index
 
     @property

@@ -51,6 +51,7 @@ from repro.faults.plan import should_fire
 from repro.gateway import protocol
 from repro.metrics import LatencyReservoir
 from repro.serve.metrics import ServerMetrics, _nan_safe_deep
+from repro.util.validation import check_integer
 
 _LOG = logging.getLogger(__name__)
 
@@ -532,17 +533,17 @@ class GatewayServer:
     ) -> None:
         session_id = str(frame.get("session_id") or "")
         user_count = frame.get("user_count", 1)
+        seed = frame.get("seed", 0)
         try:
-            seed = int(frame.get("seed", 0))
             if not session_id:
                 raise ConfigurationError("open_session needs a session_id")
+            check_integer("user_count", user_count, 1)
+            check_integer("seed", seed, 0)
             if hasattr(self.backend, "fleet_snapshot"):
-                self.backend.open_session(
-                    session_id, int(user_count), seed=seed
-                )
+                self.backend.open_session(session_id, user_count, seed=seed)
             else:
                 self.backend.open_session(
-                    session_id, int(user_count),
+                    session_id, user_count,
                     rng=np.random.default_rng(seed),
                 )
         except Exception as exc:

@@ -11,7 +11,6 @@ answered, never silently dropped.
 
 from __future__ import annotations
 
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Type
@@ -28,6 +27,7 @@ from repro.errors import (
 )
 from repro.fingerprint.results import LocalizationResult
 from repro.traffic.measurement import FluxObservation
+from repro.util.validation import check_integer
 
 #: Error-reply codes (``ErrorReply.code``) and the exception type each
 #: maps back to via :meth:`ErrorReply.to_exception`.
@@ -87,7 +87,9 @@ class LocalizeRequest:
     request_id / client_id:
         Reply correlation key and fairness unit (see module docstring).
     observation:
-        The flux window to fit, over the service's sniffer set.
+        The flux window to fit, over the service's sniffer set. NaN
+        marks a dropped reading; a ±inf reading, or a window with no
+        finite reading, is refused.
     user_count .. seed_top_k:
         The :meth:`repro.fingerprint.NLSLocalizer.localize` search
         budget knobs, each an integer ``>= 1`` (``bool`` is refused).
@@ -134,19 +136,9 @@ class LocalizeRequest:
             ("user_count", 1), ("candidate_count", 1), ("top_m", 1),
             ("restarts", 1), ("sweeps", 1), ("seed_top_k", 1), ("seed", 0),
         ):
-            value = getattr(self, name)
-            # int() would admit "3" or 24.5 here, and the raw value
-            # would then fail its whole fused batch in the solve.
-            if isinstance(value, bool) or not isinstance(
-                value, numbers.Integral
-            ):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {value!r}"
-                )
-            if value < floor:
-                raise ConfigurationError(
-                    f"{name} must be >= {floor}, got {value}"
-                )
+            # A coerced "3" or 24.5 would fail its whole fused batch in
+            # the solve.
+            check_integer(name, getattr(self, name), floor)
         rows = int(self.user_count) * int(self.restarts) * int(
             self.candidate_count
         )
@@ -160,6 +152,21 @@ class LocalizeRequest:
                 f"observation must be a FluxObservation, "
                 f"got {type(self.observation).__name__}"
             )
+        # The fit drops only NaN while the kernel columns keep only
+        # finite readings, so an inf (or no reading at all) would fail
+        # the request's whole fused batch.
+        values = np.asarray(self.observation.values, dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            if np.isinf(values).any():
+                raise ConfigurationError(
+                    "observation has an infinite reading; only NaN "
+                    "(dropout) may stand for a missing one"
+                )
+            if not finite.any():
+                raise ConfigurationError(
+                    "observation has no finite reading (all dropped out)"
+                )
 
 
 @dataclass(frozen=True, **_DC_SLOTS)

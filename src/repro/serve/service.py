@@ -2,11 +2,10 @@
 
 :class:`LocalizationService` ties the serve layer together around
 *shared* heavyweight state — one :class:`~repro.fingerprint.nls.
-NLSLocalizer` (flux model), one optional fingerprint map (via the
-:class:`~repro.fpmap.registry.MapRegistry` so concurrent services of
-the same deployment share a single build), one optional engine pool —
-behind a bounded admission queue and one micro-batching scheduler
-thread. Clients call :meth:`submit` with a
+NLSLocalizer` (flux model), one optional fingerprint map (built or
+loaded once per deployment and shared by every request and session),
+one optional engine pool — behind a bounded admission queue and one
+micro-batching scheduler thread. Clients call :meth:`submit` with a
 :class:`~repro.serve.requests.LocalizeRequest` or
 :class:`~repro.serve.requests.TrackStepRequest` and get a
 ``concurrent.futures.Future`` that always resolves to exactly one
@@ -72,13 +71,11 @@ class LocalizationService:
         Optional :class:`repro.engine.Engine` shared by every batch's
         fused kernel call.
     fingerprint_map:
-        Optional prebuilt map. Registered with ``registry`` when one is
-        given so other services of the same deployment reuse it.
-    registry / map_resolution:
-        Without a prebuilt map, setting ``map_resolution`` builds (or
-        fetches) the deployment's map from ``registry`` — the shared
-        build path. ``registry=None`` with a resolution uses a private
-        build.
+        Optional prebuilt map, used as given (validated once against
+        the deployment).
+    map_resolution:
+        Without a prebuilt map, setting ``map_resolution`` builds the
+        deployment's map here (with ``engine``).
     max_batch / max_wait_s:
         Micro-batching trigger (``max_batch=1`` is per-request
         dispatch; the benchmark's baseline). ``max_wait_s`` is the
@@ -107,7 +104,6 @@ class LocalizationService:
         d_floor: float = 1.0,
         engine=None,
         fingerprint_map=None,
-        registry=None,
         map_resolution: Optional[float] = None,
         max_batch: int = 32,
         max_wait_s: float = 0.002,
@@ -125,21 +121,13 @@ class LocalizationService:
         self.localizer = NLSLocalizer(field, sniffer_positions, d_floor=d_floor)
         self.engine = engine
         if fingerprint_map is None and map_resolution is not None:
-            if registry is not None:
-                fingerprint_map = registry.get_or_build(
-                    field, self.localizer.model.node_positions,
-                    resolution=map_resolution, d_floor=d_floor,
-                )
-            else:
-                from repro.fpmap import build_fingerprint_map
+            from repro.fpmap import build_fingerprint_map
 
-                fingerprint_map = build_fingerprint_map(
-                    field, self.localizer.model.node_positions,
-                    resolution=map_resolution, d_floor=d_floor,
-                    engine=engine,
-                )
-        elif fingerprint_map is not None and registry is not None:
-            registry.register(fingerprint_map)
+            fingerprint_map = build_fingerprint_map(
+                field, self.localizer.model.node_positions,
+                resolution=map_resolution, d_floor=d_floor,
+                engine=engine,
+            )
         if fingerprint_map is not None:
             # Refuse a wrong-deployment map once, up front — requests
             # then trust it unconditionally.

@@ -7,6 +7,7 @@ instead of failing deep inside numpy broadcasting.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,6 +25,19 @@ def check_positive(name: str, value: float, strict: bool = True) -> float:
     if not strict and value < 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value}")
     return value
+
+
+def check_integer(name: str, value, floor: int) -> None:
+    """Validate that ``value`` is an integer ``>= floor``.
+
+    Any :class:`numbers.Integral` passes (numpy integers included);
+    ``bool``, strings and floats are refused rather than coerced, since
+    ``int()`` would silently admit ``"3"`` or truncate ``2.9``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        raise ConfigurationError(f"{name} must be >= {floor}, got {value}")
 
 
 def check_in_range(

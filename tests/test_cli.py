@@ -394,3 +394,18 @@ class TestServe:
         rc = main(["serve", *_SMALL, "--map", str(bogus)])
         assert rc == 1
         assert "cannot use map" in capsys.readouterr().err
+
+
+class TestFleet:
+    def test_fleet_load_run(self, capsys):
+        rc = main(
+            [
+                "--seed", "3", "fleet", "--nodes", "100", "--field", "10",
+                "--radius", "2.0", "--percentage", "20",
+                "--fleet-workers", "2", "--clients", "4", "--requests", "6",
+                "--candidates", "24", "--map-resolution", "2.0",
+                "--track-sessions", "2",
+            ]
+        )
+        assert rc == 0
+        assert "36 ok, 0 errors" in capsys.readouterr().out

@@ -1,8 +1,6 @@
-"""Fingerprint-map subsystem: builder, persistence, index, cache, registry."""
+"""Fingerprint-map subsystem: builder, persistence, index, cache."""
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -12,11 +10,9 @@ from repro.fluxmodel import DiscreteFluxModel
 from repro.fpmap import (
     FingerprintMap,
     KernelLRUCache,
-    MapRegistry,
     SpatialIndex,
     build_fingerprint_map,
     grid_cells,
-    shared_registry,
 )
 from repro.fpmap.map import FPMAP_FORMAT
 from repro.geometry import CircularField, RectangularField
@@ -215,30 +211,6 @@ class TestValidation:
 
 
 class TestSpatialIndex:
-    @pytest.fixture(scope="class")
-    def points(self):
-        rng = np.random.default_rng(11)
-        return rng.uniform(0, 15, size=(300, 2))
-
-    def test_range_matches_brute_force(self, points):
-        index = SpatialIndex(points)
-        center = np.array([7.0, 7.0])
-        got = np.sort(index.range_by_position(center, 2.5))
-        want = np.flatnonzero(
-            np.linalg.norm(points - center[None, :], axis=1) <= 2.5
-        )
-        assert np.array_equal(got, np.sort(want))
-
-    @pytest.mark.parametrize("backend", ["grid", "kdtree"])
-    def test_knn_by_position(self, points, backend):
-        index = SpatialIndex(points, backend=backend)
-        assert index.backend == backend
-        got = index.knn_by_position([3.0, 12.0], 8)
-        d = np.linalg.norm(points - np.array([3.0, 12.0]), axis=1)
-        want = np.argsort(d)[:8]
-        assert set(got.tolist()) == set(want.tolist())
-        assert got[0] == want[0]
-
     def test_knn_by_signature_matches_brute_force(self, fpmap):
         target = fpmap.signatures[37] * 1.7  # theta 1.7, exact match
         idx, thetas, residuals = fpmap.index.knn_by_signature(target, 3)
@@ -253,26 +225,11 @@ class TestSpatialIndex:
         assert residuals[1] == pytest.approx(np.sort(res)[1], rel=1e-9)
 
     def test_negative_theta_clamped(self):
-        positions = np.array([[0.0, 0.0], [1.0, 1.0]])
         signatures = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        index = SpatialIndex(positions, signatures=signatures)
+        index = SpatialIndex(signatures)
         idx, thetas, _ = index.knn_by_signature(np.array([-2.0, -2.0]), 2)
         assert np.all(thetas >= 0)
         assert idx[0] == 1  # negative kernel fits a negative target
-
-    def test_signature_query_needs_signatures(self, points):
-        with pytest.raises(ConfigurationError, match="signatures"):
-            SpatialIndex(points).knn_by_signature(np.ones(3), 1)
-
-    def test_coincident_points_fall_back_to_kdtree(self):
-        points = np.zeros((5, 2))
-        index = SpatialIndex(points, backend="auto")
-        assert index.backend == "kdtree"
-        assert index.knn_by_position([0.0, 0.0], 2).shape == (2,)
-
-    def test_bad_backend_rejected(self, points):
-        with pytest.raises(ConfigurationError):
-            SpatialIndex(points, backend="octree")
 
 
 class TestKernelLRUCache:
@@ -319,85 +276,12 @@ class TestKernelLRUCache:
         assert np.array_equal(full, fpmap.signatures[cells])
 
 
-class TestMapRegistry:
-    def test_get_or_build_shares_one_instance(self, small_network, sniffers):
-        registry = MapRegistry()
-        a = registry.get_or_build(
-            small_network.field, small_network.positions[sniffers],
-            resolution=3.0, sniffer_ids=sniffers,
-        )
-        b = registry.get_or_build(
-            small_network.field, small_network.positions[sniffers],
-            resolution=3.0, sniffer_ids=sniffers,
-        )
-        assert b is a
-        assert registry.builds == 1
-        assert registry.get(a.deployment) is a
-
-    def test_changed_sniffer_set_invalidates(self, small_network, sniffers):
-        registry = MapRegistry()
-        a = registry.get_or_build(
-            small_network.field, small_network.positions[sniffers],
-            resolution=3.0,
-        )
-        other = sample_sniffers_percentage(small_network, 20, rng=777)
-        b = registry.get_or_build(
-            small_network.field, small_network.positions[other],
-            resolution=3.0,
-        )
-        assert b is not a
-        assert registry.builds == 2
-        assert registry.invalidate(a.deployment)
-        assert registry.get(a.deployment) is None
-        assert not registry.invalidate(a.deployment)
-
-    def test_register_adopts_loaded_map(self, fpmap):
-        registry = MapRegistry()
-        key = registry.register(fpmap)
-        assert key == fpmap.deployment
-        assert registry.get(key) is fpmap
-
-    def test_capacity_evicts_lru(self, small_field):
-        registry = MapRegistry(capacity=2)
-        maps = []
-        for i in range(3):
-            pos = np.array([[1.0 + i, 1.0], [5.0, 5.0 + i]])
-            maps.append(registry.get_or_build(small_field, pos, resolution=3.0))
-        assert len(registry) == 2
-        assert registry.get(maps[0].deployment) is None
-        assert registry.get(maps[2].deployment) is maps[2]
-
-    def test_concurrent_same_deployment_builds_once(self, small_network, sniffers):
-        registry = MapRegistry()
-        results = []
-
-        def worker():
-            results.append(
-                registry.get_or_build(
-                    small_network.field,
-                    small_network.positions[sniffers],
-                    resolution=3.0,
-                )
-            )
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert registry.builds == 1
-        assert all(r is results[0] for r in results)
-
-    def test_shared_registry_is_singleton(self):
-        assert shared_registry() is shared_registry()
-
-
 class TestPublicExports:
     def test_top_level_names(self):
         import repro
 
         for name in (
-            "FingerprintMap", "MapRegistry", "SpatialIndex",
+            "FingerprintMap", "SpatialIndex",
             "build_fingerprint_map",
         ):
             assert hasattr(repro, name)

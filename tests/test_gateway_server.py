@@ -138,10 +138,14 @@ class TestExactlyOneReply:
     def test_oversized_budget_is_refused_and_its_batch_mate_answered(
         self, scenario
     ):
-        """A budget past MAX_CANDIDATE_ROWS, or a knob that is not an
-        integer, is a typed bad_request, never a request that fails the
-        whole fused batch."""
+        """A budget past MAX_CANDIDATE_ROWS, a knob that is not an
+        integer, or an infinite reading is a typed bad_request, never a
+        request that fails the whole fused batch."""
         obs = _observations(scenario, 1, seed=6)[0]
+        # observation_to_wire sends non-finite readings as null (NaN),
+        # so the Infinity goes into the wire dict by hand.
+        infinite = protocol.observation_to_wire(obs)
+        infinite["values"][0] = float("inf")
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():
                 async with GatewayClient(
@@ -155,15 +159,21 @@ class TestExactlyOneReply:
                         client.localize(obs, id="textual",
                                         candidate_count=24, top_m="3",
                                         seed=3),
+                        client.request({"type": "localize", "id": "inf",
+                                        "observation": infinite,
+                                        "candidate_count": 24, "seed": 4}),
                     )
 
-            huge, small, textual = _run(go())
+            huge, small, textual, inf = _run(go())
         assert huge["type"] == "error"
         assert huge["code"] == "bad_request"
         assert "MAX_CANDIDATE_ROWS" in huge["message"]
         assert textual["type"] == "error"
         assert textual["code"] == "bad_request"
         assert "top_m" in textual["message"]
+        assert inf["type"] == "error"
+        assert inf["code"] == "bad_request"
+        assert "infinite" in inf["message"]
         assert small["ok"] is True
         assert small["id"] == "small"
 
@@ -300,9 +310,19 @@ class TestSessionsOverTheWire:
         assert second["type"] == "error"
         assert second["code"] == "bad_request"
 
-    def test_non_numeric_seed_is_a_typed_error_frame(self, scenario):
-        """A seed that is not a number gets ``bad_request``, and the
-        connection keeps serving."""
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "abc"),
+        ("user_count", 1.5),
+        ("user_count", 2.9),
+        ("user_count", True),
+        ("seed", 2.5),
+    ])
+    def test_non_numeric_seed_is_a_typed_error_frame(
+        self, scenario, field, value
+    ):
+        """A ``seed`` or ``user_count`` that is not an integer gets
+        ``bad_request`` (never a truncated session), and the connection
+        keeps serving."""
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():
                 reader, writer = await asyncio.open_connection(
@@ -312,7 +332,7 @@ class TestSessionsOverTheWire:
                 try:
                     for frame in (
                         {"type": "open_session", "id": "s1",
-                         "session_id": "x", "seed": "abc"},
+                         "session_id": "x", field: value},
                         {"type": "ping", "id": "after"},
                     ):
                         writer.write(protocol.encode_frame(frame))

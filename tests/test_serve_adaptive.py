@@ -11,7 +11,7 @@ Three layers under test:
 * End-to-end parity: sweeping client counts, the batching scheduler
   and per-request dispatch (``max_batch=1``) must produce
   float64-bitwise-identical replies — including NaN-dropout
-  observations and a sharded fingerprint map.
+  observations.
 """
 
 import time
@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet import partition_map
 from repro.fpmap import build_fingerprint_map
 from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
@@ -240,10 +239,9 @@ def _fit_payload(result):
     ]
 
 
-def _replies_for(scenario, work, fmap=None, **service_kwargs):
-    net, sniffers, default_map = scenario
-    service_kwargs.setdefault("fingerprint_map",
-                              default_map if fmap is None else fmap)
+def _replies_for(scenario, work, **service_kwargs):
+    net, sniffers, fmap = scenario
+    service_kwargs.setdefault("fingerprint_map", fmap)
     service_kwargs.setdefault("max_batch", 16)
     service_kwargs.setdefault("max_wait_s", 0.002)
     service_kwargs.setdefault("queue_capacity", 1024)
@@ -264,16 +262,6 @@ class TestParitySweep:
                          dropout_every=3)
         batched = _replies_for(scenario, work)
         oracle = _replies_for(scenario, work, max_batch=1)
-        assert batched == oracle
-
-    def test_parity_with_sharded_map(self, scenario):
-        _, _, fmap = scenario
-        submaps, _cells = partition_map(fmap, 2)
-        shard = submaps[0]
-        work = _requests(scenario, clients=4, per_client=2, seed=88,
-                         dropout_every=4)
-        batched = _replies_for(scenario, work, fmap=shard)
-        oracle = _replies_for(scenario, work, fmap=shard, max_batch=1)
         assert batched == oracle
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DeadlineExpired
-from repro.fpmap import MapRegistry, build_fingerprint_map
+from repro.fpmap import build_fingerprint_map
 from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.serve import (
@@ -332,22 +332,24 @@ class TestRequestBudget:
         with pytest.raises(ConfigurationError, match=knob):
             self._request(**{knob: value})
 
+    @pytest.mark.parametrize("values", [
+        [1.0, np.inf, 1.0],
+        [1.0, np.nan, -np.inf],
+        [np.nan, np.nan, np.nan],
+    ], ids=["inf", "-inf", "all-nan"])
+    def test_non_finite_flux_refused(self, values):
+        """NaN is dropout; inf or an all-NaN window is refused up front,
+        not left to fail the request's fused batch."""
+        with pytest.raises(ConfigurationError, match="observation"):
+            LocalizeRequest(
+                request_id="r", client_id="c",
+                observation=FluxObservation(
+                    time=0.0, sniffers=np.arange(3), values=np.array(values)
+                ),
+            )
+
 
 class TestSharedState:
-    def test_registry_shares_one_build(self, scenario):
-        net, sniffers, _ = scenario
-        registry = MapRegistry()
-        a = LocalizationService(
-            net.field, net.positions[sniffers],
-            registry=registry, map_resolution=2.0,
-        )
-        b = LocalizationService(
-            net.field, net.positions[sniffers],
-            registry=registry, map_resolution=2.0,
-        )
-        assert registry.builds == 1
-        assert a.fingerprint_map is b.fingerprint_map
-
     def test_wrong_deployment_map_refused(self, scenario):
         net, sniffers, _ = scenario
         other = build_fingerprint_map(
