@@ -915,8 +915,7 @@ def cmd_fleet(args) -> int:
         f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s aggregate): "
         f"{len(ok_replies)} ok, {len(error_codes)} errors; "
         f"{router['worker_deaths']} worker deaths, "
-        f"{router['redeliveries']} redeliveries, "
-        f"{router['migrations']} migrations"
+        f"{router['redeliveries']} redeliveries"
     )
     if error_codes:
         from collections import Counter

@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "fleet",
-        help="run the sharded multi-process serving fleet under a "
+        help="run a fixed-size multi-process serving fleet under a "
         "synthetic multi-client load",
     )
     _network_args(p)
@@ -361,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--track-sessions",
         type=int,
         default=0,
-        help="open this many tracking sessions (consistent-hash placed) "
-        "and interleave track-step requests",
+        help="open this many tracking sessions (placed by session id "
+        "hash) and interleave track-step requests",
     )
     p.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="session checkpoint directory (failover + migration state; "
+        help="session checkpoint directory (failover state; "
         "default: private temp dir)",
     )
     p.add_argument(

@@ -194,10 +194,7 @@ def _solve_rows(
         predicted = np.empty((B, n))
     diag = np.arange(K)
     A[:, diag, diag] += _RIDGE
-    try:
-        th = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        th = _pinv_solve(A, b)
+    th = _solve_normal(A, b)
 
     negative = np.any(th < 0, axis=1)
     if np.any(negative):
@@ -339,10 +336,7 @@ def _solve_candidate_rows(
         diag = np.arange(1, K)
         A[:, diag, diag] += _RIDGE
         b[:, 1:] = bf
-        try:
-            th = np.linalg.solve(A, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            th = _pinv_solve(A, b)
+        th = _solve_normal(A, b)
     else:
         th = b / A[:, :, 0]  # (B, 1) — scalar normal equation
 
@@ -434,10 +428,7 @@ def _nnls_enumerate(
                 )
             else:
                 A_s = A[:, support][:, :, support]
-                try:
-                    th = np.linalg.solve(A_s, b_s[..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    th = _pinv_solve(A_s, b_s)
+                th = _solve_normal(A_s, b_s)
                 q = np.einsum("vi,vij,vj->v", th, A_s, th) - 2.0 * np.einsum(
                     "vi,vi->v", th, b_s
                 )
@@ -453,9 +444,33 @@ def _nnls_enumerate(
     return best_theta
 
 
+def _solve_normal(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the stacked ``(B, K, K)`` systems ``A theta = b`` row-locally.
+
+    One batched LU solve, which LAPACK runs matrix by matrix. A matrix
+    can still be exactly singular when the ridge is below half an ulp
+    of its diagonal (a repeated user, say); then the batch is solved
+    again row by row and only the singular rows take the
+    pseudo-inverse, so every row's thetas stay independent of its
+    batch mates and of how the batch was chunked.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    th = np.empty(b.shape)
+    for row in range(len(b)):
+        A_r, b_r = A[row : row + 1], b[row : row + 1]
+        try:
+            th[row] = np.linalg.solve(A_r, b_r[..., None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            th[row] = _pinv_solve(A_r, b_r)[0]
+    return th
+
+
 def _pinv_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Batched pseudo-inverse over the stacked (B, K, K) systems — one
-    # gufunc call instead of a Python loop per composition.
+    # Batched pseudo-inverse over stacked (B, K, K) systems — one gufunc
+    # call, matrix by matrix.
     return np.matmul(np.linalg.pinv(A), b[..., None])[..., 0]
 
 

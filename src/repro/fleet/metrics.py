@@ -2,7 +2,7 @@
 
 The router counts what only it can see — routing decisions, worker
 deaths and respawns, redeliveries, duplicate replies dropped by the
-exactly-one-reply guard, session migrations — while each worker's
+exactly-one-reply guard — while each worker's
 :class:`~repro.serve.metrics.ServerMetrics` keeps counting its own
 admission/batching/latency story in its own process.
 :func:`merge_worker_snapshots` folds the per-worker snapshots into one
@@ -98,7 +98,6 @@ class FleetMetrics:
         self.worker_restarts = 0
         self.sessions_opened = 0
         self.sessions_resumed = 0  # crash recoveries
-        self.migrations = 0  # planned checkpoint-backed moves
 
     # ------------------------------------------------------------------
     def record_submit(self, worker_id: int) -> None:
@@ -145,10 +144,6 @@ class FleetMetrics:
         with self._lock:
             self.sessions_resumed += 1
 
-    def record_migration(self) -> None:
-        with self._lock:
-            self.migrations += 1
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Router-section counters (JSON-ready)."""
@@ -172,5 +167,4 @@ class FleetMetrics:
                 "worker_restarts": self.worker_restarts,
                 "sessions_opened": self.sessions_opened,
                 "sessions_resumed": self.sessions_resumed,
-                "migrations": self.migrations,
             }

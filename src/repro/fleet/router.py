@@ -1,20 +1,20 @@
 """The fleet router: N worker processes behind one submit() front end.
 
 :class:`ServeFleet` is the horizontal-scale layer over
-:class:`~repro.serve.service.LocalizationService`. It forks N worker
-processes (each a full admission+scheduler+engine stack, see
-:mod:`repro.fleet.worker`), routes requests to them by consistent
-hashing (:mod:`repro.fleet.hashring`), and preserves the serve layer's
-core contract across process deaths: **every submitted request resolves
-to exactly one typed reply**.
+:class:`~repro.serve.service.LocalizationService`. It forks a fixed set
+of N worker processes (each a full admission+scheduler+engine stack, see
+:mod:`repro.fleet.worker`), places requests on them with one rule
+(:func:`worker_for`), and preserves the serve layer's core contract
+across process deaths: **every submitted request resolves to exactly one
+typed reply**.
 
 Placement and affinity
-    ``TrackStepRequest`` traffic is pinned to the worker that owns the
-    session (placed by ``ring.owner(session_id)`` at open time) — the
-    scheduler's per-session FIFO only holds inside one process.
-    ``LocalizeRequest`` traffic hashes on ``client_id``, which keeps a
-    client's stream of one-shot requests on one admission queue (its
-    fairness lane) without any shared state.
+    Worker ids are fixed, ``0 .. N-1``, for the fleet's life.
+    ``TrackStepRequest`` traffic goes to ``worker_for(session_id, N)``
+    — the scheduler's per-session FIFO only holds inside one process.
+    ``LocalizeRequest`` traffic goes to ``worker_for(client_id, N)``,
+    which keeps a client's stream of one-shot requests on one admission
+    queue (its fairness lane) without any shared state.
 
 Failure semantics (exactly-one-reply, checkpoint-bounded replay)
     The router keeps every in-flight request in a seq-keyed pending map
@@ -22,31 +22,24 @@ Failure semantics (exactly-one-reply, checkpoint-bounded replay)
     dropped. When a worker dies (detected by exit-code polling — pipe
     EOF is unreliable under fork, siblings inherit the fd), the router
     drains the dead worker's pipe (replies it managed to send still
-    count), respawns a replacement *in the same ring slot* (so no other
-    session remaps), resumes the dead worker's sessions from their
-    latest checkpoints, and redelivers the still-unanswered envelopes in
+    count), respawns a replacement *under the same id* (so no placement
+    changes), resumes the dead worker's sessions from their latest
+    checkpoints, and redelivers the still-unanswered envelopes in
     submission order. Workers checkpoint each session *before* each
     tracking reply leaves the process, so redelivered steps replay
     forward from exactly the last replied-to step; a step that was
     applied but never answered is deduplicated by the session's
     monotonic-time window (the client sees a skip reply — effectively
-    once). A request that outlives ``redelivery_limit`` worker deaths is
-    answered with a ``worker_crashed`` :class:`~repro.serve.requests.
-    ErrorReply` instead of being retried forever.
-
-Migration (rebalance)
-    :meth:`add_worker` / :meth:`remove_worker` change the ring and then
-    migrate exactly the sessions whose owner changed (~1/N of them):
-    new submits for a migrating session buffer at the router, a ``ckpt``
-    barrier drains and checkpoints it on the old owner, the new owner
-    resumes from that checkpoint, and the buffer flushes. Within the
-    session's own stream the trajectory is bitwise-continuous — the
-    checkpoint restores the tracker and its RNG exactly.
+    once). A request whose :data:`REDELIVERY_LIMIT`-th delivery dies
+    with its worker is answered with a ``worker_crashed``
+    :class:`~repro.serve.requests.ErrorReply` instead of being retried
+    forever.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import itertools
 import multiprocessing as mp
 import os
@@ -60,7 +53,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, ServeError, WorkerCrashed
-from repro.fleet.hashring import ConsistentHashRing
 from repro.fleet.metrics import FleetMetrics, merge_worker_snapshots
 from repro.fleet.worker import (
     SessionSpec,
@@ -76,10 +68,28 @@ from repro.serve.requests import (
     ErrorReply,
     LocalizeRequest,
     TrackStepRequest,
+    require_sniffer_count,
 )
 
 #: Poll interval of the pump loop's liveness check.
 _PUMP_TICK_S = 0.05
+
+#: Most deliveries of one request: when its ``REDELIVERY_LIMIT``-th
+#: delivery dies with its worker, the router answers ``worker_crashed``
+#: instead of redelivering it.
+REDELIVERY_LIMIT = 3
+
+
+def worker_for(key: str, workers: int) -> int:
+    """The worker id (``0 .. workers-1``) that serves ``key``.
+
+    Sessions are placed by ``session_id`` and localize clients by
+    ``client_id``: the first 8 bytes of ``sha1(key)``, big-endian, mod
+    ``workers``. SHA-1 is stable across processes and runs (``hash()``
+    is salted per process), so any client computes the same placement.
+    """
+    digest = hashlib.sha1(str(key).encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % workers
 
 
 class _Worker:
@@ -108,17 +118,6 @@ class _Pending:
         self.t0 = time.monotonic()
 
 
-class _Session:
-    """Router-side session record: placement + recovery material."""
-
-    def __init__(self, spec: SessionSpec, owner: int, ckpt: str):
-        self.spec = spec
-        self.owner = owner
-        self.ckpt = ckpt
-        self.migrating = False
-        self.buffer: List[int] = []  # seqs parked while migrating
-
-
 class ServeFleet:
     """N-worker serving fleet for one deployment.
 
@@ -128,21 +127,18 @@ class ServeFleet:
         The deployment, as for :class:`~repro.serve.service.
         LocalizationService`.
     workers:
-        Initial worker-process count (>= 1).
+        Worker-process count (>= 1), fixed for the fleet's life.
     fingerprint_map / map_resolution:
         The deployment's one map: a prebuilt one, or, without it, one
-        built here at ``map_resolution``. Every worker (including ones
-        added or respawned later) serves this same map, shared with the
-        forked children copy-on-write, so replies match a
-        single-process service bitwise.
+        built here at ``map_resolution``. Every worker (a respawned one
+        too) serves this same map, shared with the forked children
+        copy-on-write, so replies match a single-process service
+        bitwise.
     checkpoint_dir:
         Where session checkpoints live. ``None`` uses a private temp
         directory (cleaned by :meth:`stop`). Checkpoints are the
-        failover and migration currency, so the directory must be
-        shared by all workers (it is: they fork from this process).
-    redelivery_limit:
-        How many worker deaths one request may survive before the
-        router answers ``worker_crashed`` instead of redelivering.
+        failover currency, so the directory must be shared by all
+        workers (it is: they fork from this process).
     max_batch .. engine_chunk_size:
         Per-worker service knobs, forwarded to :class:`~repro.fleet.
         worker.WorkerSpec`.
@@ -157,8 +153,6 @@ class ServeFleet:
         fingerprint_map=None,
         map_resolution: Optional[float] = None,
         checkpoint_dir: Optional[str] = None,
-        redelivery_limit: int = 3,
-        replicas: int = 64,
         max_batch: int = 32,
         max_wait_s: float = 0.002,
         queue_capacity: int = 1024,
@@ -168,14 +162,9 @@ class ServeFleet:
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if redelivery_limit < 1:
-            raise ConfigurationError(
-                f"redelivery_limit must be >= 1, got {redelivery_limit}"
-            )
         self.field = field
         self.sniffer_positions = np.asarray(sniffer_positions, dtype=float)
         self.d_floor = float(d_floor)
-        self.redelivery_limit = int(redelivery_limit)
         self.metrics = FleetMetrics()
         if fingerprint_map is None and map_resolution is not None:
             fingerprint_map = build_fingerprint_map(
@@ -202,13 +191,13 @@ class ServeFleet:
             engine_workers=engine_workers,
             engine_chunk_size=engine_chunk_size,
         )
-        self._initial_workers = int(workers)
         # "fork" shares the (possibly large) fingerprint map with the
         # children copy-on-write; WorkerSpec never crosses a pickle.
         self._ctx = mp.get_context("fork")
-        self.ring = ConsistentHashRing(replicas=replicas)
-        self._workers: Dict[int, _Worker] = {}
-        self._sessions: Dict[str, _Session] = {}
+        self._workers: Dict[int, _Worker] = {
+            worker_id: _Worker(worker_id) for worker_id in range(int(workers))
+        }
+        self._sessions: Dict[str, SessionSpec] = {}
         self._pending: Dict[int, _Pending] = {}
         self._controls: Dict[int, list] = {}  # seq -> [event, ok, payload, wid]
         self._seq = itertools.count(1)
@@ -224,12 +213,9 @@ class ServeFleet:
         if self._started:
             raise ConfigurationError("fleet already started")
         self._started = True
-        for worker_id in range(self._initial_workers):
-            worker = _Worker(worker_id)
-            self._workers[worker_id] = worker
+        for worker in self._workers.values():
             self._spawn(worker)
             worker.alive = True
-            self.ring.add(worker_id)
         self._pump_thread = threading.Thread(
             target=self._pump, name="fleet-pump", daemon=True
         )
@@ -282,8 +268,7 @@ class ServeFleet:
 
     @property
     def worker_ids(self) -> List[int]:
-        with self._lock:
-            return sorted(self._workers)
+        return list(self._workers)
 
     @property
     def session_ids(self) -> List[str]:
@@ -291,8 +276,8 @@ class ServeFleet:
             return sorted(self._sessions)
 
     def session_owner(self, session_id: str) -> int:
-        with self._lock:
-            return self._sessions[session_id].owner
+        """The worker id that serves ``session_id``."""
+        return worker_for(session_id, len(self._workers))
 
     # ------------------------------------------------------------------
     # Worker plumbing.
@@ -476,29 +461,29 @@ class ServeFleet:
     def _failover(self, worker: _Worker) -> None:
         # The pump already drained and closed the dead incarnation's
         # pipe (see _check_liveness).
-        # 1. Respawn a replacement in the SAME ring slot: every other
-        #    session's placement is untouched (no remap beyond the
-        #    sessions the dead worker already owned).
+        # 1. Respawn a replacement under the SAME id: no placement
+        #    changes.
         self._spawn(worker)
         self.metrics.record_worker_restart()
-        # 3. Resume the dead worker's sessions from their newest
+        # 2. Resume the dead worker's sessions from their newest
         #    checkpoints (written before each reply left the process).
         with self._lock:
             owned = [
-                (sid, sess) for sid, sess in self._sessions.items()
-                if sess.owner == worker.id
+                spec for session_id, spec in self._sessions.items()
+                if self.session_owner(session_id) == worker.id
             ]
-        for session_id, sess in owned:
+        for spec in owned:
+            ckpt = checkpoint_path(self.checkpoint_dir, spec.session_id)
             try:
-                if os.path.exists(sess.ckpt):
-                    self._control_recovering(worker, "resume", sess.ckpt)
+                if os.path.exists(ckpt):
+                    self._control_recovering(worker, "resume", ckpt)
                 else:  # never checkpointed (open raced the crash)
-                    self._control_recovering(worker, "open", sess.spec)
+                    self._control_recovering(worker, "open", spec)
                 self.metrics.record_session_resumed()
             except ServeError:
                 pass  # redelivery answers unknown_session; bounded below
-        # 4. Redeliver still-unanswered envelopes in submission order;
-        #    a request that has now crashed redelivery_limit workers is
+        # 3. Redeliver still-unanswered envelopes in submission order;
+        #    a request whose REDELIVERY_LIMIT-th delivery just died is
         #    answered worker_crashed instead.
         give_up: List[_Pending] = []
         with self._lock:
@@ -510,7 +495,7 @@ class ServeFleet:
             redelivered: List[tuple] = []
             for entry in mine:
                 entry.attempts += 1
-                if entry.attempts > self.redelivery_limit:
+                if entry.attempts > REDELIVERY_LIMIT:
                     del self._pending[entry.seq]
                     give_up.append(entry)
                     continue
@@ -594,7 +579,7 @@ class ServeFleet:
         seed: int = 0,
         config: Optional[dict] = None,
     ) -> int:
-        """Open a tracking session on its ring-assigned worker.
+        """Open a tracking session on the worker it is placed on.
 
         Returns the owning worker id. The worker writes an initial
         checkpoint immediately, so even a session that crashes before
@@ -607,126 +592,24 @@ class ServeFleet:
                 raise ConfigurationError(
                     f"session {session_id!r} already open"
                 )
-            owner = self.ring.owner(session_id)
+        owner = self.session_owner(session_id)
         spec = SessionSpec(
             session_id=session_id, user_count=int(user_count),
             seed=int(seed), config=config,
         )
         self._control(owner, "open", spec)
         with self._lock:
-            self._sessions[session_id] = _Session(
-                spec, owner, checkpoint_path(self.checkpoint_dir, session_id)
-            )
+            self._sessions[session_id] = spec
         self.metrics.record_session_opened()
         return owner
 
     def close_session(self, session_id: str) -> None:
         with self._lock:
-            sess = self._sessions.get(session_id)
-            if sess is None:
+            if session_id not in self._sessions:
                 raise ConfigurationError(f"unknown session {session_id!r}")
-            owner = sess.owner
-        self._control(owner, "close", session_id)
+        self._control(self.session_owner(session_id), "close", session_id)
         with self._lock:
             self._sessions.pop(session_id, None)
-
-    def migrate_session(self, session_id: str, target: int) -> None:
-        """Move one live session: drain → checkpoint → reattach.
-
-        New steps submitted while the move is in flight buffer at the
-        router and flush to the new owner afterwards, still in
-        submission order — the session's reply stream stays
-        bitwise-continuous because the checkpoint restores the tracker
-        and its RNG exactly where the drained stream stopped.
-        """
-        with self._lock:
-            sess = self._sessions.get(session_id)
-            if sess is None:
-                raise ConfigurationError(f"unknown session {session_id!r}")
-            if target not in self._workers:
-                raise ConfigurationError(f"unknown worker {target}")
-            if sess.migrating:
-                raise ConfigurationError(
-                    f"session {session_id!r} is already migrating"
-                )
-            source = sess.owner
-            if source == target:
-                return
-            sess.migrating = True
-        try:
-            # Barrier: the worker answers "ckpt" only after the
-            # session's last submitted step has replied (and been
-            # checkpointed), then closes + re-checkpoints it.
-            self._control(source, "ckpt", session_id, sess.ckpt)
-            self._control(target, "resume", sess.ckpt)
-        except ServeError:
-            # Source died mid-migration: its failover already resumed
-            # the session on the replacement in the same slot. Keep the
-            # old owner and flush the buffer back to it.
-            with self._lock:
-                sess.migrating = False
-                parked, sess.buffer = sess.buffer, []
-                for seq in parked:
-                    entry = self._pending.get(seq)
-                    if entry is not None:
-                        self._send(sess.owner, ("req", seq, entry.request))
-            raise
-        with self._lock:
-            sess.owner = target
-            sess.migrating = False
-            parked, sess.buffer = sess.buffer, []
-            for seq in parked:
-                entry = self._pending.get(seq)
-                if entry is not None:
-                    entry.worker_id = target
-                    self._send(target, ("req", seq, entry.request))
-        self.metrics.record_migration()
-
-    # ------------------------------------------------------------------
-    # Rebalance.
-    # ------------------------------------------------------------------
-    def add_worker(self) -> int:
-        """Grow the fleet by one worker and rebalance (~1/N migrates)."""
-        with self._lock:
-            worker_id = max(self._workers) + 1 if self._workers else 0
-            worker = _Worker(worker_id)
-            self._workers[worker_id] = worker
-            self._spawn(worker)
-            worker.alive = True
-            self.ring.add(worker_id)
-        self._rebalance()
-        return worker_id
-
-    def remove_worker(self, worker_id: int) -> None:
-        """Shrink the fleet: migrate its sessions off, then stop it."""
-        with self._lock:
-            if worker_id not in self._workers:
-                raise ConfigurationError(f"unknown worker {worker_id}")
-            if len(self._workers) == 1:
-                raise ConfigurationError("cannot remove the last worker")
-            self.ring.remove(worker_id)
-        self._rebalance()
-        worker = self._workers[worker_id]
-        try:
-            self._control(worker_id, "stop")
-        except (ServeError, WorkerCrashed):
-            pass
-        if worker.proc is not None:
-            worker.proc.join(timeout=10)
-        with self._lock:
-            worker.alive = False
-            del self._workers[worker_id]
-
-    def _rebalance(self) -> None:
-        """Migrate exactly the sessions whose ring owner changed."""
-        with self._lock:
-            moves = [
-                (sid, self.ring.owner(sid))
-                for sid, sess in self._sessions.items()
-                if self.ring.owner(sid) != sess.owner and not sess.migrating
-            ]
-        for session_id, target in moves:
-            self.migrate_session(session_id, target)
 
     # ------------------------------------------------------------------
     # Request path.
@@ -737,13 +620,17 @@ class ServeFleet:
         Exactly-one-reply holds across worker deaths: the future
         resolves with the worker's reply, a redelivered reply, or a
         typed ``worker_crashed``/``shutdown`` error — never twice,
-        never not at all.
+        never not at all. A localize whose reading count is not the
+        deployment's sniffer count raises
+        :class:`~repro.errors.ConfigurationError` here, before it
+        reaches a worker.
         """
         if not isinstance(request, (LocalizeRequest, TrackStepRequest)):
             raise ConfigurationError(
                 f"request must be a LocalizeRequest or TrackStepRequest, "
                 f"got {type(request).__name__}"
             )
+        require_sniffer_count(request, len(self.sniffer_positions))
         future = concurrent.futures.Future()
         with self._lock:
             if self._stopped or not self._started:
@@ -756,8 +643,7 @@ class ServeFleet:
                 ))
                 return future
             if isinstance(request, TrackStepRequest):
-                sess = self._sessions.get(request.session_id)
-                if sess is None:
+                if request.session_id not in self._sessions:
                     self.metrics.record_rejection()
                     future.set_result(ErrorReply(
                         request_id=request.request_id,
@@ -769,17 +655,13 @@ class ServeFleet:
                         ),
                     ))
                     return future
-                worker_id = sess.owner
+                worker_id = self.session_owner(request.session_id)
             else:
-                worker_id = self.ring.owner(request.client_id)
+                worker_id = worker_for(request.client_id, len(self._workers))
             seq = next(self._seq)
-            entry = _Pending(seq, request, future, worker_id)
-            self._pending[seq] = entry
+            self._pending[seq] = _Pending(seq, request, future, worker_id)
             self.metrics.record_submit(worker_id)
-            if isinstance(request, TrackStepRequest) and sess.migrating:
-                sess.buffer.append(seq)  # flushed post-migration
-            else:
-                self._send(worker_id, ("req", seq, request))
+            self._send(worker_id, ("req", seq, request))
         return future
 
     def call(self, request, timeout: Optional[float] = None):
@@ -794,18 +676,18 @@ class ServeFleet:
     # ------------------------------------------------------------------
     def worker_snapshot(self, worker_id: int) -> Optional[dict]:
         """One worker's metrics snapshot (``None`` if unreachable)."""
+        if worker_id not in self._workers:
+            return None
         try:
             return self._control(worker_id, "metrics", timeout=10.0)
-        except (ServeError, KeyError):
+        except ServeError:
             return None
 
     def fleet_snapshot(self) -> dict:
         """Router counters + per-worker snapshots + fleet aggregate."""
-        with self._lock:
-            worker_ids = sorted(self._workers)
-        snaps = {wid: self.worker_snapshot(wid) for wid in worker_ids}
+        snaps = {wid: self.worker_snapshot(wid) for wid in self._workers}
         return {
             "router": self.metrics.snapshot(),
-            "workers": {str(wid): snaps[wid] for wid in worker_ids},
+            "workers": {str(wid): snap for wid, snap in snaps.items()},
             "aggregate": merge_worker_snapshots(snaps),
         }

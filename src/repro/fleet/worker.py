@@ -8,8 +8,8 @@ tiny envelope protocol with the router over a pair of pipes:
 parent -> worker
     ``("req", seq, request)`` — serve one Localize/TrackStep request;
     ``("open", seq, spec)`` / ``("resume", seq, path)`` /
-    ``("ckpt", seq, session_id, path)`` / ``("close", seq, session_id)``
-    — session lifecycle; ``("metrics", seq)`` — snapshot;
+    ``("close", seq, session_id)`` — session lifecycle;
+    ``("metrics", seq)`` — snapshot;
     ``("stop", seq)`` — drain, checkpoint, exit.
 worker -> parent
     ``("reply", worker_id, seq, reply)`` for requests,
@@ -25,9 +25,9 @@ Two invariants make the fleet's failure semantics work:
   the router's redelivery of unanswered steps replays forward from
   exactly there (checkpoint-bounded replay).
 * **In-order forwarding.** Envelopes are forwarded to the service in
-  arrival order and the scheduler keeps per-session FIFO, so a
-  ``ckpt`` control acts as a barrier: it waits on the session's last
-  submitted future, which resolves only after every earlier step.
+  arrival order and the scheduler keeps per-session FIFO, so the
+  steps the router redelivers after a respawn apply in submission
+  order.
 
 The ``fleet.worker.exit`` fault point fires on request receipt and
 terminates the process with ``os._exit`` — the chaos harness's way of
@@ -40,21 +40,18 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.faults.plan import should_fire
-from repro.serve.requests import TrackStepReply, TrackStepRequest
+from repro.serve.requests import TrackStepReply
 from repro.serve.service import LocalizationService
 from repro.smc.tracker import TrackerConfig
 from repro.stream.checkpoint import save_checkpoint
 
 #: Exit code of a fault-injected worker kill (tests assert on it).
 FAULT_EXIT_CODE = 17
-
-#: Barrier bound of a ckpt control waiting out a session's last step.
-_BARRIER_TIMEOUT_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,6 @@ def worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
     """Run one worker until ``stop`` (or the parent/pipe goes away)."""
     service = spec.build_service().start()
     send_lock = threading.Lock()
-    last_track_future: Dict[str, object] = {}
 
     def send(message) -> None:
         with send_lock:
@@ -178,8 +174,6 @@ def worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
             if should_fire("fleet.worker.exit") is not None:
                 os._exit(FAULT_EXIT_CODE)  # simulated kill, no cleanup
             future = service.submit(request)
-            if isinstance(request, TrackStepRequest):
-                last_track_future[request.session_id] = future
             future.add_done_callback(
                 lambda f, seq=seq: complete_request(seq, f)
             )
@@ -200,19 +194,9 @@ def worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
                 path = message[2]
                 session = service.resume_session(path)
                 send(("control", worker_id, seq, True, session.session_id))
-            elif kind == "ckpt":
-                session_id, path = message[2], message[3]
-                barrier = last_track_future.pop(session_id, None)
-                if barrier is not None:
-                    barrier.result(timeout=_BARRIER_TIMEOUT_S)
-                session = service.close_session(session_id)
-                save_checkpoint(session, path,
-                                retry_policy=service.retry_policy)
-                send(("control", worker_id, seq, True, str(path)))
             elif kind == "close":
                 session_id = message[2]
                 service.close_session(session_id)
-                last_track_future.pop(session_id, None)
                 send(("control", worker_id, seq, True, session_id))
             elif kind == "metrics":
                 payload = {

@@ -169,6 +169,24 @@ class LocalizeRequest:
                 )
 
 
+def require_sniffer_count(request, sniffer_count: int) -> None:
+    """Refuse a localize whose reading count is not ``sniffer_count``.
+
+    Such a request cannot be fitted (its kernels span the deployment's
+    sniffers, its readings do not), and in a map-seeded batch it would
+    also break the fused prematch for every batch mate. Raises
+    :class:`~repro.errors.ConfigurationError`, which the gateway
+    answers ``bad_request``.
+    """
+    if isinstance(request, LocalizeRequest):
+        readings = len(request.observation.values)
+        if readings != sniffer_count:
+            raise ConfigurationError(
+                f"observation has {readings} readings, but the deployment "
+                f"has {sniffer_count} sniffers"
+            )
+
+
 @dataclass(frozen=True, **_DC_SLOTS)
 class TrackStepRequest:
     """One tracking-session step: feed a window to a service session.

@@ -849,10 +849,10 @@ class MicroBatchScheduler:
                     )
                     continue
                 item.stamp("solve")
-                item.future.set_result(reply)
                 self.metrics.record_reply(
                     reply.latency_s, taken_at - item.submitted_at
                 )
+                item.future.set_result(reply)
                 self._finalize_trace(item, ok=True)
 
     # ------------------------------------------------------------------
@@ -870,14 +870,17 @@ class MicroBatchScheduler:
             latency_s=item.latency(),
             batch_size=batch_size,
         )
-        item.future.set_result(reply)
+        # Count before resolving: done-callbacks run inside set_result,
+        # and a fleet worker's callback ships the reply to the router.
         self.metrics.record_reply(reply.latency_s, taken_at - item.submitted_at)
+        item.future.set_result(reply)
         self._finalize_trace(item, ok=True)
 
     def _complete_error(
         self, item: PendingRequest, code: str, message: str
     ) -> None:
         latency = item.latency()
+        self.metrics.record_error(code, latency)
         item.future.set_result(
             ErrorReply(
                 request_id=item.request.request_id,
@@ -887,7 +890,6 @@ class MicroBatchScheduler:
                 latency_s=latency,
             )
         )
-        self.metrics.record_error(code, latency)
         self._finalize_trace(item, ok=False)
 
     def _finalize_trace(self, item: PendingRequest, ok: bool) -> None:

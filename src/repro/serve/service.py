@@ -47,6 +47,7 @@ from repro.serve.requests import (
     ErrorReply,
     LocalizeRequest,
     TrackStepRequest,
+    require_sniffer_count,
 )
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.smc.tracker import SequentialMonteCarloTracker
@@ -301,13 +302,16 @@ class LocalizationService:
         """Admit one request; returns a Future resolving to its reply.
 
         The future *always* resolves — admission refusals resolve it
-        immediately with the matching typed error reply.
+        immediately with the matching typed error reply. A localize
+        whose reading count is not the deployment's sniffer count
+        raises :class:`~repro.errors.ConfigurationError` instead.
         """
         if not isinstance(request, (LocalizeRequest, TrackStepRequest)):
             raise ConfigurationError(
                 f"request must be a LocalizeRequest or TrackStepRequest, "
                 f"got {type(request).__name__}"
             )
+        require_sniffer_count(request, len(self.localizer.model.node_positions))
         item = PendingRequest.wrap(request)
         future = item.future
         self.metrics.record_submit()
@@ -318,6 +322,7 @@ class LocalizationService:
         if outcome in (REJECTED, TIMED_OUT):
             self.metrics.record_rejection(timed_out=outcome == TIMED_OUT)
         latency = item.latency()
+        self.metrics.record_error(code, latency)
         future.set_result(
             ErrorReply(
                 request_id=request.request_id,
@@ -327,7 +332,6 @@ class LocalizationService:
                 latency_s=latency,
             )
         )
-        self.metrics.record_error(code, latency)
         return future
 
     def call(self, request, timeout: Optional[float] = None):
@@ -339,6 +343,8 @@ class LocalizationService:
 
     def _complete_shutdown(self, item: PendingRequest) -> None:
         latency = item.latency()
+        # Count before resolving: done-callbacks run inside set_result.
+        self.metrics.record_error(ERROR_SHUTDOWN, latency)
         item.future.set_result(
             ErrorReply(
                 request_id=item.request.request_id,
@@ -348,4 +354,3 @@ class LocalizationService:
                 latency_s=latency,
             )
         )
-        self.metrics.record_error(ERROR_SHUTDOWN, latency)

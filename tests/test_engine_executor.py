@@ -211,6 +211,32 @@ def test_pinv_solve_batched_matches_per_row():
         assert np.allclose(got[i], want, atol=1e-10)
 
 
+def test_singular_row_leaves_its_batch_mates_bitwise_alone():
+    """A repeated user makes one normal matrix exactly singular (the
+    1e-10 ridge is below half an ulp of a ~2e7 diagonal); only that row
+    may take the pseudo-inverse."""
+    gen = np.random.default_rng(3)
+    users = gen.uniform(100.0, 1000.0, size=(65, 60))
+    stacks = np.stack([users[[i, i + 1]] for i in range(64)])
+    stacks[17, 1] = stacks[17, 0]
+    target = gen.uniform(100.0, 1000.0, 60)
+    thetas, objectives = solve_thetas_batched(stacks, target)
+    assert np.all(np.isfinite(thetas[17]))
+    for i in range(64):
+        solo_th, solo_obj = solve_thetas_batched(stacks[i : i + 1], target)
+        assert np.array_equal(solo_th[0], thetas[i]), i
+        assert solo_obj[0] == objectives[i], i
+    # One singular row in one engine chunk: the other chunk's rows
+    # must not notice it.
+    clean = np.delete(stacks, 17, axis=0)
+    big = np.concatenate([stacks] + [clean] * 40)
+    serial = solve_thetas_batched(big, target)
+    with Engine(workers=2) as eng:
+        parallel = solve_thetas_batched(big, target, engine=eng)
+    assert np.array_equal(serial[0], parallel[0])
+    assert np.array_equal(serial[1], parallel[1])
+
+
 # ----------------------------------------------------------------------
 # Integration points: bitwise parallel == serial.
 # ----------------------------------------------------------------------

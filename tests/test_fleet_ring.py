@@ -1,100 +1,38 @@
-"""Consistent hash ring: stability, bounded remapping, affinity."""
+"""Fleet placement: one stable SHA-1 rule over the fixed worker ids."""
 
-import pytest
+import hashlib
 
-from repro.errors import ConfigurationError
-from repro.fleet import ConsistentHashRing
+from repro.fleet import worker_for
 
 KEYS = [f"session-{i}" for i in range(2000)]
 
 
-def _assignments(nodes, replicas=64):
-    ring = ConsistentHashRing(nodes, replicas=replicas)
-    return ring.assignments(KEYS)
+def _assignments(workers):
+    return {key: worker_for(key, workers) for key in KEYS}
 
 
 class TestDeterminism:
     def test_owner_is_stable_across_ring_instances(self):
-        # SHA-1 placement, not hash(): two independently built rings
-        # (as in router + external client) agree on every key.
-        assert _assignments(range(4)) == _assignments(range(4))
-
-    def test_insertion_order_does_not_matter(self):
-        forward = _assignments([0, 1, 2, 3])
-        backward = _assignments([3, 2, 1, 0])
-        assert forward == backward
+        # SHA-1 placement, not hash(): the rule is the first 8 bytes of
+        # the digest mod N, so the router and any external client (in
+        # any process) agree on every key.
+        for key in KEYS[:200]:
+            digest = hashlib.sha1(key.encode("utf-8")).digest()
+            assert worker_for(key, 4) == int.from_bytes(
+                digest[:8], "big"
+            ) % 4
+        assert [worker_for(f"session-{i}", 4) for i in range(8)] == [
+            2, 1, 0, 0, 2, 3, 1, 2,
+        ]
 
     def test_all_nodes_receive_keys(self):
-        owners = set(_assignments(range(8)).values())
+        owners = set(_assignments(8).values())
         assert owners == set(range(8))
 
     def test_shares_are_roughly_even(self):
         counts = {}
-        for owner in _assignments(range(4)).values():
+        for owner in _assignments(4).values():
             counts[owner] = counts.get(owner, 0) + 1
         for owner, count in counts.items():
             share = count / len(KEYS)
             assert 0.10 <= share <= 0.45, (owner, share)
-
-
-class TestBoundedRemapping:
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_add_one_node_remaps_about_one_over_n(self, n):
-        before = _assignments(range(n))
-        after = _assignments(range(n + 1))
-        moved = sum(before[k] != after[k] for k in KEYS)
-        fraction = moved / len(KEYS)
-        # Expect ~1/(n+1); allow generous slack for 64-replica variance.
-        assert fraction <= 2.2 / (n + 1), fraction
-        assert fraction > 0  # the new node actually took keys
-
-    def test_every_moved_key_lands_on_the_new_node(self):
-        before = _assignments(range(4))
-        after = _assignments(range(5))
-        for key in KEYS:
-            if before[key] != after[key]:
-                assert after[key] == 4
-
-    def test_remove_one_node_only_moves_its_own_keys(self):
-        before = _assignments(range(5))
-        ring = ConsistentHashRing(range(5))
-        ring.remove(2)
-        after = ring.assignments(KEYS)
-        for key in KEYS:
-            if before[key] == 2:
-                assert after[key] != 2
-            else:
-                # Affinity: survivors keep every session they owned.
-                assert after[key] == before[key]
-
-    def test_add_then_remove_restores_original_placement(self):
-        ring = ConsistentHashRing(range(4))
-        before = ring.assignments(KEYS)
-        ring.add(4)
-        ring.remove(4)
-        assert ring.assignments(KEYS) == before
-
-
-class TestErrors:
-    def test_empty_ring_refuses_lookup(self):
-        with pytest.raises(ConfigurationError):
-            ConsistentHashRing().owner("key")
-
-    def test_duplicate_node_refused(self):
-        ring = ConsistentHashRing([0])
-        with pytest.raises(ConfigurationError):
-            ring.add(0)
-
-    def test_remove_unknown_node_refused(self):
-        with pytest.raises(ConfigurationError):
-            ConsistentHashRing([0]).remove(1)
-
-    def test_replicas_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            ConsistentHashRing(replicas=0)
-
-    def test_len_and_contains(self):
-        ring = ConsistentHashRing(range(3))
-        assert len(ring) == 3
-        assert 2 in ring and 5 not in ring
-        assert sorted(ring.nodes) == [0, 1, 2]

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ServeError
-from repro.fleet import ServeFleet
+from repro.faults import FaultPlan, FaultSpec, injected
+from repro.fleet import REDELIVERY_LIMIT, ServeFleet, worker_for
 from repro.fpmap import build_fingerprint_map
 from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.serve import (
     ERROR_SHUTDOWN,
     ERROR_UNKNOWN_SESSION,
+    ERROR_WORKER_CRASHED,
     LocalizationService,
     LocalizeRequest,
     MetricsServer,
@@ -22,6 +24,7 @@ from repro.serve import (
     TrackStepRequest,
 )
 from repro.traffic import MeasurementModel, simulate_flux
+from repro.traffic.measurement import FluxObservation
 
 USERS = 2
 STEPS = 4
@@ -104,15 +107,12 @@ class TestEndToEnd:
         assert all(r.ok and r.step is not None for r in track)
 
     def test_localize_affinity_follows_the_ring(self, scenario):
-        from repro.fleet import ConsistentHashRing
-
         _, _, _, localizes, _ = scenario
-        # The router places localize traffic by ring.owner(client_id);
-        # an external ring with the same nodes predicts every route.
-        ring = ConsistentHashRing([0, 1])
+        # The router places localize traffic by worker_for(client_id, N);
+        # a client computing it predicts every route.
         expected = {}
         for request in localizes:
-            owner = ring.owner(request.client_id)
+            owner = worker_for(request.client_id, 2)
             expected[owner] = expected.get(owner, 0) + 1
         with _fleet(scenario) as fleet:
             for request in localizes:
@@ -192,37 +192,45 @@ class TestSessionsAndErrors:
         reply = fleet.submit(localizes[0]).result(timeout=60)
         assert not reply.ok and reply.code == ERROR_SHUTDOWN
 
-    def test_migrate_session_moves_ownership(self, scenario):
-        _, _, _, _, stream = scenario
+    def test_sessions_are_placed_by_session_id(self, scenario):
+        with _fleet(scenario, workers=3) as fleet:
+            for i in range(6):
+                owner = fleet.open_session(f"s{i}", USERS, seed=i)
+                assert owner == worker_for(f"s{i}", 3)
+                assert fleet.session_owner(f"s{i}") == owner
+                assert f"s{i}" in fleet.worker_snapshot(owner)["sessions"]
+
+    def test_wrong_arity_localize_is_refused_before_any_worker(
+        self, scenario
+    ):
+        _, _, _, localizes, _ = scenario
+        obs = localizes[0].observation
+        short = LocalizeRequest(
+            request_id="short", client_id="c0",
+            observation=FluxObservation(
+                time=obs.time, sniffers=obs.sniffers[:-1],
+                values=obs.values[:-1],
+            ),
+            candidate_count=24,
+        )
         with _fleet(scenario) as fleet:
-            fleet.open_session("s0", USERS, seed=7)
-            owner = fleet.session_owner("s0")
-            target = next(w for w in fleet.worker_ids if w != owner)
-            fleet.call(_steps(stream)[0], timeout=120)
-            fleet.migrate_session("s0", target)
-            assert fleet.session_owner("s0") == target
-            reply = fleet.call(_steps(stream)[1], timeout=120)
-            assert reply.ok
-            assert fleet.fleet_snapshot()["router"]["migrations"] == 1
+            with pytest.raises(ConfigurationError, match="readings"):
+                fleet.submit(short)
+            assert fleet.call(localizes[0], timeout=120).ok
+            router = fleet.fleet_snapshot()["router"]
+        assert router["requests_submitted"] == 1
+        assert router["worker_deaths"] == 0
 
 
 class TestMetricsAggregation:
     def test_fleet_snapshot_sums_worker_counters(self, scenario):
-        import time
-
         _, _, _, localizes, _ = scenario
         with _fleet(scenario) as fleet:
             for request in localizes:
                 fleet.call(request, timeout=120)
-            # The worker records replies_ok just after resolving the
-            # future that ships the reply, so give its counter a beat.
-            deadline = time.monotonic() + 10.0
-            while True:
-                snapshot = fleet.fleet_snapshot()
-                ok = snapshot["aggregate"]["replies_ok"]
-                if ok == len(localizes) or time.monotonic() > deadline:
-                    break
-                time.sleep(0.05)
+            # A worker counts each reply before it ships it, so the
+            # counters are final as soon as the last call returns.
+            snapshot = fleet.fleet_snapshot()
         workers = snapshot["workers"]
         aggregate = snapshot["aggregate"]
         assert aggregate["workers_reporting"] == 2
@@ -288,39 +296,30 @@ class TestMetricsServerFleetMode:
             MetricsServer(ServerMetrics(), fleet=object())
 
 
-class TestRebalance:
-    def test_add_worker_migrates_only_remapped_sessions(self, scenario):
-        with _fleet(scenario) as fleet:
-            for i in range(6):
-                fleet.open_session(f"s{i}", USERS, seed=i)
-            before = {
-                sid: fleet.session_owner(sid) for sid in fleet.session_ids
-            }
-            new_id = fleet.add_worker()
-            after = {
-                sid: fleet.session_owner(sid) for sid in fleet.session_ids
-            }
-            moved = [sid for sid in before if before[sid] != after[sid]]
-            # Affinity: every move lands on the new worker, the rest stay.
-            assert all(after[sid] == new_id for sid in moved)
-            assert len(moved) < len(before)
-            assert (
-                fleet.fleet_snapshot()["router"]["migrations"]
-                == len(moved)
-            )
-
-    def test_remove_worker_rehomes_its_sessions(self, scenario):
-        with _fleet(scenario, workers=3) as fleet:
-            for i in range(6):
-                fleet.open_session(f"s{i}", USERS, seed=i)
-            victim = fleet.session_owner("s0")
-            fleet.remove_worker(victim)
-            assert victim not in fleet.worker_ids
-            owners = {
-                fleet.session_owner(sid) for sid in fleet.session_ids
-            }
-            assert victim not in owners
-            # The rehomed sessions still serve steps.
-            _, _, _, _, stream = scenario
-            reply = fleet.call(_steps(stream, "s0")[0], timeout=120)
-            assert reply.ok
+class TestRedeliveryLimit:
+    def test_request_outliving_the_limit_is_answered_worker_crashed(
+        self, scenario
+    ):
+        _, _, _, localizes, _ = scenario
+        plan = FaultPlan([FaultSpec("fleet.worker.exit", times=1)], seed=0)
+        fleet = _fleet(scenario, workers=1)
+        try:
+            # Armed across start() and the traffic: every replacement
+            # forks with a fresh copy of the plan and dies on receipt,
+            # so the request dies with each of its deliveries.
+            with injected(plan):
+                fleet.start()
+                doomed = fleet.submit(localizes[0]).result(timeout=120)
+                deaths = fleet.fleet_snapshot()["router"]["worker_deaths"]
+            # The replacement already forked still carries the plan; the
+            # one after it forks disarmed and answers.
+            survivor = fleet.submit(localizes[1]).result(timeout=120)
+            router = fleet.fleet_snapshot()["router"]
+        finally:
+            fleet.stop()
+        assert not doomed.ok and doomed.code == ERROR_WORKER_CRASHED
+        assert deaths == REDELIVERY_LIMIT
+        assert router["redelivery_failures"] == 1
+        assert survivor.ok
+        assert router["replies_ok"] == 1
+        assert router["replies_error"] == {ERROR_WORKER_CRASHED: 1}

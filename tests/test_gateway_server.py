@@ -139,13 +139,17 @@ class TestExactlyOneReply:
         self, scenario
     ):
         """A budget past MAX_CANDIDATE_ROWS, a knob that is not an
-        integer, or an infinite reading is a typed bad_request, never a
-        request that fails the whole fused batch."""
+        integer, an infinite reading, or a reading count that is not the
+        deployment's is a typed bad_request, never a request that fails
+        the whole fused batch."""
         obs = _observations(scenario, 1, seed=6)[0]
         # observation_to_wire sends non-finite readings as null (NaN),
         # so the Infinity goes into the wire dict by hand.
         infinite = protocol.observation_to_wire(obs)
         infinite["values"][0] = float("inf")
+        short = protocol.observation_to_wire(obs)
+        for key in ("sniffers", "values", "raw_values"):
+            short[key] = short[key][:-1]
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():
                 async with GatewayClient(
@@ -162,9 +166,12 @@ class TestExactlyOneReply:
                         client.request({"type": "localize", "id": "inf",
                                         "observation": infinite,
                                         "candidate_count": 24, "seed": 4}),
+                        client.request({"type": "localize", "id": "short",
+                                        "observation": short,
+                                        "candidate_count": 24, "seed": 5}),
                     )
 
-            huge, small, textual, inf = _run(go())
+            huge, small, textual, inf, shortened = _run(go())
         assert huge["type"] == "error"
         assert huge["code"] == "bad_request"
         assert "MAX_CANDIDATE_ROWS" in huge["message"]
@@ -174,6 +181,9 @@ class TestExactlyOneReply:
         assert inf["type"] == "error"
         assert inf["code"] == "bad_request"
         assert "infinite" in inf["message"]
+        assert shortened["type"] == "error"
+        assert shortened["code"] == "bad_request"
+        assert "readings" in shortened["message"]
         assert small["ok"] is True
         assert small["id"] == "small"
 

@@ -10,6 +10,7 @@ crashed work always gets a typed error reply.
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.serve import (
@@ -18,6 +19,7 @@ from repro.serve import (
     LocalizationService,
     LocalizeRequest,
 )
+from repro.serve.admission import PendingRequest
 from repro.traffic import MeasurementModel, simulate_flux
 from repro.traffic.measurement import FluxObservation
 
@@ -164,8 +166,15 @@ class TestTypedFailures:
             candidate_count=32,
         )
         good = _mixed_requests(net, sniffers)[0]
-        replies = _replies(_service(net, sniffers, fmap, 16), [broken, good])
-        assert replies["broken"].code == ERROR_INTERNAL
+        service = _service(net, sniffers, fmap, 16)
+        # The service refuses the wrong arity at submit; queued past
+        # that check, the scheduler still answers it alone.
+        with pytest.raises(ConfigurationError):
+            service.submit(broken)
+        item = PendingRequest.wrap(broken)
+        service.queue.offer(item)
+        replies = _replies(service, [good])
+        assert item.future.result().code == ERROR_INTERNAL
         assert replies[good.request_id].ok  # batch mates unaffected
 
     def test_expiry_counted_in_metrics(self, scenario):
@@ -177,6 +186,34 @@ class TestTypedFailures:
             candidate_count=32, deadline_s=0.0,
         )])
         assert service.metrics.deadline_expiries == 1
+
+    def test_reply_is_counted_before_its_future_resolves(self, scenario):
+        """Done-callbacks run inside ``set_result`` (a fleet worker's
+        ships the reply to the router), so the counters must already
+        include the reply they are called for."""
+        net, sniffers, fmap = scenario
+        fresh, stale = _observations(net, sniffers, 2, seed=22)
+        service = _service(net, sniffers, fmap, 4)
+        ok = service.submit(LocalizeRequest(
+            request_id="ok", client_id="c0", observation=fresh,
+            candidate_count=32,
+        ))
+        late = service.submit(LocalizeRequest(
+            request_id="late", client_id="c0", observation=stale,
+            candidate_count=32, deadline_s=0.0,
+        ))
+        seen = {}
+        ok.add_done_callback(lambda f: seen.setdefault(
+            "replies_ok", service.metrics.replies_ok
+        ))
+        late.add_done_callback(lambda f: seen.setdefault(
+            "replies_error_total",
+            service.metrics.snapshot()["replies_error_total"],
+        ))
+        assert service.scheduler.run_once() == 2
+        service.stop()
+        assert ok.result().ok and late.result().code == ERROR_DEADLINE_EXPIRED
+        assert seen == {"replies_ok": 1, "replies_error_total": 1}
 
 
 class TestFusedMapMatching:

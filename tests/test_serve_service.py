@@ -349,6 +349,34 @@ class TestRequestBudget:
             )
 
 
+    def test_wrong_arity_refused_at_submit(self, scenario):
+        """A localize whose reading count is not the deployment's is
+        refused before admission, so it cannot break the fused prematch
+        of a map-seeded batch."""
+        mates = _requests(scenario, clients=1, per_client=3, seed=4)[0]
+        obs = mates[0].observation
+        short = LocalizeRequest(
+            request_id="short", client_id="client-0",
+            observation=FluxObservation(
+                time=obs.time, sniffers=obs.sniffers[:-1],
+                values=obs.values[:-1],
+            ),
+            candidate_count=32,
+        )
+        service = _service(scenario)
+        futures = [service.submit(r) for r in mates[:2]]
+        with pytest.raises(ConfigurationError, match="readings"):
+            service.submit(short)
+        futures.append(service.submit(mates[2]))
+        with service:
+            replies = [f.result(timeout=60) for f in futures]
+        assert all(reply.ok for reply in replies)
+        snapshot = service.metrics.snapshot()
+        assert snapshot["requests_submitted"] == 3
+        assert "serve.prematch" not in snapshot["internal_faults"]
+        assert snapshot["internal_faults_total"] == 0
+
+
 class TestSharedState:
     def test_wrong_deployment_map_refused(self, scenario):
         net, sniffers, _ = scenario
