@@ -580,7 +580,6 @@ def cmd_serve(args) -> int:
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1000.0,
             queue_capacity=args.queue_capacity,
-            admission_policy=args.policy,
         )
     except ConfigurationError as exc:
         print(f"cannot build service: {exc}", file=sys.stderr)
@@ -687,7 +686,7 @@ def cmd_serve(args) -> int:
         f"requests + {len(track_work)} tracking sessions on "
         f"{sniffers.size}/{net.node_count} sniffed nodes{map_tag}; "
         f"max_batch={args.max_batch} max_wait={args.max_wait_ms:g}ms "
-        f"policy={args.policy}"
+        f"queue_capacity={args.queue_capacity}"
     )
     from repro.faults import injected
 
@@ -774,7 +773,6 @@ def cmd_fleet(args) -> int:
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1000.0,
             queue_capacity=args.queue_capacity,
-            admission_policy=args.policy,
             engine_workers=args.workers,
             engine_chunk_size=args.chunk_size,
         )
@@ -871,7 +869,7 @@ def cmd_fleet(args) -> int:
         f"{len(localize_work)} localize clients x {args.requests} requests "
         f"+ {len(track_work)} tracking sessions on "
         f"{sniffers.size}/{net.node_count} sniffed nodes{map_tag}; "
-        f"max_batch={args.max_batch} policy={args.policy}"
+        f"max_batch={args.max_batch} queue_capacity={args.queue_capacity}"
     )
     from repro.faults import injected
 
@@ -1129,7 +1127,6 @@ def cmd_gateway(args) -> int:
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1000.0,
             queue_capacity=args.queue_capacity,
-            admission_policy=args.policy,
         )
     except ConfigurationError as exc:
         print(f"cannot build service: {exc}", file=sys.stderr)

@@ -239,13 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batch linger ceiling before a partial batch is drained",
     )
     p.add_argument(
-        "--queue-capacity", type=int, default=512, help="admission queue bound"
-    )
-    p.add_argument(
-        "--policy",
-        choices=["reject", "block"],
-        default="reject",
-        help="admission policy when the queue is full",
+        "--queue-capacity",
+        type=int,
+        default=512,
+        help="admission queue bound; a request arriving at a full queue "
+        "is answered admission_rejected",
     )
     p.add_argument(
         "--deadline-ms",
@@ -337,13 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-capacity",
         type=int,
         default=1024,
-        help="per-worker admission queue bound",
-    )
-    p.add_argument(
-        "--policy",
-        choices=["reject", "block"],
-        default="reject",
-        help="admission policy when a worker's queue is full",
+        help="per-worker admission queue bound; a request arriving at a "
+        "full queue is answered admission_rejected",
     )
     p.add_argument(
         "--map",
@@ -445,10 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=32)
     p.add_argument("--max-wait-ms", type=float, default=2.0)
     p.add_argument(
-        "--queue-capacity", type=int, default=512, help="admission queue bound"
-    )
-    p.add_argument(
-        "--policy", choices=["reject", "block"], default="reject"
+        "--queue-capacity",
+        type=int,
+        default=512,
+        help="admission queue bound; a request arriving at a full queue "
+        "is answered admission_rejected",
     )
     p.add_argument(
         "--deadline-ms",

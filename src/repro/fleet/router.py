@@ -156,7 +156,6 @@ class ServeFleet:
         max_batch: int = 32,
         max_wait_s: float = 0.002,
         queue_capacity: int = 1024,
-        admission_policy: str = "reject",
         engine_workers: int = 0,
         engine_chunk_size: int = 4096,
     ):
@@ -187,7 +186,6 @@ class ServeFleet:
             max_batch=max_batch,
             max_wait_s=max_wait_s,
             queue_capacity=queue_capacity,
-            admission_policy=admission_policy,
             engine_workers=engine_workers,
             engine_chunk_size=engine_chunk_size,
         )

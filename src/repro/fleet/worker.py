@@ -88,7 +88,6 @@ class WorkerSpec:
     max_batch: int = 32
     max_wait_s: float = 0.002
     queue_capacity: int = 1024
-    admission_policy: str = "reject"
     engine_workers: int = 0
     engine_chunk_size: int = 4096
 
@@ -110,7 +109,6 @@ class WorkerSpec:
             max_batch=self.max_batch,
             max_wait_s=self.max_wait_s,
             queue_capacity=self.queue_capacity,
-            admission_policy=self.admission_policy,
         )
 
 

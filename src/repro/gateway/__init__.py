@@ -10,7 +10,7 @@ exactly-one-typed-reply guarantee end to end. Requests are stamped with
 span ids at the door, and the scheduler records per-stage timestamps as
 they cross admission → fuse → solve → reply. Excess load is shed at
 the door: the service's fixed admission capacity answers it with a
-typed ``admission_rejected`` reply under the ``reject`` policy.
+typed ``admission_rejected`` reply.
 """
 
 from repro.gateway.client import GatewayClient

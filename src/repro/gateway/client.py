@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import GatewayError, ProtocolError
 from repro.gateway import protocol
@@ -47,7 +47,6 @@ class GatewayClient:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._pending: Dict[str, asyncio.Future] = {}
-        self._pushes: asyncio.Queue = asyncio.Queue()
         self._ids = itertools.count(1)
         self._dead: Optional[BaseException] = None
 
@@ -115,22 +114,17 @@ class GatewayClient:
             self._fail_pending(exc)
 
     def _route(self, frame: Dict) -> None:
+        """Resolve the waiter of ``frame``'s id.
+
+        A frame nobody waits for any more (a late reply after a client
+        timeout, an ``id: null`` error) is dropped.
+        """
         frame_id = frame.get("id")
-        key = None if frame_id is None else str(frame_id)
-        waiter = self._pending.get(key) if key is not None else None
-        if waiter is not None and not waiter.done():
-            # Subscription pushes reuse the subscribe frame's id but
-            # carry a seq; only the first one resolves the request.
-            if frame.get("type") == "metrics" and "seq" in frame:
-                self._pushes.put_nowait(frame)
-                if frame.get("seq") == 0:
-                    self._pending.pop(key)
-                    waiter.set_result(frame)
-                return
-            self._pending.pop(key)
-            waiter.set_result(frame)
+        if frame_id is None:
             return
-        self._pushes.put_nowait(frame)
+        waiter = self._pending.pop(str(frame_id), None)
+        if waiter is not None and not waiter.done():
+            waiter.set_result(frame)
 
     def _fail_pending(self, exc: BaseException) -> None:
         for waiter in self._pending.values():
@@ -196,22 +190,3 @@ class GatewayClient:
         if limit is not None:
             frame["limit"] = int(limit)
         return await self.request(frame)
-
-    async def subscribe_metrics(
-        self, count: int, interval_s: float = 0.05
-    ) -> List[Dict]:
-        """Subscribe and collect ``count`` pushed metrics frames."""
-        await self.request({
-            "type": "subscribe_metrics",
-            "count": int(count),
-            "interval_s": float(interval_s),
-        })
-        frames: List[Dict] = [await self._pop_push()]
-        while len(frames) < count:
-            frames.append(await self._pop_push())
-        return frames
-
-    async def _pop_push(self) -> Dict:
-        if self.timeout_s is None:
-            return await self._pushes.get()
-        return await asyncio.wait_for(self._pushes.get(), self.timeout_s)

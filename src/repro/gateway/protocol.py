@@ -12,12 +12,12 @@ format (:func:`repro.stream.sources.observation_to_jsonl`).
 
 Client → gateway frame types
     ``connect``, ``ping``, ``localize``, ``track_step``,
-    ``open_session``, ``metrics``, ``subscribe_metrics``,
-    ``unsubscribe_metrics``, ``trace_dump``.
+    ``open_session``, ``metrics``, ``trace_dump``.
 Gateway → client frame types
     ``connected``, ``pong``, ``reply`` (success, with ``kind``
-    ``localize``/``track_step``), ``error``, ``metrics`` (one-shot and
-    subscription pushes), ``traces``, ``session_opened``.
+    ``localize``/``track_step``), ``error``, ``metrics``, ``traces``,
+    ``session_opened``. Each answers exactly one client frame; the
+    gateway pushes nothing unasked.
 """
 
 from __future__ import annotations

@@ -17,6 +17,9 @@ The serve layer's exactly-one-typed-reply invariant extends end to end:
 * a malformed frame gets a typed ``error`` frame (never a crash, never
   a dropped connection — framing survives because frames are
   line-delimited);
+* control frames get exactly one answer too, and the gateway sends
+  nothing unasked: metrics are read with the one-shot ``metrics``
+  frame;
 * a connection that dies before its reply is written has that reply
   *discarded and counted* (``replies_dropped``), never blocking the
   scheduler, never resurrected.
@@ -136,8 +139,7 @@ class GatewayMetrics:
 class _Connection:
     """Per-connection mutable state (event-loop confined)."""
 
-    __slots__ = ("conn_id", "writer", "client_id", "closed", "inflight",
-                 "subscription")
+    __slots__ = ("conn_id", "writer", "client_id", "closed", "inflight")
 
     def __init__(self, conn_id: int, writer: asyncio.StreamWriter):
         self.conn_id = conn_id
@@ -145,7 +147,6 @@ class _Connection:
         self.client_id = f"conn-{conn_id}"
         self.closed = False
         self.inflight = 0
-        self.subscription: Optional[asyncio.Task] = None
 
 
 class GatewayServer:
@@ -170,22 +171,16 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         name: str = "gw",
-        subscribe_interval_s: float = 0.25,
     ):
         if not callable(getattr(backend, "submit", None)):
             raise ConfigurationError(
                 f"backend must expose submit(), "
                 f"got {type(backend).__name__}"
             )
-        if subscribe_interval_s <= 0:
-            raise ConfigurationError(
-                f"subscribe_interval_s must be > 0, got {subscribe_interval_s}"
-            )
         self.backend = backend
         self.host = host
         self._requested_port = int(port)
         self.name = str(name)
-        self.subscribe_interval_s = float(subscribe_interval_s)
         self.metrics = GatewayMetrics()
         backend_metrics = getattr(backend, "metrics", None)
         self._server_metrics = (
@@ -261,7 +256,7 @@ class GatewayServer:
         self._server.close()
         await self._server.wait_closed()
         # Every live task on this private loop belongs to the gateway
-        # (connection handlers, reply waiters, subscription pushers).
+        # (connection handlers and reply waiters).
         tasks = [
             task for task in asyncio.all_tasks()
             if task is not asyncio.current_task()
@@ -331,8 +326,6 @@ class GatewayServer:
                     break
         finally:
             conn.closed = True
-            if conn.subscription is not None:
-                conn.subscription.cancel()
             self.metrics.connection_closed()
             self._tasks.discard(task)
             try:
@@ -387,28 +380,8 @@ class GatewayServer:
                 "id": frame_id,
                 "snapshot": self._metrics_payload(),
             })
-        elif kind == "subscribe_metrics":
-            self._subscribe(conn, frame, frame_id)
-        elif kind == "unsubscribe_metrics":
-            if conn.subscription is not None:
-                conn.subscription.cancel()
-                conn.subscription = None
-            await self._write(conn, {"type": "metrics_unsubscribed",
-                                     "id": frame_id})
         elif kind == "trace_dump":
-            await self._write(conn, _nan_safe_deep({
-                "type": "traces",
-                "id": frame_id,
-                "traces": (
-                    self._server_metrics.recent_traces(frame.get("limit"))
-                    if self._server_metrics is not None else []
-                ),
-                "stages": (
-                    self._server_metrics.stage_quantiles()
-                    if self._server_metrics is not None else {}
-                ),
-                "gateway": self.metrics.snapshot(),
-            }))
+            await self._trace_dump(conn, frame, frame_id)
         else:
             self.metrics.protocol_error()
             await self._write(conn, protocol.error_frame(
@@ -559,6 +532,32 @@ class GatewayServer:
             "user_count": int(user_count),
         })
 
+    async def _trace_dump(
+        self, conn: _Connection, frame: Dict, frame_id: Optional[str]
+    ) -> None:
+        limit = frame.get("limit")
+        if limit is not None:
+            try:
+                check_integer("limit", limit, 0)
+            except ConfigurationError as exc:
+                self.metrics.protocol_error()
+                await self._write(conn, protocol.error_frame(
+                    frame_id, protocol.ERROR_BAD_REQUEST, str(exc)
+                ))
+                return
+        metrics = self._server_metrics
+        await self._write(conn, _nan_safe_deep({
+            "type": "traces",
+            "id": frame_id,
+            "traces": (
+                metrics.recent_traces(limit) if metrics is not None else []
+            ),
+            "stages": (
+                metrics.stage_quantiles() if metrics is not None else {}
+            ),
+            "gateway": self.metrics.snapshot(),
+        }))
+
     def _metrics_payload(self) -> Dict:
         payload = {"gateway": self.metrics.snapshot()}
         if self._server_metrics is not None:
@@ -566,35 +565,3 @@ class GatewayServer:
         elif hasattr(self.backend, "fleet_snapshot"):
             payload["fleet"] = self.backend.fleet_snapshot()
         return _nan_safe_deep(payload)
-
-    def _subscribe(
-        self, conn: _Connection, frame: Dict, frame_id: Optional[str]
-    ) -> None:
-        if conn.subscription is not None:
-            conn.subscription.cancel()
-        interval = float(
-            frame.get("interval_s") or self.subscribe_interval_s
-        )
-        count = frame.get("count")
-
-        async def _push() -> None:
-            sent = 0
-            try:
-                while count is None or sent < int(count):
-                    frame_out = {
-                        "type": "metrics",
-                        "id": frame_id,
-                        "seq": sent,
-                        "snapshot": self._metrics_payload(),
-                    }
-                    if not await self._write(conn, frame_out):
-                        return
-                    sent += 1
-                    await asyncio.sleep(max(interval, 0.01))
-            except asyncio.CancelledError:
-                pass
-
-        task = asyncio.ensure_future(_push())
-        conn.subscription = task
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)

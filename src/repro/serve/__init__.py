@@ -14,13 +14,11 @@ from repro.serve.admission import (
     ADMITTED,
     CLOSED,
     REJECTED,
-    TIMED_OUT,
     AdmissionQueue,
     PendingRequest,
 )
 from repro.serve.metrics import MetricsServer, ServerMetrics
 from repro.serve.requests import (
-    ERROR_ADMISSION_TIMEOUT,
     ERROR_DEADLINE_EXPIRED,
     ERROR_INTERNAL,
     ERROR_REJECTED,
@@ -41,12 +39,10 @@ __all__ = [
     "ADMITTED",
     "CLOSED",
     "REJECTED",
-    "TIMED_OUT",
     "AdmissionQueue",
     "PendingRequest",
     "MetricsServer",
     "ServerMetrics",
-    "ERROR_ADMISSION_TIMEOUT",
     "ERROR_DEADLINE_EXPIRED",
     "ERROR_INTERNAL",
     "ERROR_REJECTED",

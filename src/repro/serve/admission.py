@@ -3,18 +3,11 @@
 The queue holds :class:`PendingRequest` envelopes (request + reply
 future + deadline) in *per-client* FIFO lanes and hands them to the
 scheduler in round-robin client order, so a flooding client cannot
-starve the others — it can only fill its own lane. Overload behavior is
-a policy choice made at construction:
-
-``reject``
-    A full queue (or a full per-client lane) refuses the request
-    immediately; the caller answers it with a typed
-    ``admission_rejected`` error reply. Predictable latency, bounded
-    memory, the client decides whether to retry.
-``block``
-    ``offer`` waits (bounded by ``block_timeout_s``) for the scheduler
-    to make room. Nothing is refused while the service keeps up; a
-    timeout becomes a typed ``admission_timeout`` error reply.
+starve the others — it can only fill its own lane. A full queue
+refuses the request at once: :meth:`~AdmissionQueue.offer` returns
+``REJECTED`` and the caller answers it with a typed
+``admission_rejected`` error reply. Latency stays predictable, memory
+stays bounded, and the client decides whether to retry.
 
 Deadlines are enforced at drain time: :meth:`take` purges lapsed
 entries into its ``expired`` result instead of handing them to the
@@ -22,12 +15,10 @@ scheduler, and the service completes them with ``deadline_expired``
 error replies — stale work never reaches the solver and is never
 silently dropped. The scheduler re-checks expiry again at dispatch
 time, so a request whose deadline lapses *between* drain and solve is
-also answered ``deadline_expired`` rather than solved late. When any
-queued request carries a deadline, draining is additionally
-*SLO-aware*: lane heads whose remaining slack is inside
-``urgent_slack_s`` are pulled earliest-deadline-first ahead of the
-round-robin rotation (lane order stays FIFO, so per-session step
-order is preserved).
+also answered ``deadline_expired`` rather than solved late. Deadlines
+never reorder the drain; the fair rotation alone decides what runs
+next (a reply is fixed by its request's seed and window, so drain
+order only moves time).
 
 Deadline arithmetic (wrap/expired/latency and the drain-time purge)
 reads the injectable faults clock (:mod:`repro.faults.clock`), which
@@ -61,10 +52,7 @@ from repro.faults import clock as _clock
 #: ``offer`` outcomes.
 ADMITTED = "admitted"
 REJECTED = "rejected"
-TIMED_OUT = "timed_out"
 CLOSED = "closed"
-
-_POLICIES = ("reject", "block")
 
 #: Floor of the empty-queue condition-variable wait. A ``wait_timeout``
 #: of zero used to make :meth:`take` return immediately on an empty
@@ -97,7 +85,6 @@ class PendingRequest:
     future: Future
     submitted_at: float
     expires_at: Optional[float] = None
-    batch_size: int = field(default=0)
     #: Per-stage trace stamps ``[(stage, monotonic_t), ...]`` appended
     #: by the scheduler as the request crosses admission → fuse →
     #: solve → reply. ``None`` until the first stamp.
@@ -158,54 +145,14 @@ class AdmissionQueue:
     Parameters
     ----------
     capacity:
-        Maximum queued requests across all clients.
-    policy:
-        ``"reject"`` or ``"block"`` (see module docstring).
-    block_timeout_s:
-        Block-policy only: longest an :meth:`offer` may wait for room.
-        ``None`` waits indefinitely (only sensible in tests).
-    per_client_limit:
-        Optional cap on one client's queued requests. A client at its
-        cap is refused (both policies) while other clients are still
-        admitted — the fairness backstop against a single flooder.
-    urgent_slack_s:
-        Deadline slack below which a queued request is *urgent*: the
-        drain pulls urgent lane heads earliest-deadline-first before
-        the fair rotation runs (SLO-aware ordering). Only consulted
-        while deadline-carrying requests are queued.
+        Maximum queued requests across all clients; an :meth:`offer`
+        past it is refused (see module docstring).
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        policy: str = "reject",
-        block_timeout_s: Optional[float] = 5.0,
-        per_client_limit: Optional[int] = None,
-        urgent_slack_s: float = 0.01,
-    ):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        if policy not in _POLICIES:
-            raise ConfigurationError(
-                f"policy must be one of {_POLICIES}, got {policy!r}"
-            )
-        if block_timeout_s is not None and block_timeout_s <= 0:
-            raise ConfigurationError(
-                f"block_timeout_s must be positive, got {block_timeout_s}"
-            )
-        if per_client_limit is not None and per_client_limit < 1:
-            raise ConfigurationError(
-                f"per_client_limit must be >= 1, got {per_client_limit}"
-            )
-        if urgent_slack_s < 0:
-            raise ConfigurationError(
-                f"urgent_slack_s must be >= 0, got {urgent_slack_s}"
-            )
         self.capacity = int(capacity)
-        self.policy = policy
-        self.block_timeout_s = block_timeout_s
-        self.per_client_limit = per_client_limit
-        self.urgent_slack_s = float(urgent_slack_s)
         #: Optional AdaptiveBatchController that observes arrivals and
         #: drains and sizes the linger; set by the scheduler that owns
         #: this queue (duck-typed, no import).
@@ -213,7 +160,6 @@ class AdmissionQueue:
         self._lanes: "OrderedDict[str, Deque[PendingRequest]]" = OrderedDict()
         self._turns: Deque[str] = deque()  # round-robin client order
         self._depth = 0
-        self._deadline_count = 0  # queued items carrying a deadline
         self._closed = False
         self._cond = threading.Condition()
 
@@ -231,11 +177,6 @@ class AdmissionQueue:
         """
         return self._depth
 
-    def client_depth(self, client_id: str) -> int:
-        with self._cond:
-            lane = self._lanes.get(client_id)
-            return 0 if lane is None else len(lane)
-
     @property
     def closed(self) -> bool:
         with self._cond:
@@ -245,7 +186,7 @@ class AdmissionQueue:
     def offer(self, item: PendingRequest) -> str:
         """Try to admit one envelope; returns an ``offer`` outcome.
 
-        ``REJECTED``/``TIMED_OUT``/``CLOSED`` mean the item was *not*
+        ``REJECTED`` (queue full) and ``CLOSED`` mean the item was *not*
         enqueued; the caller owns completing its future with the
         matching typed error reply.
         """
@@ -253,43 +194,14 @@ class AdmissionQueue:
         with self._cond:
             if self._closed:
                 return CLOSED
-            if (
-                self.per_client_limit is not None
-                and len(self._lanes.get(client_id, ())) >= self.per_client_limit
-            ):
-                return REJECTED
             if self._depth >= self.capacity:
-                if self.policy == "reject":
-                    return REJECTED
-                deadline = (
-                    None
-                    if self.block_timeout_s is None
-                    else time.monotonic() + self.block_timeout_s
-                )
-                while self._depth >= self.capacity and not self._closed:
-                    remaining = (
-                        None if deadline is None
-                        else deadline - time.monotonic()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        return TIMED_OUT
-                    self._cond.wait(remaining)
-                if self._closed:
-                    return CLOSED
-                if (
-                    self.per_client_limit is not None
-                    and len(self._lanes.get(client_id, ()))
-                    >= self.per_client_limit
-                ):
-                    return REJECTED
+                return REJECTED
             lane = self._lanes.get(client_id)
             if lane is None:
                 lane = self._lanes[client_id] = deque()
                 self._turns.append(client_id)
             lane.append(item)
             self._depth += 1
-            if item.expires_at is not None:
-                self._deadline_count += 1
             controller = self.controller
             if controller is not None:
                 controller.observe_arrival(time.monotonic())
@@ -317,8 +229,7 @@ class AdmissionQueue:
 
         Fairness: one item per client per turn, clients visited
         round-robin, a client's lane staying FIFO. A drained-empty lane
-        leaves the rotation until that client submits again. Urgent
-        deadlines pre-empt the rotation (see ``urgent_slack_s``).
+        leaves the rotation until that client submits again.
         """
         if max_items < 1:
             raise ConfigurationError(
@@ -368,59 +279,12 @@ class AdmissionQueue:
             self._cond.wait(remaining)
         return True
 
-    def _pop_from_lane(self, client_id: str, lane) -> PendingRequest:
-        """Pop a lane head, keeping depth/deadline/rotation bookkeeping."""
-        item = lane.popleft()
-        self._depth -= 1
-        if item.expires_at is not None:
-            self._deadline_count -= 1
-        if not lane:
-            self._lanes.pop(client_id, None)
-            try:
-                self._turns.remove(client_id)
-            except ValueError:
-                pass
-        return item
-
-    def _drain_urgent(
-        self,
-        now: float,
-        max_items: int,
-        batch: List[PendingRequest],
-        expired: List[PendingRequest],
-    ) -> None:
-        """Pull urgent lane heads earliest-deadline-first (lock held).
-
-        Only lane *heads* are eligible, so per-client (and per-session)
-        FIFO order is preserved; an urgent item buried behind its own
-        lane mates waits its turn like everyone else.
-        """
-        horizon = now + self.urgent_slack_s
-        while self._deadline_count > 0 and len(batch) < max_items:
-            best_client = None
-            best_lane = None
-            best_expiry = horizon
-            for client_id, lane in self._lanes.items():
-                head = lane[0]
-                if head.expires_at is not None and head.expires_at <= best_expiry:
-                    best_client, best_lane = client_id, lane
-                    best_expiry = head.expires_at
-            if best_lane is None:
-                return
-            item = self._pop_from_lane(best_client, best_lane)
-            if item.expired(now):
-                expired.append(item)
-            else:
-                batch.append(item)
-
     def _drain_locked(
         self, max_items: int
     ) -> Tuple[List[PendingRequest], List[PendingRequest]]:
         now = _clock.monotonic()
         batch: List[PendingRequest] = []
         expired: List[PendingRequest] = []
-        if self._deadline_count > 0:
-            self._drain_urgent(now, max_items, batch, expired)
         idle_turns = 0
         while self._depth > 0 and len(batch) < max_items:
             if not self._turns or idle_turns >= len(self._turns):
@@ -434,8 +298,6 @@ class AdmissionQueue:
             idle_turns = 0
             item = lane.popleft()
             self._depth -= 1
-            if item.expires_at is not None:
-                self._deadline_count -= 1
             if item.expired(now):
                 expired.append(item)
             else:
@@ -444,8 +306,6 @@ class AdmissionQueue:
                 self._turns.append(client_id)
             else:
                 self._lanes.pop(client_id, None)
-        if batch or expired:
-            self._cond.notify_all()  # wake blocked producers
         return batch, expired
 
     # ------------------------------------------------------------------
@@ -460,7 +320,7 @@ class AdmissionQueue:
             return items
 
     def close(self) -> None:
-        """Refuse new offers and wake every waiter (take and offer)."""
+        """Refuse new offers and wake the waiting :meth:`take`."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()

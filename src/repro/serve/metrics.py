@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.metrics import LatencyReservoir
+from repro.serve.requests import ERROR_DEADLINE_EXPIRED, ERROR_REJECTED
 
 
 def _nan_safe_deep(value):
@@ -48,9 +49,6 @@ class ServerMetrics:
         self.requests_submitted = 0
         self.replies_ok = 0
         self.replies_error: Counter = Counter()  # by ErrorReply.code
-        self.admission_rejections = 0
-        self.admission_timeouts = 0
-        self.deadline_expiries = 0
         self.batches = 0
         self.batch_sizes: Counter = Counter()  # exact size -> count
         self.fused_candidate_rows = 0
@@ -91,13 +89,6 @@ class ServerMetrics:
         with self._lock:
             self.requests_submitted += 1
 
-    def record_rejection(self, timed_out: bool = False) -> None:
-        with self._lock:
-            if timed_out:
-                self.admission_timeouts += 1
-            else:
-                self.admission_rejections += 1
-
     def record_batch(
         self, size: int, queue_depth: int, fused_rows: int = 0
     ) -> None:
@@ -119,14 +110,8 @@ class ServerMetrics:
     def record_error(self, code: str, latency_s: Optional[float] = None) -> None:
         with self._lock:
             self.replies_error[code] += 1
-            if code == "deadline_expired":
-                self.deadline_expiries += 1
             if latency_s is not None and np.isfinite(latency_s):
                 self._latencies.record(latency_s)
-
-    def set_queue_depth(self, depth: int) -> None:
-        with self._lock:
-            self.queue_depth = int(depth)
 
     # ------------------------------------------------------------------
     def record_retry(self, label: str) -> None:
@@ -245,9 +230,15 @@ class ServerMetrics:
                 "replies_ok": self.replies_ok,
                 "replies_error": dict(self.replies_error),
                 "replies_error_total": int(sum(self.replies_error.values())),
-                "admission_rejections": self.admission_rejections,
-                "admission_timeouts": self.admission_timeouts,
-                "deadline_expiries": self.deadline_expiries,
+                # Each outcome is counted once, in replies_error; these
+                # keys are views of it. The reject-when-full queue never
+                # times out: admission_timeouts stays for the readers of
+                # the schema (benchmarks/e2e sums it into rejections).
+                "admission_rejections": self.replies_error[ERROR_REJECTED],
+                "admission_timeouts": 0,
+                "deadline_expiries": (
+                    self.replies_error[ERROR_DEADLINE_EXPIRED]
+                ),
                 "queue_depth": self.queue_depth,
                 "batches": self.batches,
                 "batch_size_histogram": {str(k): v for k, v in sizes.items()},

@@ -27,12 +27,11 @@ from repro.errors import (
 )
 from repro.fingerprint.results import LocalizationResult
 from repro.traffic.measurement import FluxObservation
-from repro.util.validation import check_integer
+from repro.util.validation import check_integer, check_readings
 
 #: Error-reply codes (``ErrorReply.code``) and the exception type each
 #: maps back to via :meth:`ErrorReply.to_exception`.
 ERROR_REJECTED = "admission_rejected"
-ERROR_ADMISSION_TIMEOUT = "admission_timeout"
 ERROR_DEADLINE_EXPIRED = "deadline_expired"
 ERROR_SHUTDOWN = "shutdown"
 ERROR_UNKNOWN_SESSION = "unknown_session"
@@ -53,7 +52,6 @@ _DC_SLOTS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 _ERROR_TYPES = {
     ERROR_REJECTED: AdmissionError,
-    ERROR_ADMISSION_TIMEOUT: AdmissionError,
     ERROR_DEADLINE_EXPIRED: DeadlineExpired,
     ERROR_SHUTDOWN: AdmissionError,
     ERROR_UNKNOWN_SESSION: ServeError,
@@ -88,8 +86,9 @@ class LocalizeRequest:
         Reply correlation key and fairness unit (see module docstring).
     observation:
         The flux window to fit, over the service's sniffer set. NaN
-        marks a dropped reading; a ±inf reading, or a window with no
-        finite reading, is refused.
+        marks a dropped reading; a ±inf reading, a window with no
+        finite reading, or readings whose sum of squares overflows is
+        refused (:func:`repro.util.validation.check_readings`).
     user_count .. seed_top_k:
         The :meth:`repro.fingerprint.NLSLocalizer.localize` search
         budget knobs, each an integer ``>= 1`` (``bool`` is refused).
@@ -152,38 +151,27 @@ class LocalizeRequest:
                 f"observation must be a FluxObservation, "
                 f"got {type(self.observation).__name__}"
             )
-        # The fit drops only NaN while the kernel columns keep only
-        # finite readings, so an inf (or no reading at all) would fail
-        # the request's whole fused batch.
-        values = np.asarray(self.observation.values, dtype=float)
-        finite = np.isfinite(values)
-        if not finite.all():
-            if np.isinf(values).any():
-                raise ConfigurationError(
-                    "observation has an infinite reading; only NaN "
-                    "(dropout) may stand for a missing one"
-                )
-            if not finite.any():
-                raise ConfigurationError(
-                    "observation has no finite reading (all dropped out)"
-                )
+        # A reading the fit cannot score would fail the request's
+        # whole fused batch.
+        check_readings(self.observation.values)
 
 
 def require_sniffer_count(request, sniffer_count: int) -> None:
-    """Refuse a localize whose reading count is not ``sniffer_count``.
+    """Refuse a localize whose readings are not one per sniffer.
 
-    Such a request cannot be fitted (its kernels span the deployment's
-    sniffers, its readings do not), and in a map-seeded batch it would
-    also break the fused prematch for every batch mate. Raises
+    A reading count other than ``sniffer_count``, or readings that are
+    not a flat vector, cannot be fitted (the kernels span the
+    deployment's sniffers), and in a map-seeded batch they would also
+    break the fused prematch for every batch mate. Raises
     :class:`~repro.errors.ConfigurationError`, which the gateway
     answers ``bad_request``.
     """
     if isinstance(request, LocalizeRequest):
-        readings = len(request.observation.values)
-        if readings != sniffer_count:
+        shape = np.shape(request.observation.values)
+        if shape != (sniffer_count,):
             raise ConfigurationError(
-                f"observation has {readings} readings, but the deployment "
-                f"has {sniffer_count} sniffers"
+                f"observation readings have shape {shape}, but the "
+                f"deployment has {sniffer_count} sniffers"
             )
 
 

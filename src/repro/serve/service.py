@@ -4,8 +4,8 @@
 *shared* heavyweight state — one :class:`~repro.fingerprint.nls.
 NLSLocalizer` (flux model), one optional fingerprint map (built or
 loaded once per deployment and shared by every request and session),
-one optional engine pool — behind a bounded admission queue and one
-micro-batching scheduler thread. Clients call :meth:`submit` with a
+one optional engine pool — behind one bounded, client-fair admission
+queue that rejects when full, and one micro-batching scheduler thread. Clients call :meth:`submit` with a
 :class:`~repro.serve.requests.LocalizeRequest` or
 :class:`~repro.serve.requests.TrackStepRequest` and get a
 ``concurrent.futures.Future`` that always resolves to exactly one
@@ -35,13 +35,11 @@ from repro.serve.admission import (
     ADMITTED,
     CLOSED,
     REJECTED,
-    TIMED_OUT,
     AdmissionQueue,
     PendingRequest,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.serve.requests import (
-    ERROR_ADMISSION_TIMEOUT,
     ERROR_REJECTED,
     ERROR_SHUTDOWN,
     ErrorReply,
@@ -56,7 +54,6 @@ from repro.stream.session import TrackingSession
 
 _OUTCOME_CODES = {
     REJECTED: ERROR_REJECTED,
-    TIMED_OUT: ERROR_ADMISSION_TIMEOUT,
     CLOSED: ERROR_SHUTDOWN,
 }
 
@@ -83,8 +80,9 @@ class LocalizationService:
         ceiling of the linger window that the scheduler's
         :class:`~repro.serve.scheduler.AdaptiveBatchController` sizes
         from the arrival-rate EWMA and queue depth.
-    queue_capacity / admission_policy / block_timeout_s / per_client_limit:
-        Admission control (see :class:`~repro.serve.admission.
+    queue_capacity:
+        Admission bound: a request arriving at a full queue is answered
+        ``admission_rejected`` (see :class:`~repro.serve.admission.
         AdmissionQueue`).
     metrics:
         Optional externally owned :class:`ServerMetrics`.
@@ -109,9 +107,6 @@ class LocalizationService:
         max_batch: int = 32,
         max_wait_s: float = 0.002,
         queue_capacity: int = 512,
-        admission_policy: str = "reject",
-        block_timeout_s: Optional[float] = 5.0,
-        per_client_limit: Optional[int] = None,
         metrics: Optional[ServerMetrics] = None,
         retry_policy=_DEFAULT_RETRIES,
     ):
@@ -137,13 +132,7 @@ class LocalizationService:
             )
         self.fingerprint_map = fingerprint_map
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        self.queue = AdmissionQueue(
-            capacity=queue_capacity,
-            policy=admission_policy,
-            block_timeout_s=block_timeout_s,
-            per_client_limit=per_client_limit,
-            urgent_slack_s=max(0.01, 4.0 * max_wait_s),
-        )
+        self.queue = AdmissionQueue(capacity=queue_capacity)
         self.scheduler = MicroBatchScheduler(
             localizer=self.localizer,
             queue=self.queue,
@@ -319,8 +308,6 @@ class LocalizationService:
         if outcome == ADMITTED:
             return future
         code = _OUTCOME_CODES[outcome]
-        if outcome in (REJECTED, TIMED_OUT):
-            self.metrics.record_rejection(timed_out=outcome == TIMED_OUT)
         latency = item.latency()
         self.metrics.record_error(code, latency)
         future.set_result(

@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError
 from repro.smc.tracker import SequentialMonteCarloTracker, TrackerStep
 from repro.stream.metrics import StreamMetrics
 from repro.traffic.measurement import FluxObservation
+from repro.util.validation import check_readings
 
 #: Optional ground-truth lookup: window time -> (K, 2) true positions
 #: (or None when truth is unknown for that window).
@@ -89,11 +90,14 @@ class TrackingSession:
         expected = self.tracker.model.node_count
         if observation.values.shape != (expected,):
             return self.SKIP_ARITY_MISMATCH
-        values = observation.values
-        # NaN is legitimate (sniffer dropout); +/-inf or negative flux
-        # would poison the NLS objective.
-        finite = values[np.isfinite(values)]
-        if np.any(np.isinf(values)) or np.any(finite < 0):
+        # NaN is legitimate (sniffer dropout); +/-inf, no finite
+        # reading, an overflowing sum of squares or negative flux would
+        # poison the NLS objective.
+        try:
+            finite = check_readings(observation.values)
+        except ConfigurationError:
+            return self.SKIP_BAD_VALUES
+        if np.any(finite < 0):
             return self.SKIP_BAD_VALUES
         return None
 

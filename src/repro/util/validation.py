@@ -74,6 +74,36 @@ def check_finite_array(name: str, array: np.ndarray) -> np.ndarray:
     return array
 
 
+def check_readings(values) -> np.ndarray:
+    """Validate one flux window's readings; returns the finite ones.
+
+    NaN marks a dropped-out reading and passes. Refused: a ±inf
+    reading, a window with no finite reading, and finite readings whose
+    sum of squares is not finite (one reading above about 1.34e154),
+    since the fit's residual norm would be ``inf``. The sign of a
+    reading is left to the caller.
+    """
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
+    if finite.size < values.size and np.isinf(values).any():
+        raise ConfigurationError(
+            "observation has an infinite reading; only NaN (dropout) may "
+            "stand for a missing one"
+        )
+    if finite.size == 0:
+        raise ConfigurationError(
+            "observation has no finite reading (all dropped out)"
+        )
+    with np.errstate(over="ignore"):
+        energy = np.dot(finite, finite)
+    if not np.isfinite(energy):
+        raise ConfigurationError(
+            "observation readings overflow: their sum of squares is not "
+            "finite"
+        )
+    return finite
+
+
 def check_shape(
     name: str, array: np.ndarray, shape: Sequence[Optional[int]]
 ) -> np.ndarray:

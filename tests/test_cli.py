@@ -348,7 +348,7 @@ class TestServe:
         args = build_parser().parse_args(["serve"])
         assert args.clients == 8
         assert args.max_batch == 32
-        assert args.policy == "reject"
+        assert args.queue_capacity == 512
         assert args.deadline_ms is None
         assert args.track_sessions == 0
 

@@ -139,9 +139,10 @@ class TestExactlyOneReply:
         self, scenario
     ):
         """A budget past MAX_CANDIDATE_ROWS, a knob that is not an
-        integer, an infinite reading, or a reading count that is not the
-        deployment's is a typed bad_request, never a request that fails
-        the whole fused batch."""
+        integer, an infinite reading, a reading count that is not the
+        deployment's, or a finite reading whose square overflows is a
+        typed bad_request, never a request that fails the whole fused
+        batch."""
         obs = _observations(scenario, 1, seed=6)[0]
         # observation_to_wire sends non-finite readings as null (NaN),
         # so the Infinity goes into the wire dict by hand.
@@ -150,6 +151,9 @@ class TestExactlyOneReply:
         short = protocol.observation_to_wire(obs)
         for key in ("sniffers", "values", "raw_values"):
             short[key] = short[key][:-1]
+        # Finite, so JSON carries it as a plain number.
+        overflowing = protocol.observation_to_wire(obs)
+        overflowing["values"][0] = 1e200
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():
                 async with GatewayClient(
@@ -169,9 +173,12 @@ class TestExactlyOneReply:
                         client.request({"type": "localize", "id": "short",
                                         "observation": short,
                                         "candidate_count": 24, "seed": 5}),
+                        client.request({"type": "localize", "id": "overflow",
+                                        "observation": overflowing,
+                                        "candidate_count": 24, "seed": 6}),
                     )
 
-            huge, small, textual, inf, shortened = _run(go())
+            huge, small, textual, inf, shortened, overflow = _run(go())
         assert huge["type"] == "error"
         assert huge["code"] == "bad_request"
         assert "MAX_CANDIDATE_ROWS" in huge["message"]
@@ -184,6 +191,9 @@ class TestExactlyOneReply:
         assert shortened["type"] == "error"
         assert shortened["code"] == "bad_request"
         assert "readings" in shortened["message"]
+        assert overflow["type"] == "error"
+        assert overflow["code"] == "bad_request"
+        assert "overflow" in overflow["message"]
         assert small["ok"] is True
         assert small["id"] == "small"
 
@@ -396,17 +406,46 @@ class TestObservability:
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():
                 async with GatewayClient("127.0.0.1", gateway.port) as client:
-                    one_shot = await client.metrics()
-                    pushes = await client.subscribe_metrics(
-                        3, interval_s=0.02
-                    )
-                    return one_shot, pushes
+                    return await client.metrics()
 
-            one_shot, pushes = _run(go())
+            one_shot = _run(go())
         assert one_shot["type"] == "metrics"
         assert "gateway" in one_shot["snapshot"]
         assert "service" in one_shot["snapshot"]
-        assert [p["seq"] for p in pushes] == [0, 1, 2]
+
+    @pytest.mark.parametrize("limit", ["abc", 2.5, -1, True])
+    def test_non_integer_trace_limit_is_a_typed_error_frame(
+        self, scenario, limit
+    ):
+        """A ``trace_dump`` ``limit`` that is not an integer ``>= 0``
+        gets ``bad_request`` (never a truncated or dropped answer), and
+        the connection keeps serving."""
+        with _service(scenario) as service, GatewayServer(service) as gateway:
+            async def go():
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", gateway.port
+                )
+                frames = []
+                try:
+                    for frame in (
+                        {"type": "trace_dump", "id": "t1", "limit": limit},
+                        {"type": "ping", "id": "after"},
+                    ):
+                        writer.write(protocol.encode_frame(frame))
+                        await writer.drain()
+                        line = await asyncio.wait_for(reader.readline(), 30)
+                        frames.append(json.loads(line))
+                    return frames
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+
+            error, pong = _run(go())
+        assert error["type"] == "error"
+        assert error["code"] == "bad_request"
+        assert error["id"] == "t1"
+        assert "limit" in error["message"]
+        assert pong == {"type": "pong", "id": "after"}
 
     def test_client_request_raises_when_gateway_dies(self, scenario):
         with _service(scenario) as service:

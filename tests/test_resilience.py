@@ -148,7 +148,7 @@ class TestDeadlineDispatchRace:
         assert not reply.ok
         assert reply.code == ERROR_DEADLINE_EXPIRED
         assert "before evaluation" in reply.message
-        assert service.metrics.deadline_expiries == 1
+        assert service.metrics.snapshot()["deadline_expiries"] == 1
 
     def test_live_request_still_solved(self, scenario):
         net, sniffers = scenario

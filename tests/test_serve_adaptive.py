@@ -6,8 +6,8 @@ Three layers under test:
 * :class:`~repro.serve.AdaptiveBatchController` policy unit tests —
   depth-k bypass, EWMA window sizing, settle-early drain.
 * Admission-queue behavior the controller plugs into: the
-  ``wait_timeout=0`` busy-spin clamp (regression test) and the
-  SLO-aware earliest-deadline-first urgent drain.
+  ``wait_timeout=0`` busy-spin clamp (regression test) and the fair
+  drain order, which deadlines never change.
 * End-to-end parity: sweeping client counts, the batching scheduler
   and per-request dispatch (``max_batch=1``) must produce
   float64-bitwise-identical replies — including NaN-dropout
@@ -159,19 +159,10 @@ def _offer(queue, client_id, deadline_s=None):
 
 
 class TestUrgentDrain:
-    def test_earliest_deadline_first_across_lanes(self):
-        queue = AdmissionQueue(urgent_slack_s=60.0)
-        a1 = _offer(queue, "a", deadline_s=50.0)
-        a2 = _offer(queue, "a", deadline_s=0.5)  # tight but buried
-        b1 = _offer(queue, "b", deadline_s=5.0)
-        batch, expired = queue.take(8, wait_timeout=0.1)
-        assert expired == []
-        # b's head expires before a's head, so it jumps the rotation;
-        # a2 is tighter than both but stays behind its lane mate a1.
-        assert batch == [b1, a1, a2]
+    """Deadlines never reorder the drain: only the fair rotation does."""
 
     def test_no_deadlines_keeps_round_robin(self):
-        queue = AdmissionQueue(urgent_slack_s=60.0)
+        queue = AdmissionQueue()
         a1 = _offer(queue, "a")
         a2 = _offer(queue, "a")
         b1 = _offer(queue, "b")
@@ -179,11 +170,19 @@ class TestUrgentDrain:
         assert batch == [a1, b1, a2]
 
     def test_loose_deadlines_outside_slack_keep_rotation(self):
-        queue = AdmissionQueue(urgent_slack_s=0.001)
+        queue = AdmissionQueue()
         a1 = _offer(queue, "a", deadline_s=100.0)
         b1 = _offer(queue, "b", deadline_s=50.0)
         batch, _ = queue.take(8, wait_timeout=0.1)
-        assert batch == [a1, b1]  # nothing urgent: fair rotation order
+        assert batch == [a1, b1]
+        # A tight deadline buried in a's lane, and b's head expiring
+        # before a's head: still plain rotation order.
+        a1 = _offer(queue, "a", deadline_s=50.0)
+        a2 = _offer(queue, "a", deadline_s=0.5)
+        b1 = _offer(queue, "b", deadline_s=5.0)
+        batch, expired = queue.take(8, wait_timeout=0.1)
+        assert expired == []
+        assert batch == [a1, b1, a2]
 
 
 # ----------------------------------------------------------------------

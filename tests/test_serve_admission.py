@@ -11,7 +11,6 @@ from repro.serve import (
     ADMITTED,
     CLOSED,
     REJECTED,
-    TIMED_OUT,
     AdaptiveBatchController,
     AdmissionQueue,
     PendingRequest,
@@ -65,56 +64,18 @@ class TestFairness:
         batch, _ = queue.take(3, wait_timeout=0)
         assert [i.request.request_id for i in batch] == ["a0", "a1", "a2"]
 
-    def test_per_client_limit_rejects_only_the_flooder(self):
-        queue = AdmissionQueue(capacity=16, per_client_limit=2)
-        assert queue.offer(_item("flooder", "f0")) == ADMITTED
-        assert queue.offer(_item("flooder", "f1")) == ADMITTED
-        assert queue.offer(_item("flooder", "f2")) == REJECTED
-        assert queue.offer(_item("meek", "m0")) == ADMITTED
-
 
 class TestPolicies:
     def test_reject_when_full(self):
-        queue = AdmissionQueue(capacity=2, policy="reject")
+        queue = AdmissionQueue(capacity=2)
         assert queue.offer(_item("a", "0")) == ADMITTED
         assert queue.offer(_item("a", "1")) == ADMITTED
         assert queue.offer(_item("a", "2")) == REJECTED
         assert queue.depth() == 2
 
-    def test_block_waits_for_room(self):
-        queue = AdmissionQueue(capacity=1, policy="block", block_timeout_s=5.0)
-        queue.offer(_item("a", "0"))
-        outcomes = []
-
-        def producer():
-            outcomes.append(queue.offer(_item("a", "1")))
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        time.sleep(0.05)
-        assert not outcomes  # still blocked on the full queue
-        batch, _ = queue.take(1, wait_timeout=0)
-        thread.join(timeout=5.0)
-        assert outcomes == [ADMITTED]
-        assert [i.request.request_id for i in batch] == ["0"]
-
-    def test_block_times_out(self):
-        queue = AdmissionQueue(capacity=1, policy="block", block_timeout_s=0.05)
-        queue.offer(_item("a", "0"))
-        started = time.monotonic()
-        assert queue.offer(_item("a", "1")) == TIMED_OUT
-        assert time.monotonic() - started >= 0.05
-        assert queue.depth() == 1
-
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):
             AdmissionQueue(capacity=0)
-        with pytest.raises(ConfigurationError):
-            AdmissionQueue(policy="balk")
-        with pytest.raises(ConfigurationError):
-            AdmissionQueue(block_timeout_s=0.0)
-        with pytest.raises(ConfigurationError):
-            AdmissionQueue(per_client_limit=0)
 
 
 class TestDeadlines:

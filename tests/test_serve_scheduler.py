@@ -185,7 +185,7 @@ class TestTypedFailures:
             request_id="late", client_id="c0", observation=obs,
             candidate_count=32, deadline_s=0.0,
         )])
-        assert service.metrics.deadline_expiries == 1
+        assert service.metrics.snapshot()["deadline_expiries"] == 1
 
     def test_reply_is_counted_before_its_future_resolves(self, scenario):
         """Done-callbacks run inside ``set_result`` (a fleet worker's

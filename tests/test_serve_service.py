@@ -336,10 +336,12 @@ class TestRequestBudget:
         [1.0, np.inf, 1.0],
         [1.0, np.nan, -np.inf],
         [np.nan, np.nan, np.nan],
-    ], ids=["inf", "-inf", "all-nan"])
+        [1.0, 1e200, 1.0],
+    ], ids=["inf", "-inf", "all-nan", "overflow"])
     def test_non_finite_flux_refused(self, values):
-        """NaN is dropout; inf or an all-NaN window is refused up front,
-        not left to fail the request's fused batch."""
+        """NaN is dropout; inf, an all-NaN window or readings whose sum
+        of squares overflows are refused up front, not left to fail the
+        request's fused batch."""
         with pytest.raises(ConfigurationError, match="observation"):
             LocalizeRequest(
                 request_id="r", client_id="c",
@@ -350,9 +352,10 @@ class TestRequestBudget:
 
 
     def test_wrong_arity_refused_at_submit(self, scenario):
-        """A localize whose reading count is not the deployment's is
-        refused before admission, so it cannot break the fused prematch
-        of a map-seeded batch."""
+        """A localize whose reading count is not the deployment's, or
+        whose readings are not a flat vector, is refused before
+        admission, so it cannot break the fused prematch of a
+        map-seeded batch."""
         mates = _requests(scenario, clients=1, per_client=3, seed=4)[0]
         obs = mates[0].observation
         short = LocalizeRequest(
@@ -363,10 +366,20 @@ class TestRequestBudget:
             ),
             candidate_count=32,
         )
+        # One reading per sniffer, but as a column: len() matches.
+        nested = LocalizeRequest(
+            request_id="nested", client_id="client-0",
+            observation=FluxObservation(
+                time=obs.time, sniffers=obs.sniffers[:, None],
+                values=obs.values[:, None],
+            ),
+            candidate_count=32,
+        )
         service = _service(scenario)
         futures = [service.submit(r) for r in mates[:2]]
-        with pytest.raises(ConfigurationError, match="readings"):
-            service.submit(short)
+        for refused in (short, nested):
+            with pytest.raises(ConfigurationError, match="readings"):
+                service.submit(refused)
         futures.append(service.submit(mates[2]))
         with service:
             replies = [f.result(timeout=60) for f in futures]

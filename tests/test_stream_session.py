@@ -137,6 +137,31 @@ class TestValidationSkips:
             == 2
         )
 
+    @pytest.mark.parametrize("bad_value", [1e200, np.nan],
+                             ids=["overflow", "all-nan"])
+    def test_overflowing_or_empty_window_skipped_then_next_steps(
+        self, scenario, bad_value
+    ):
+        """A finite reading whose square overflows, or a window with no
+        finite reading, is skipped ``bad_values``, not stepped with an
+        ``inf`` objective or failed in the tracker; the next good
+        window steps."""
+        _, observations, make_session = scenario
+        session = make_session()
+        template = observations[0]
+        values = template.values.copy()
+        values[0] = bad_value
+        if np.isnan(bad_value):
+            values[:] = np.nan
+        bad = FluxObservation(
+            time=template.time, sniffers=template.sniffers, values=values
+        )
+        assert session.process(bad) is None
+        assert session.last_skip_reason == TrackingSession.SKIP_BAD_VALUES
+        assert session.step_errors == {}
+        assert session.process(template) is not None
+        assert session.last_skip_reason is None
+
     def test_nan_dropout_values_accepted(self, scenario):
         _, observations, make_session = scenario
         session = make_session()
