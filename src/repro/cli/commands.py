@@ -3,16 +3,26 @@
 Each handler takes the parsed argparse namespace and returns a process
 exit code. Output is plain text on stdout so the commands compose with
 shell pipelines; ``--output FILE`` writes machine-readable artifacts.
+
+The serving commands ``serve``, ``fleet`` and ``gateway`` share one
+load: :func:`_sniffers_from` picks the deployment's sniffers,
+:class:`_Workload` draws the synthetic requests, :func:`_drive` submits
+them to a :class:`~repro.serve.LocalizationService` or
+:class:`~repro.fleet.ServeFleet` from client threads, and
+:func:`_drive_gateway` sends the same requests over sockets.
 """
 
 from __future__ import annotations
 
 import sys
 import threading
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.geometry import RectangularField
 from repro.network import (
     build_network,
@@ -41,6 +51,35 @@ def _engine_from(args):
     return Engine(
         workers=args.workers, chunk_size=args.chunk_size, dtype=args.dtype
     )
+
+
+def _sniffers_from(args, net, gen, map_path=None):
+    """``(map, sniffer ids)`` of the deployment on ``net``.
+
+    With ``map_path`` the map's stored sniffer set *is* the deployment
+    it fingerprints (``--percentage`` would sample a different set and
+    fail validation); without one, ``--percentage`` of the nodes are
+    drawn from ``gen`` and there is no map. Raises
+    :class:`~repro.errors.ConfigurationError` for an unreadable map or
+    one whose sniffer ids do not fit ``net``.
+    """
+    if not map_path:
+        return None, sample_sniffers_percentage(net, args.percentage, rng=gen)
+    from repro.fpmap import FingerprintMap
+
+    fmap = FingerprintMap.load(map_path)
+    sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
+    if sniffers.size and sniffers.max() >= net.node_count:
+        raise ConfigurationError(
+            f"sniffer ids exceed the {net.node_count}-node network "
+            "(different deployment args?)"
+        )
+    return fmap, sniffers
+
+
+def _refuse(what: str, exc: Exception) -> int:
+    print(f"{what}: {exc}", file=sys.stderr)
+    return 1
 
 
 def _place_users(net, count, gen):
@@ -115,12 +154,20 @@ def _load_fault_plan(args):
     Raises :class:`~repro.errors.ConfigurationError` on an unreadable
     or invalid plan file — callers turn that into exit code 1.
     """
-    path = getattr(args, "fault_plan", None)
-    if not path:
+    if not args.fault_plan:
         return None
     from repro.faults import FaultPlan
 
-    return FaultPlan.load(path)
+    return FaultPlan.load(args.fault_plan)
+
+
+def _emit_metrics(path, metrics_json: str) -> None:
+    """Write the final metrics JSON to ``path``, or print it without one."""
+    if path:
+        Path(path).write_text(metrics_json + "\n")
+        print(f"wrote metrics to {path}")
+    else:
+        print(metrics_json)
 
 
 def cmd_simulate(args) -> int:
@@ -177,35 +224,16 @@ def cmd_build_map(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.fingerprint import NLSLocalizer
 
     gen = as_generator(args.seed)
     net = _network_from(args)
     truth, stretches = _place_users(net, args.users, gen)
     flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
-
-    fmap = None
-    if args.map:
-        from repro.fpmap import FingerprintMap
-
-        try:
-            fmap = FingerprintMap.load(args.map)
-        except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
-        # The map's stored sniffer set *is* the deployment it fingerprints;
-        # --percentage would sample a different set and fail validation.
-        sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
-        if sniffers.size and sniffers.max() >= net.node_count:
-            print(
-                f"cannot use map {args.map}: sniffer ids exceed the "
-                f"{net.node_count}-node network (different deployment args?)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
+    try:
+        fmap, sniffers = _sniffers_from(args, net, gen, args.map)
+    except ConfigurationError as exc:
+        return _refuse(f"cannot use map {args.map}", exc)
     obs = MeasurementModel(net, sniffers, smooth=True, rng=gen).observe(flux)
 
     localizer = NLSLocalizer(
@@ -225,8 +253,7 @@ def cmd_localize(args) -> int:
             engine=_engine_from(args),
         )
     except ConfigurationError as exc:
-        print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-        return 1
+        return _refuse(f"cannot use map {args.map}", exc)
     estimates = result.position_estimates()
     errors = result.errors_to(truth)
     tag = f" (map-seeded from {args.map})" if fmap is not None else ""
@@ -306,7 +333,7 @@ def cmd_track(args) -> int:
 def cmd_track_stream(args) -> int:
     from itertools import chain
 
-    from repro.errors import ConfigurationError, StreamError
+    from repro.errors import StreamError
     from repro.smc import SequentialMonteCarloTracker, TrackerConfig
     from repro.stream import (
         JsonlTailSource,
@@ -331,8 +358,7 @@ def cmd_track_stream(args) -> int:
         try:
             fmap = FingerprintMap.load(args.map)
         except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
+            return _refuse(f"cannot use map {args.map}", exc)
 
     if args.input:
         source = ReplaySource.from_npz(args.input)
@@ -403,8 +429,7 @@ def cmd_track_stream(args) -> int:
             session = make_session()
     except ConfigurationError as exc:
         what = f"cannot use map {args.map}" if args.map else "bad configuration"
-        print(f"{what}: {exc}", file=sys.stderr)
-        return 1
+        return _refuse(what, exc)
 
     def on_step(sess, step):
         if step is None:
@@ -420,11 +445,9 @@ def cmd_track_stream(args) -> int:
     try:
         plan = _load_fault_plan(args)
     except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
+        return _refuse(f"cannot load fault plan {args.fault_plan}", exc)
     try:
-        from repro.faults import RetryPolicy, injected
+        from repro.faults import DEFAULT_RETRY_POLICY, injected
 
         with injected(plan):
             run_stream(
@@ -434,11 +457,7 @@ def cmd_track_stream(args) -> int:
                 checkpoint_every=args.checkpoint_every,
                 max_windows=args.max_windows,
                 on_step=on_step,
-                retry_policy=(
-                    RetryPolicy(max_attempts=3, base_delay_s=0.005,
-                                max_delay_s=0.1)
-                    if plan is not None else None
-                ),
+                retry_policy=DEFAULT_RETRY_POLICY,
             )
     except StreamError as exc:
         print(f"stream failed: {exc}", file=sys.stderr)
@@ -450,12 +469,7 @@ def cmd_track_stream(args) -> int:
     print("final estimates:")
     for i, (x, y) in enumerate(estimates):
         print(f"  user {i}: ({x:6.2f}, {y:6.2f})")
-    metrics_json = session.metrics.to_json()
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote metrics to {args.metrics_out}")
-    else:
-        print(metrics_json)
+    _emit_metrics(args.metrics_out, session.metrics.to_json())
     return 0
 
 
@@ -534,77 +548,32 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import threading
-    import time
+class _Workload:
+    """The synthetic load of ``serve``, ``fleet`` and ``gateway``.
 
-    from repro.errors import ConfigurationError
-    from repro.serve import (
-        LocalizationService,
-        LocalizeRequest,
-        MetricsServer,
-        TrackStepRequest,
-    )
+    Everything is drawn from ``gen`` here, on the main thread, in one
+    fixed order, so the load follows from ``--seed``. ``clients`` holds
+    each client's ``(client_id, [(LocalizeRequest, truth), ...])``;
+    ``sessions`` holds each tracking session's ``(session_id, seed,
+    [TrackStepRequest, ...])``. Every session owns an integer seed for
+    its tracker, so its trajectory does not depend on which thread
+    steps it or when.
+    """
 
-    gen = as_generator(args.seed)
-    net = _network_from(args)
+    def __init__(self, args, net, sniffers, gen, deadline_ms=None):
+        from repro.serve import LocalizeRequest, TrackStepRequest
+        from repro.stream import SyntheticLiveSource
 
-    fmap = None
-    if args.map:
-        from repro.fpmap import FingerprintMap
-
-        try:
-            fmap = FingerprintMap.load(args.map)
-        except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
-        sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
-        if sniffers.size and sniffers.max() >= net.node_count:
-            print(
-                f"cannot use map {args.map}: sniffer ids exceed the "
-                f"{net.node_count}-node network (different deployment args?)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
-
-    try:
-        service = LocalizationService(
-            net.field,
-            net.positions[sniffers],
-            d_floor=fmap.d_floor if fmap is not None else 1.0,
-            engine=_engine_from(args),
-            fingerprint_map=fmap,
-            map_resolution=args.map_resolution if fmap is None else None,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            queue_capacity=args.queue_capacity,
-        )
-    except ConfigurationError as exc:
-        print(f"cannot build service: {exc}", file=sys.stderr)
-        return 1
-    try:
-        plan = _load_fault_plan(args)
-    except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
-    deadline_s = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
-
-    # Pre-generate every client's workload on the main thread so the
-    # client threads only submit and wait (the RNG is not shared).
-    measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
-    localize_work = []  # (client, requests, truths)
-    for c in range(args.clients):
-        requests, truths = [], []
-        for r in range(args.requests):
-            truth, stretches = _place_users(net, args.users, gen)
-            flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
-            requests.append(
-                LocalizeRequest(
+        deadline_s = deadline_ms / 1000.0 if deadline_ms is not None else None
+        self.users = args.users
+        measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
+        self.clients = []
+        for c in range(args.clients):
+            pairs = []
+            for r in range(args.requests):
+                truth, stretches = _place_users(net, args.users, gen)
+                flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
+                request = LocalizeRequest(
                     request_id=f"c{c}-r{r}",
                     client_id=f"client-{c}",
                     observation=measure.observe(flux),
@@ -614,46 +583,17 @@ def cmd_serve(args) -> int:
                     seed=int(gen.integers(2**31)),
                     deadline_s=deadline_s,
                 )
+                pairs.append((request, truth))
+            self.clients.append((f"client-{c}", pairs))
+        self.sessions = []
+        for t in range(args.track_sessions):
+            session_id = f"track-{t}"
+            live = SyntheticLiveSource(
+                net, sniffers, user_count=args.users, rounds=args.requests,
+                rng=gen,
             )
-            truths.append(truth)
-        localize_work.append((f"client-{c}", requests, truths))
-
-    track_work = []  # (session_id, observations)
-    for t in range(args.track_sessions):
-        from repro.stream import SyntheticLiveSource
-
-        live = SyntheticLiveSource(
-            net,
-            sniffers,
-            user_count=args.users,
-            rounds=args.requests,
-            rng=gen,
-        )
-        session_id = f"track-{t}"
-        service.open_session(session_id, args.users, rng=gen)
-        track_work.append((session_id, list(live)))
-
-    lock = threading.Lock()
-    ok_replies, error_codes, errors = [], [], []
-    guard = _ShutdownGuard()
-
-    def run_localize(client_id, requests, truths):
-        for request, truth in zip(requests, truths):
-            if guard.triggered:
-                return
-            reply = service.submit(request).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                    errors.append(reply.result.errors_to(truth).mean())
-                else:
-                    error_codes.append(reply.code)
-
-    def run_track(session_id, observations):
-        for r, obs in enumerate(observations):
-            if guard.triggered:
-                return
-            reply = service.submit(
+            seed = int(gen.integers(2**31))
+            steps = [
                 TrackStepRequest(
                     request_id=f"{session_id}-r{r}",
                     client_id=session_id,
@@ -661,218 +601,216 @@ def cmd_serve(args) -> int:
                     observation=obs,
                     deadline_s=deadline_s,
                 )
-            ).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                else:
-                    error_codes.append(reply.code)
+                for r, obs in enumerate(live)
+            ]
+            self.sessions.append((session_id, seed, steps))
 
-    endpoint = None
-    if args.metrics_port is not None:
-        endpoint = MetricsServer(service.metrics, port=args.metrics_port)
-        print(f"metrics on http://127.0.0.1:{endpoint.start()}/metrics")
+    def streams(self):
+        """``(name, [(request, truth or None), ...], session seed or
+        None)`` per client and tracking session."""
+        return [(name, pairs, None) for name, pairs in self.clients] + [
+            (session_id, [(step, None) for step in steps], seed)
+            for session_id, seed, steps in self.sessions
+        ]
 
-    threads = [
-        threading.Thread(target=run_localize, args=work, name=work[0])
-        for work in localize_work
-    ] + [
-        threading.Thread(target=run_track, args=work, name=work[0])
-        for work in track_work
-    ]
-    map_tag = " (map-seeded)" if service.fingerprint_map is not None else ""
+
+class _Tally:
+    """The replies of one load run, counted from any thread."""
+
+    def __init__(self):
+        self.ok = 0
+        self.codes = Counter()  # error code -> replies
+        self.errors = []  # mean localization error of each ok localize
+        self.elapsed = float("nan")
+        self._lock = threading.Lock()
+
+    def add(self, code=None, error=None) -> None:
+        """Count one reply: ``code`` is ``None`` for an ok one, whose
+        localization ``error`` is given when its truth is known."""
+        with self._lock:
+            if code is not None:
+                self.codes[code] += 1
+                return
+            self.ok += 1
+            if error is not None:
+                self.errors.append(error)
+
+    def print(self, extra: str = "") -> None:
+        errors = sum(self.codes.values())
+        total = self.ok + errors
+        rps = total / self.elapsed if self.elapsed > 0 else float("nan")
+        print(
+            f"{total} replies in {self.elapsed:.2f}s ({rps:.0f} req/s): "
+            f"{self.ok} ok, {errors} errors{extra}"
+        )
+        for code, count in sorted(self.codes.items()):
+            print(f"  {code}: {count}")
+        if self.errors:
+            print(f"mean localization error {np.mean(self.errors):.2f}")
+
+
+def _backend_args(args, fmap) -> dict:
+    """The deployment map and batching knobs that ``LocalizationService``
+    and ``ServeFleet`` both take: ``fmap`` as given, or without it one
+    built at ``--map-resolution``."""
+    return dict(
+        d_floor=fmap.d_floor if fmap is not None else 1.0,
+        fingerprint_map=fmap,
+        map_resolution=args.map_resolution,
+        max_batch=args.max_batch,
+        max_wait_s=args.max_wait_ms / 1000.0,
+        queue_capacity=args.queue_capacity,
+    )
+
+
+def _service_from(args, net, sniffers, fmap):
+    from repro.engine import Engine
+    from repro.serve import LocalizationService
+
+    return LocalizationService(
+        net.field,
+        net.positions[sniffers],
+        engine=Engine(workers=args.workers, chunk_size=args.chunk_size),
+        **_backend_args(args, fmap),
+    )
+
+
+def _print_header(what: str, args, work, net, sniffers, fmap) -> None:
+    map_tag = " (map-seeded)" if fmap is not None else ""
     print(
-        f"serving {len(localize_work)} localize clients x {args.requests} "
-        f"requests + {len(track_work)} tracking sessions on "
-        f"{sniffers.size}/{net.node_count} sniffed nodes{map_tag}; "
+        f"{what}serving {len(work.clients)} localize clients x "
+        f"{args.requests} requests + {len(work.sessions)} tracking sessions "
+        f"on {len(sniffers)}/{net.node_count} sniffed nodes{map_tag}; "
         f"max_batch={args.max_batch} max_wait={args.max_wait_ms:g}ms "
         f"queue_capacity={args.queue_capacity}"
     )
-    from repro.faults import injected
 
-    with injected(plan), guard:
-        service.start()
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - start
-        summary = service.stop(checkpoint_dir=args.checkpoint_dir)
+
+def _metrics_endpoint(args, **source):
+    """Start ``GET /metrics`` on ``--metrics-port`` (``None`` without
+    it); ``source`` is ``metrics=`` or ``fleet=`` of ``MetricsServer``."""
+    if args.metrics_port is None:
+        return None
+    from repro.serve import MetricsServer
+
+    endpoint = MetricsServer(port=args.metrics_port, **source)
+    print(f"metrics on http://127.0.0.1:{endpoint.start()}/metrics")
+    return endpoint
+
+
+def _print_shutdown(guard, plan) -> None:
     if guard.triggered:
         print("drained after shutdown signal")
-    if endpoint is not None:
-        endpoint.stop()
     if plan is not None:
         print(f"fault plan: {plan.summary()}")
 
-    total = len(ok_replies) + len(error_codes)
-    rps = total / elapsed if elapsed > 0 else float("nan")
-    print(
-        f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s): "
-        f"{len(ok_replies)} ok, {len(error_codes)} errors"
-    )
-    if error_codes:
-        from collections import Counter
 
-        for code, count in sorted(Counter(error_codes).items()):
-            print(f"  {code}: {count}")
-    if errors:
-        print(f"mean localization error {np.mean(errors):.2f}")
+def _drive(backend, work, guard) -> _Tally:
+    """Submit ``work`` to ``backend`` (a ``LocalizationService`` or a
+    ``ServeFleet``) from one thread per client and tracking session,
+    each waiting for a reply before its next request."""
+    tally = _Tally()
+
+    def run(pairs):
+        for request, truth in pairs:
+            if guard.triggered:
+                return
+            reply = backend.submit(request).result()
+            if not reply.ok:
+                tally.add(reply.code)
+            elif truth is None:
+                tally.add()
+            else:
+                tally.add(error=reply.result.errors_to(truth).mean())
+
+    threads = [
+        threading.Thread(target=run, args=(pairs,), name=name)
+        for name, pairs, _ in work.streams()
+    ]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    tally.elapsed = time.perf_counter() - start
+    return tally
+
+
+def cmd_serve(args) -> int:
+    from repro.faults import injected
+
+    gen = as_generator(args.seed)
+    net = _network_from(args)
+    try:
+        fmap, sniffers = _sniffers_from(args, net, gen, args.map)
+    except ConfigurationError as exc:
+        return _refuse(f"cannot use map {args.map}", exc)
+    try:
+        service = _service_from(args, net, sniffers, fmap)
+    except ConfigurationError as exc:
+        return _refuse("cannot build service", exc)
+    try:
+        plan = _load_fault_plan(args)
+    except ConfigurationError as exc:
+        return _refuse(f"cannot load fault plan {args.fault_plan}", exc)
+    work = _Workload(args, net, sniffers, gen, args.deadline_ms)
+    try:
+        for session_id, seed, _ in work.sessions:
+            service.open_session(session_id, work.users, rng=seed)
+    except ConfigurationError as exc:
+        return _refuse("cannot open tracking session", exc)
+
+    endpoint = _metrics_endpoint(args, metrics=service.metrics)
+    _print_header("", args, work, net, sniffers, service.fingerprint_map)
+    with injected(plan), _ShutdownGuard() as guard:
+        service.start()
+        tally = _drive(service, work, guard)
+        summary = service.stop(checkpoint_dir=args.checkpoint_dir)
+    if endpoint is not None:
+        endpoint.stop()
+    _print_shutdown(guard, plan)
+    tally.print()
     for session_id, path in sorted(summary["checkpoints"].items()):
         print(f"checkpointed {session_id} -> {path}")
-    metrics_json = service.metrics.to_json()
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote metrics to {args.metrics_out}")
-    else:
-        print(metrics_json)
+    _emit_metrics(args.metrics_out, service.metrics.to_json())
     return 0
 
 
 def cmd_fleet(args) -> int:
-    import threading
-    import time
+    import json
 
-    from repro.errors import ConfigurationError
+    from repro.faults import injected
     from repro.fleet import ServeFleet
-    from repro.serve import LocalizeRequest, MetricsServer, TrackStepRequest
+    from repro.serve.metrics import _nan_safe_deep
 
     gen = as_generator(args.seed)
     net = _network_from(args)
-
-    fmap = None
-    if args.map:
-        from repro.fpmap import FingerprintMap
-
-        try:
-            fmap = FingerprintMap.load(args.map)
-        except ConfigurationError as exc:
-            print(f"cannot use map {args.map}: {exc}", file=sys.stderr)
-            return 1
-        sniffers = np.asarray(fmap.sniffer_ids, dtype=np.int64)
-        if sniffers.size and sniffers.max() >= net.node_count:
-            print(
-                f"cannot use map {args.map}: sniffer ids exceed the "
-                f"{net.node_count}-node network (different deployment args?)",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
-
+    try:
+        fmap, sniffers = _sniffers_from(args, net, gen, args.map)
+    except ConfigurationError as exc:
+        return _refuse(f"cannot use map {args.map}", exc)
     try:
         fleet = ServeFleet(
             net.field,
             net.positions[sniffers],
-            d_floor=fmap.d_floor if fmap is not None else 1.0,
             workers=args.fleet_workers,
-            fingerprint_map=fmap,
-            map_resolution=args.map_resolution if fmap is None else None,
             checkpoint_dir=args.checkpoint_dir,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            queue_capacity=args.queue_capacity,
             engine_workers=args.workers,
             engine_chunk_size=args.chunk_size,
+            **_backend_args(args, fmap),
         )
     except ConfigurationError as exc:
-        print(f"cannot build fleet: {exc}", file=sys.stderr)
-        return 1
+        return _refuse("cannot build fleet", exc)
     try:
         plan = _load_fault_plan(args)
     except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
+        return _refuse(f"cannot load fault plan {args.fault_plan}", exc)
+    work = _Workload(args, net, sniffers, gen)
 
-    # Pre-generate every client's workload on the main thread (the RNG
-    # is not shared with the submission threads).
-    measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
-    localize_work = []  # (client, requests, truths)
-    for c in range(args.clients):
-        requests, truths = [], []
-        for r in range(args.requests):
-            truth, stretches = _place_users(net, args.users, gen)
-            flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
-            requests.append(
-                LocalizeRequest(
-                    request_id=f"c{c}-r{r}",
-                    client_id=f"client-{c}",
-                    observation=measure.observe(flux),
-                    user_count=args.users,
-                    candidate_count=args.candidates,
-                    restarts=args.restarts,
-                    seed=int(gen.integers(2**31)),
-                )
-            )
-            truths.append(truth)
-        localize_work.append((f"client-{c}", requests, truths))
-
-    track_work = []  # (session_id, seed, observations)
-    for t in range(args.track_sessions):
-        from repro.stream import SyntheticLiveSource
-
-        live = SyntheticLiveSource(
-            net,
-            sniffers,
-            user_count=args.users,
-            rounds=args.requests,
-            rng=gen,
-        )
-        track_work.append((f"track-{t}", int(gen.integers(2**31)), list(live)))
-
-    lock = threading.Lock()
-    ok_replies, error_codes, errors = [], [], []
-    guard = _ShutdownGuard()
-
-    def run_localize(client_id, requests, truths):
-        for request, truth in zip(requests, truths):
-            if guard.triggered:
-                return
-            reply = fleet.submit(request).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                    errors.append(reply.result.errors_to(truth).mean())
-                else:
-                    error_codes.append(reply.code)
-
-    def run_track(session_id, seed, observations):
-        for r, obs in enumerate(observations):
-            if guard.triggered:
-                return
-            reply = fleet.submit(
-                TrackStepRequest(
-                    request_id=f"{session_id}-r{r}",
-                    client_id=session_id,
-                    session_id=session_id,
-                    observation=obs,
-                )
-            ).result()
-            with lock:
-                if reply.ok:
-                    ok_replies.append(reply)
-                else:
-                    error_codes.append(reply.code)
-
-    threads = [
-        threading.Thread(target=run_localize, args=work, name=work[0])
-        for work in localize_work
-    ] + [
-        threading.Thread(target=run_track, args=work, name=work[0])
-        for work in track_work
-    ]
-    map_tag = " (map-seeded)" if fleet.fingerprint_map is not None else ""
-    print(
-        f"fleet of {args.fleet_workers} workers serving "
-        f"{len(localize_work)} localize clients x {args.requests} requests "
-        f"+ {len(track_work)} tracking sessions on "
-        f"{sniffers.size}/{net.node_count} sniffed nodes{map_tag}; "
-        f"max_batch={args.max_batch} queue_capacity={args.queue_capacity}"
+    _print_header(
+        f"fleet of {args.fleet_workers} workers ", args, work, net, sniffers,
+        fleet.fingerprint_map,
     )
-    from repro.faults import injected
-
     # Arm only across start(): forked workers inherit the armed plan,
     # so worker-side sites (fleet.worker.exit) fire in the children.
     # Disarm before driving traffic — replacements forked at failover
@@ -881,59 +819,26 @@ def cmd_fleet(args) -> int:
     with injected(plan):
         fleet.start()
     try:
-        with guard:
-            endpoint = None
-            if args.metrics_port is not None:
-                endpoint = MetricsServer(fleet=fleet, port=args.metrics_port)
-                print(
-                    f"metrics on http://127.0.0.1:{endpoint.start()}/metrics"
-                )
-            for session_id, seed, _ in track_work:
-                fleet.open_session(session_id, args.users, seed=seed)
-            start = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            elapsed = time.perf_counter() - start
+        with _ShutdownGuard() as guard:
+            endpoint = _metrics_endpoint(args, fleet=fleet)
+            for session_id, seed, _ in work.sessions:
+                fleet.open_session(session_id, work.users, seed=seed)
+            tally = _drive(fleet, work, guard)
             snapshot = fleet.fleet_snapshot()
             if endpoint is not None:
                 endpoint.stop()
     finally:
         fleet.stop()
-    if guard.triggered:
-        print("drained after shutdown signal")
-    if plan is not None:
-        print(f"fault plan: {plan.summary()}")
-
-    total = len(ok_replies) + len(error_codes)
-    rps = total / elapsed if elapsed > 0 else float("nan")
+    _print_shutdown(guard, plan)
     router = snapshot["router"]
-    print(
-        f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s aggregate): "
-        f"{len(ok_replies)} ok, {len(error_codes)} errors; "
-        f"{router['worker_deaths']} worker deaths, "
+    tally.print(
+        f"; {router['worker_deaths']} worker deaths, "
         f"{router['redeliveries']} redeliveries"
     )
-    if error_codes:
-        from collections import Counter
-
-        for code, count in sorted(Counter(error_codes).items()):
-            print(f"  {code}: {count}")
-    if errors:
-        print(f"mean localization error {np.mean(errors):.2f}")
-    import json
-
-    from repro.serve.metrics import _nan_safe_deep
-
-    metrics_json = json.dumps(
-        _nan_safe_deep(snapshot), indent=2, sort_keys=True
+    _emit_metrics(
+        args.metrics_out,
+        json.dumps(_nan_safe_deep(snapshot), indent=2, sort_keys=True),
     )
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote fleet metrics to {args.metrics_out}")
-    else:
-        print(metrics_json)
     return 0
 
 
@@ -961,202 +866,121 @@ def _print_stage_table(stages: dict) -> None:
         )
 
 
-def _drive_gateway(
-    args, host, port, localize_work, track_work, deadline_s, guard=None
-) -> int:
-    """Drive the pre-generated load through a gateway over real sockets."""
+def _drive_gateway(host, port, work, guard) -> None:
+    """Send ``work`` through the gateway at ``host:port`` over real
+    sockets, one connection per client and tracking session. A
+    connection that fails, refused ones included, counts as dead."""
     import asyncio
-    import time
-    from collections import Counter
 
     from repro.errors import GatewayError
     from repro.gateway import GatewayClient
+    from repro.serve import TrackStepRequest
 
-    counts = {"ok": 0, "dead": 0}
-    error_codes: Counter = Counter()
+    tally = _Tally()
+    dead = 0
 
-    async def localize_client(c, obs_list):
-        client = GatewayClient(host, port, f"client-{c}")
-        try:
-            await client.connect()
-            for obs, seed in obs_list:
-                if guard is not None and guard.triggered:
-                    break
-                reply = await client.localize(
-                    obs,
-                    user_count=args.users,
-                    candidate_count=args.candidates,
-                    restarts=args.restarts,
-                    seed=seed,
-                    deadline_s=deadline_s,
-                )
-                if reply.get("ok"):
-                    counts["ok"] += 1
-                else:
-                    error_codes[reply.get("code", "unknown")] += 1
-        except (GatewayError, asyncio.TimeoutError, OSError):
-            counts["dead"] += 1
-        finally:
-            await client.close()
-
-    async def track_client(session_id, seed, windows):
-        client = GatewayClient(host, port, session_id)
-        try:
-            await client.connect()
-            opened = await client.open_session(
-                session_id, args.users, seed=seed
+    async def send(client, request):
+        if isinstance(request, TrackStepRequest):
+            return await client.track_step(
+                request.session_id, request.observation,
+                deadline_s=request.deadline_s,
             )
-            if not opened.get("session_id"):
-                error_codes[opened.get("code", "unknown")] += 1
-                return
-            for obs in windows:
-                if guard is not None and guard.triggered:
+        return await client.localize(
+            request.observation,
+            user_count=request.user_count,
+            candidate_count=request.candidate_count,
+            restarts=request.restarts,
+            seed=request.seed,
+            deadline_s=request.deadline_s,
+        )
+
+    async def run(name, pairs, session_seed=None):
+        nonlocal dead
+        client = GatewayClient(host, port, name)
+        try:
+            await client.connect()
+            if session_seed is not None:
+                opened = await client.open_session(
+                    name, work.users, seed=session_seed
+                )
+                if not opened.get("session_id"):
+                    tally.add(opened.get("code", "unknown"))
+                    return
+            for request, _ in pairs:
+                if guard.triggered:
                     break
-                reply = await client.track_step(session_id, obs)
-                if reply.get("ok"):
-                    counts["ok"] += 1
-                else:
-                    error_codes[reply.get("code", "unknown")] += 1
+                reply = await send(client, request)
+                tally.add(None if reply.get("ok") else
+                          reply.get("code", "unknown"))
         except (GatewayError, asyncio.TimeoutError, OSError):
-            counts["dead"] += 1
+            dead += 1
         finally:
             await client.close()
 
     async def main():
         start = time.perf_counter()
-        jobs = [
-            localize_client(c, obs_list)
-            for c, obs_list in enumerate(localize_work)
-        ] + [
-            track_client(session_id, seed, windows)
-            for session_id, seed, windows in track_work
-        ]
-        await asyncio.gather(*jobs)
-        elapsed = time.perf_counter() - start
-        stages = {}
+        await asyncio.gather(*(run(*stream) for stream in work.streams()))
+        tally.elapsed = time.perf_counter() - start
         try:
             async with GatewayClient(host, port, "probe") as probe:
-                dump = await probe.trace_dump()
-                stages = dump.get("stages", {})
+                return (await probe.trace_dump()).get("stages", {})
         except (GatewayError, OSError):
-            pass
-        return elapsed, stages
+            return {}
 
-    try:
-        elapsed, stages = asyncio.run(main())
-    except ConnectionRefusedError as exc:
-        print(f"cannot reach gateway {host}:{port}: {exc}", file=sys.stderr)
-        return 1
-    total = counts["ok"] + sum(error_codes.values())
-    rps = total / elapsed if elapsed > 0 else float("nan")
-    print(
-        f"{total} replies in {elapsed:.2f}s ({rps:.0f} req/s over the "
-        f"wire): {counts['ok']} ok, {sum(error_codes.values())} errors, "
-        f"{counts['dead']} dead connections"
-    )
-    for code, count in sorted(error_codes.items()):
-        print(f"  {code}: {count}")
+    stages = asyncio.run(main())
+    tally.print(f", {dead} dead connections")
     _print_stage_table(stages)
-    return 0
 
 
 def cmd_gateway(args) -> int:
-    import time
-
-    from repro.errors import ConfigurationError
     from repro.faults import injected
     from repro.gateway import GatewayServer
-    from repro.serve import LocalizationService, MetricsServer
 
-    gen = as_generator(args.seed)
-    net = _network_from(args)
-    sniffers = sample_sniffers_percentage(net, args.percentage, rng=gen)
-    measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
-    deadline_s = (
-        args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
-    )
-
-    # Pre-generate the synthetic load. Both modes use it: the serve
-    # mode drives its own gateway, --connect drives a remote one (built
-    # from the same network args, so the observations match the remote
-    # deployment when the seeds match).
-    localize_work = []
-    for c in range(args.clients):
-        obs_list = []
-        for _ in range(args.requests):
-            truth, stretches = _place_users(net, args.users, gen)
-            flux = simulate_flux(net, list(truth), list(stretches), rng=gen)
-            obs_list.append(
-                (measure.observe(flux), int(gen.integers(2**31)))
-            )
-        localize_work.append(obs_list)
-    track_work = []
-    for t in range(args.track_sessions):
-        from repro.stream import SyntheticLiveSource
-
-        live = SyntheticLiveSource(
-            net, sniffers, user_count=args.users,
-            rounds=args.requests, rng=gen,
-        )
-        track_work.append(
-            (f"track-{t}", int(gen.integers(2**31)), list(live))
-        )
-
+    remote = None
     if args.connect:
         host, _, port_text = args.connect.rpartition(":")
         try:
-            port = int(port_text)
+            remote = (host or "127.0.0.1", int(port_text))
         except ValueError:
             print(
                 f"--connect needs HOST:PORT, got {args.connect!r}",
                 file=sys.stderr,
             )
             return 1
+    gen = as_generator(args.seed)
+    net = _network_from(args)
+    _, sniffers = _sniffers_from(args, net, gen)
+    # Both modes draw the load: --connect drives a remote gateway built
+    # from the same network args, so the observations match the remote
+    # deployment when the seeds match.
+    work = _Workload(args, net, sniffers, gen, args.deadline_ms)
+    if remote is not None:
         with _ShutdownGuard() as guard:
-            return _drive_gateway(
-                args, host or "127.0.0.1", port,
-                localize_work, track_work, deadline_s, guard=guard,
-            )
+            _drive_gateway(*remote, work, guard)
+        return 0
 
     try:
-        service = LocalizationService(
-            net.field,
-            net.positions[sniffers],
-            engine=_engine_from(args),
-            map_resolution=args.map_resolution,
-            max_batch=args.max_batch,
-            max_wait_s=args.max_wait_ms / 1000.0,
-            queue_capacity=args.queue_capacity,
-        )
+        service = _service_from(args, net, sniffers, None)
     except ConfigurationError as exc:
-        print(f"cannot build service: {exc}", file=sys.stderr)
-        return 1
+        return _refuse("cannot build service", exc)
     try:
         plan = _load_fault_plan(args)
     except ConfigurationError as exc:
-        print(f"cannot load fault plan {args.fault_plan}: {exc}",
-              file=sys.stderr)
-        return 1
+        return _refuse(f"cannot load fault plan {args.fault_plan}", exc)
     service.start()
     gateway = GatewayServer(service, host="127.0.0.1", port=args.port)
     guard = _ShutdownGuard()
-    code = 0
     endpoint = None
     try:
         port = gateway.start()
-        print(
-            f"gateway on 127.0.0.1:{port} fronting "
-            f"{sniffers.size}/{net.node_count} sniffed nodes"
+        _print_header(
+            f"gateway on 127.0.0.1:{port} ", args, work, net, sniffers,
+            service.fingerprint_map,
         )
-        if args.metrics_port is not None:
-            endpoint = MetricsServer(service.metrics, port=args.metrics_port)
-            print(f"metrics on http://127.0.0.1:{endpoint.start()}/metrics")
+        endpoint = _metrics_endpoint(args, metrics=service.metrics)
         with injected(plan), guard:
-            if args.clients > 0 or args.track_sessions > 0:
-                code = _drive_gateway(
-                    args, "127.0.0.1", port,
-                    localize_work, track_work, deadline_s, guard=guard,
-                )
+            if work.clients or work.sessions:
+                _drive_gateway("127.0.0.1", port, work, guard)
             else:
                 stop_at = (
                     None if args.duration is None
@@ -1171,10 +995,7 @@ def cmd_gateway(args) -> int:
         service.stop(checkpoint_dir=args.checkpoint_dir)
         if endpoint is not None:
             endpoint.stop()
-    if guard.triggered:
-        print("drained after shutdown signal")
-    if plan is not None:
-        print(f"fault plan: {plan.summary()}")
+    _print_shutdown(guard, plan)
     snap = gateway.snapshot()
     print(
         f"gateway: {snap['connections_opened']} connections, "
@@ -1182,11 +1003,8 @@ def cmd_gateway(args) -> int:
         f"{snap['replies_dropped']} replies dropped, "
         f"{snap['protocol_errors']} protocol errors"
     )
-    metrics_json = service.metrics.to_json()
-    if args.metrics_out:
-        Path(args.metrics_out).write_text(metrics_json + "\n")
-        print(f"wrote metrics to {args.metrics_out}")
-    return code
+    _emit_metrics(args.metrics_out, service.metrics.to_json())
+    return 0
 
 
 def cmd_defend(args) -> int:

@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         "localize", help="run the sparse-sampling NLS localization attack"
     )
     _network_args(p)
-    _engine_args(p)
+    _dtype_arg(_engine_args(p))
     p.add_argument("--users", type=int, default=2)
     p.add_argument(
         "--percentage", type=float, default=10.0, help="%% of nodes sniffed"
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "survey stage; reuse it with 'localize --map' / 'track-stream --map')",
     )
     _network_args(p)
-    _engine_args(p)
+    _dtype_arg(_engine_args(p))
     p.add_argument(
         "--percentage", type=float, default=10.0, help="%% of nodes sniffed"
     )
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run the SMC tracker over moving users")
     _network_args(p)
-    _engine_args(p)
+    _dtype_arg(_engine_args(p))
     p.add_argument("--users", type=int, default=2)
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--percentage", type=float, default=10.0)
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the streaming tracking service (replay / tail / live)",
     )
     _network_args(p)
-    _engine_args(p)
+    _dtype_arg(_engine_args(p))
     p.add_argument(
         "--input", default=None, help="replay an .npz observation log"
     )
@@ -210,41 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the micro-batched localization service under a "
         "synthetic multi-client load",
     )
-    _network_args(p)
-    _engine_args(p)
-    p.add_argument(
-        "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
-    )
-    p.add_argument(
-        "--clients", type=int, default=8, help="concurrent logical clients"
-    )
-    p.add_argument(
-        "--requests", type=int, default=10, help="requests per client"
-    )
-    p.add_argument(
-        "--users", type=int, default=1, help="users fitted per request"
-    )
-    p.add_argument("--candidates", type=int, default=128)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="micro-batch size cap (1 = per-request dispatch)",
-    )
-    p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch linger ceiling before a partial batch is drained",
-    )
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=512,
-        help="admission queue bound; a request arriving at a full queue "
-        "is answered admission_rejected",
-    )
+    _load_args(p)
     p.add_argument(
         "--deadline-ms",
         type=float,
@@ -257,39 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed candidate pools from this fingerprint map "
         "(repro build-map output; its sniffer set replaces --percentage)",
     )
-    p.add_argument(
-        "--map-resolution",
-        type=float,
-        default=None,
-        help="build the deployment's map at this resolution before serving",
-    )
-    p.add_argument(
-        "--track-sessions",
-        type=int,
-        default=0,
-        help="also open this many tracking sessions and interleave "
-        "track-step requests",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="drain-and-checkpoint tracking sessions here on shutdown",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="expose GET /metrics on this port while serving (0 = ephemeral)",
-    )
-    p.add_argument(
-        "--metrics-out", default=None, help="write the final metrics JSON here"
-    )
-    p.add_argument(
-        "--fault-plan",
-        default=None,
-        help="arm this fault-plan JSON (repro.faults) for the load run: "
-        "batch-fuse/kernel faults are retried",
-    )
     p.set_defaults(handler=commands.cmd_serve)
 
     p = sub.add_parser(
@@ -297,11 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a fixed-size multi-process serving fleet under a "
         "synthetic multi-client load",
     )
-    _network_args(p)
-    _engine_args(p)
-    p.add_argument(
-        "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
-    )
+    _load_args(p)
     p.add_argument(
         "--fleet-workers",
         type=int,
@@ -309,77 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (each its own scheduler + engine)",
     )
     p.add_argument(
-        "--clients", type=int, default=8, help="concurrent logical clients"
-    )
-    p.add_argument(
-        "--requests", type=int, default=10, help="requests per client"
-    )
-    p.add_argument(
-        "--users", type=int, default=1, help="users fitted per request"
-    )
-    p.add_argument("--candidates", type=int, default=128)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=32,
-        help="per-worker micro-batch size cap",
-    )
-    p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="per-worker micro-batch linger ceiling",
-    )
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=1024,
-        help="per-worker admission queue bound; a request arriving at a "
-        "full queue is answered admission_rejected",
-    )
-    p.add_argument(
         "--map",
         default=None,
         help="seed candidate pools from this fingerprint map "
         "(repro build-map output; its sniffer set replaces --percentage)",
-    )
-    p.add_argument(
-        "--map-resolution",
-        type=float,
-        default=None,
-        help="build the deployment's map at this resolution before serving",
-    )
-    p.add_argument(
-        "--track-sessions",
-        type=int,
-        default=0,
-        help="open this many tracking sessions (placed by session id "
-        "hash) and interleave track-step requests",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="session checkpoint directory (failover state; "
-        "default: private temp dir)",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="expose the fleet snapshot on GET /metrics "
-        "(/metrics?worker=<id> for one worker; 0 = ephemeral port)",
-    )
-    p.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the final fleet snapshot JSON here",
-    )
-    p.add_argument(
-        "--fault-plan",
-        default=None,
-        help="arm this fault-plan JSON before forking workers: "
-        "fleet.worker.exit kills workers mid-load (failover drill)",
     )
     p.set_defaults(handler=commands.cmd_fleet)
 
@@ -388,11 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the asyncio TCP gateway in front of a localization "
         "service (or drive a remote one with --connect)",
     )
-    _network_args(p)
-    _engine_args(p)
-    p.add_argument(
-        "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
-    )
+    _load_args(p)
     p.add_argument(
         "--port",
         type=int,
@@ -408,74 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
         "gateway instead of serving one",
     )
     p.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="concurrent gateway connections driving localize traffic "
-        "(0 with --track-sessions 0 = serve idle until --duration/signal)",
-    )
-    p.add_argument(
-        "--requests", type=int, default=10, help="requests per connection"
-    )
-    p.add_argument(
-        "--users", type=int, default=1, help="users fitted per request"
-    )
-    p.add_argument("--candidates", type=int, default=128)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument(
-        "--track-sessions",
-        type=int,
-        default=0,
-        help="also stream this many tracking sessions through the gateway",
-    )
-    p.add_argument(
         "--duration",
         type=float,
         default=None,
-        help="idle-serve mode: stop after this many seconds "
-        "(default: wait for SIGINT/SIGTERM)",
-    )
-    p.add_argument("--max-batch", type=int, default=32)
-    p.add_argument("--max-wait-ms", type=float, default=2.0)
-    p.add_argument(
-        "--queue-capacity",
-        type=int,
-        default=512,
-        help="admission queue bound; a request arriving at a full queue "
-        "is answered admission_rejected",
+        help="with --clients 0 --track-sessions 0, serve idle for this "
+        "many seconds (default: until SIGINT/SIGTERM)",
     )
     p.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
         help="per-request deadline carried in the request frames",
-    )
-    p.add_argument(
-        "--map-resolution",
-        type=float,
-        default=None,
-        help="build the deployment's map at this resolution before serving",
-    )
-    p.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        help="drain-and-checkpoint tracking sessions here on shutdown",
-    )
-    p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        help="expose GET /metrics and GET /trace on this port "
-        "(0 = ephemeral)",
-    )
-    p.add_argument(
-        "--metrics-out", default=None, help="write the final metrics JSON here"
-    )
-    p.add_argument(
-        "--fault-plan",
-        default=None,
-        help="arm this fault-plan JSON (gateway.client.slow / "
-        "gateway.conn.half_open / gateway.frame.torn chaos sites)",
     )
     p.set_defaults(handler=commands.cmd_gateway)
 
@@ -490,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine_args(p: argparse.ArgumentParser) -> None:
+def _engine_args(p: argparse.ArgumentParser):
     group = p.add_argument_group(
         "engine", "parallel kernel engine (see docs/PERFORMANCE.md)"
     )
@@ -508,12 +309,104 @@ def _engine_args(p: argparse.ArgumentParser) -> None:
         help="candidate sinks per kernel-evaluation chunk, the unit of "
         "fan-out over --workers",
     )
+    return group
+
+
+def _dtype_arg(group) -> None:
     group.add_argument(
         "--dtype",
         choices=["float64", "float32"],
         default="float64",
         help="kernel evaluation precision (float32 halves memory "
         "traffic; the theta solve stays float64)",
+    )
+
+
+def _load_args(p: argparse.ArgumentParser) -> None:
+    """The deployment, engine, load and serving flags shared by
+    ``serve``, ``fleet`` and ``gateway``."""
+    _network_args(p)
+    _engine_args(p)
+    group = p.add_argument_group(
+        "load", "synthetic load and serving knobs (a fleet applies the "
+        "batching and queue knobs per worker)"
+    )
+    group.add_argument(
+        "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
+    )
+    group.add_argument(
+        "--clients",
+        type=int,
+        default=8,
+        help="concurrent localize clients (threads, or gateway connections)",
+    )
+    group.add_argument(
+        "--requests",
+        type=int,
+        default=10,
+        help="requests per client, and windows per tracking session",
+    )
+    group.add_argument(
+        "--users", type=int, default=1, help="users fitted per request"
+    )
+    group.add_argument("--candidates", type=int, default=128)
+    group.add_argument("--restarts", type=int, default=1)
+    group.add_argument(
+        "--max-batch",
+        type=int,
+        default=32,
+        help="micro-batch size cap (1 = per-request dispatch)",
+    )
+    group.add_argument(
+        "--max-wait-ms",
+        type=float,
+        default=2.0,
+        help="micro-batch linger ceiling before a partial batch is drained",
+    )
+    group.add_argument(
+        "--queue-capacity",
+        type=int,
+        default=512,
+        help="admission queue bound; a request arriving at a full queue "
+        "is answered admission_rejected",
+    )
+    group.add_argument(
+        "--map-resolution",
+        type=float,
+        default=None,
+        help="build the deployment's map at this resolution before serving",
+    )
+    group.add_argument(
+        "--track-sessions",
+        type=int,
+        default=0,
+        help="also open this many tracking sessions and interleave "
+        "track-step requests",
+    )
+    group.add_argument(
+        "--checkpoint-dir",
+        default=None,
+        help="checkpoint tracking sessions here on shutdown (a fleet also "
+        "keeps its failover state here; default: a private temp dir)",
+    )
+    group.add_argument(
+        "--metrics-port",
+        type=int,
+        default=None,
+        help="expose GET /metrics on this port while serving (0 = "
+        "ephemeral); one service also answers GET /trace, a fleet "
+        "GET /metrics?worker=<id>",
+    )
+    group.add_argument(
+        "--metrics-out",
+        default=None,
+        help="write the final metrics JSON here (default: print it)",
+    )
+    group.add_argument(
+        "--fault-plan",
+        default=None,
+        help="arm this fault-plan JSON (repro.faults) for the load run; a "
+        "fleet arms it only while forking its workers",
     )
 
 

@@ -48,6 +48,7 @@ from repro.faults.plan import (
     should_fire,
 )
 from repro.faults.retry import (
+    DEFAULT_RETRY_POLICY,
     TRANSIENT_ERRORS,
     RetryPolicy,
     call_with_retry,
@@ -63,6 +64,7 @@ __all__ = [
     "WorkerCrashed",
     "RetriesExhausted",
     "RetryPolicy",
+    "DEFAULT_RETRY_POLICY",
     "TRANSIENT_ERRORS",
     "call_with_retry",
     "arm",

@@ -103,6 +103,14 @@ class RetryPolicy:
         return raw
 
 
+#: The library's one default policy, for the serve scheduler's fused
+#: kernel pass and every checkpoint write (service drain, fleet workers,
+#: ``repro track-stream``): three attempts, 5 ms then 10 ms apart.
+DEFAULT_RETRY_POLICY = RetryPolicy(
+    max_attempts=3, base_delay_s=0.005, max_delay_s=0.1
+)
+
+
 def call_with_retry(
     fn: Callable[[], T],
     policy: RetryPolicy,

@@ -155,7 +155,7 @@ class ServeFleet:
         checkpoint_dir: Optional[str] = None,
         max_batch: int = 32,
         max_wait_s: float = 0.002,
-        queue_capacity: int = 1024,
+        queue_capacity: int = 512,
         engine_workers: int = 0,
         engine_chunk_size: int = 4096,
     ):

@@ -18,23 +18,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 
-def _workspace_buffer(workspace: dict, name: str, shape) -> np.ndarray:
-    """A ``shape``-shaped float64 view into a grown-to-fit flat buffer.
-
-    Buffers live in the caller's ``workspace`` dict and grow
-    geometrically (power-of-two sizing), so steady-state batch matching
-    stops paying per-call allocation for its score grids.
-    """
-    size = 1
-    for dim in shape:
-        size *= int(dim)
-    buf = workspace.get(name)
-    if buf is None or buf.size < size:
-        buf = np.empty(1 << max(6, (size - 1).bit_length()))
-        workspace[name] = buf
-    return buf[:size].reshape(shape)
-
-
 class SpatialIndex:
     """Clamped-projection signature scan over a fixed cell set.
 
@@ -120,7 +103,6 @@ class SpatialIndex:
         self,
         targets: np.ndarray,
         ks: Sequence[int],
-        workspace: Optional[dict] = None,
     ) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Fused :meth:`knn_by_signature` over many observations.
 
@@ -140,19 +122,9 @@ class SpatialIndex:
             ``(B, n)`` observed flux vectors (finite everywhere).
         ks:
             Per-observation match counts (length ``B``).
-        workspace:
-            Optional caller-owned dict of staging buffers. Repeated
-            calls with the same workspace reuse the ``(C, B)`` score
-            grids instead of reallocating them per batch — the serving
-            scheduler passes its own, so concurrent services sharing
-            one map never share scratch. Values are written with the
-            exact ufunc sequence of the allocation path (``out=``
-            variants), so results are bitwise-identical with or
-            without it.
 
         Returns one ``(indices, thetas, residuals)`` triple per
-        observation, ascending by residual. Returned arrays are fresh
-        (ranking copies them out); nothing aliases the workspace.
+        observation, ascending by residual.
         """
         sig = self.signatures
         targets = np.asarray(targets, dtype=float)
@@ -169,38 +141,14 @@ class SpatialIndex:
             self._sig_norms = np.einsum("cn,cn->c", sig, sig)
         den = self._sig_norms
         den_floor = np.maximum(den, 1e-300)[:, None]
-        count, batch = sig.shape[0], targets.shape[0]
-        if workspace is None:
-            num = np.einsum("cn,bn->cb", sig, targets)  # (C, B)
-            t2 = np.einsum("bn,bn->b", targets, targets)
-            thetas = np.maximum(num / den_floor, 0.0)
-            sq = np.maximum(
-                t2[None, :] - 2.0 * thetas * num
-                + thetas * thetas * den[:, None],
-                0.0,
-            )
-            residuals = np.sqrt(sq)
-        else:
-            num = _workspace_buffer(workspace, "num", (count, batch))
-            t2 = _workspace_buffer(workspace, "t2", (batch,))
-            thetas = _workspace_buffer(workspace, "thetas", (count, batch))
-            tmp = _workspace_buffer(workspace, "tmp", (count, batch))
-            residuals = _workspace_buffer(workspace, "sq", (count, batch))
-            np.einsum("cn,bn->cb", sig, targets, out=num)
-            np.einsum("bn,bn->b", targets, targets, out=t2)
-            # Same ufunc chain as above, written into reused storage:
-            # theta = max(num / den_floor, 0);
-            # sq = max(t2 - (2 theta) num + (theta theta) den, 0).
-            np.divide(num, den_floor, out=thetas)
-            np.maximum(thetas, 0.0, out=thetas)
-            np.multiply(2.0, thetas, out=tmp)
-            np.multiply(tmp, num, out=tmp)
-            np.subtract(t2[None, :], tmp, out=residuals)
-            np.multiply(thetas, thetas, out=tmp)
-            np.multiply(tmp, den[:, None], out=tmp)
-            np.add(residuals, tmp, out=residuals)
-            np.maximum(residuals, 0.0, out=residuals)
-            np.sqrt(residuals, out=residuals)
+        num = np.einsum("cn,bn->cb", sig, targets)  # (C, B)
+        t2 = np.einsum("bn,bn->b", targets, targets)
+        thetas = np.maximum(num / den_floor, 0.0)
+        sq = np.maximum(
+            t2[None, :] - 2.0 * thetas * num + thetas * thetas * den[:, None],
+            0.0,
+        )
+        residuals = np.sqrt(sq)
         return [
             self._rank_matches(
                 np.ascontiguousarray(residuals[:, b]),

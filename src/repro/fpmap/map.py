@@ -222,7 +222,6 @@ class FingerprintMap:
         self,
         values: np.ndarray,
         ks: Sequence[int],
-        workspace: Optional[dict] = None,
     ) -> List[MapMatch]:
         """Fused single-user matches for a batch of observations.
 
@@ -232,8 +231,6 @@ class FingerprintMap:
         any other batch split (see :meth:`SpatialIndex.
         knn_by_signature_batch`). Observations must be finite
         everywhere — dropout requests go through :meth:`match`.
-        ``workspace`` is an optional caller-owned staging dict forwarded
-        to the index so repeat batches reuse their score grids.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.shape[1] != self.sniffer_count:
@@ -253,7 +250,7 @@ class FingerprintMap:
                 residuals=residuals,
             )
             for idx, thetas, residuals in self.index.knn_by_signature_batch(
-                values, ks, workspace=workspace
+                values, ks
             )
         ]
 

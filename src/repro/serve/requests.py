@@ -42,7 +42,9 @@ ERROR_WORKER_CRASHED = "worker_crashed"
 #: localize request may ask for. Each row is one float64 kernel over the
 #: sniffers, held in memory for the whole batch: at 180 sniffers the cap
 #: is 180 MiB. It admits the paper's Fig. 5 budget of 10,000 candidates
-#: per user at up to 4 users and 3 restarts.
+#: per user at up to 4 users and 3 restarts. ``LocalizationService.
+#: open_session`` caps a tracking session's ``user_count x
+#: prediction_count`` sample rows at the same value.
 MAX_CANDIDATE_ROWS = 1 << 17
 
 #: ``dataclass(slots=True)`` needs Python 3.10; on 3.9 the classes

@@ -303,7 +303,7 @@ def _fused_match_eligible(fingerprint_map, request) -> bool:
 
 
 def fuse_map_matches(
-    fingerprint_map, items: Sequence[PendingRequest], workspace=None
+    fingerprint_map, items: Sequence[PendingRequest]
 ) -> Dict[int, object]:
     """Pre-match eligible requests' observations in one fused call.
 
@@ -311,8 +311,7 @@ def fuse_map_matches(
     phase consumes these instead of per-request ``peel_matches``. Both
     dispatch modes route through :meth:`FingerprintMap.match_many`
     (batch size 1 in per-request mode), so the fusion never changes a
-    reply. ``workspace`` is the caller-owned staging dict forwarded to
-    the signature-index batch match (scratch reuse across batches).
+    reply.
     """
     eligible = [
         item for item in items
@@ -326,7 +325,7 @@ def fuse_map_matches(
     )
     ks = [min(i.request.seed_top_k, i.request.candidate_count)
           for i in eligible]
-    matches = fingerprint_map.match_many(values, ks, workspace=workspace)
+    matches = fingerprint_map.match_many(values, ks)
     return {id(item): match for item, match in zip(eligible, matches)}
 
 
@@ -617,7 +616,6 @@ class MicroBatchScheduler:
         self.controller = AdaptiveBatchController(max_wait_s=max_wait_s)
         # The queue feeds the controller's EWMAs and lingers through it.
         queue.controller = self.controller
-        self._match_workspace: Dict[str, np.ndarray] = {}
         self.retry_policy = retry_policy
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -703,10 +701,7 @@ class MicroBatchScheduler:
         track = [i for i in live if isinstance(i.request, TrackStepRequest)]
 
         try:
-            prematches = fuse_map_matches(
-                self.fingerprint_map, localize,
-                workspace=self._match_workspace,
-            )
+            prematches = fuse_map_matches(self.fingerprint_map, localize)
         except Exception as exc:
             # Observable fallback to per-request matching (values are
             # unchanged either way); a silent swallow here hid real

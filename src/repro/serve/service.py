@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.faults.retry import RetryPolicy
+from repro.faults.retry import DEFAULT_RETRY_POLICY
 from repro.fingerprint.nls import NLSLocalizer
 from repro.serve.admission import (
     ADMITTED,
@@ -42,13 +42,14 @@ from repro.serve.metrics import ServerMetrics
 from repro.serve.requests import (
     ERROR_REJECTED,
     ERROR_SHUTDOWN,
+    MAX_CANDIDATE_ROWS,
     ErrorReply,
     LocalizeRequest,
     TrackStepRequest,
     require_sniffer_count,
 )
 from repro.serve.scheduler import MicroBatchScheduler
-from repro.smc.tracker import SequentialMonteCarloTracker
+from repro.smc.tracker import SequentialMonteCarloTracker, TrackerConfig
 from repro.stream.checkpoint import load_checkpoint, save_checkpoint
 from repro.stream.session import TrackingSession
 
@@ -88,13 +89,11 @@ class LocalizationService:
         Optional externally owned :class:`ServerMetrics`.
     retry_policy:
         :class:`~repro.faults.RetryPolicy` for the scheduler's fused
-        kernel pass and the drain checkpoint writes. The default is a
-        small bounded policy (3 attempts); pass ``None`` explicitly to
-        disable retries. A fused pass that still fails answers each of
-        its requests with one ``internal`` error reply.
+        kernel pass and the drain checkpoint writes. The default is
+        :data:`~repro.faults.retry.DEFAULT_RETRY_POLICY` (3 attempts);
+        pass ``None`` to disable retries. A fused pass that still fails
+        answers each of its requests with one ``internal`` error reply.
     """
-
-    _DEFAULT_RETRIES = "default"
 
     def __init__(
         self,
@@ -108,11 +107,8 @@ class LocalizationService:
         max_wait_s: float = 0.002,
         queue_capacity: int = 512,
         metrics: Optional[ServerMetrics] = None,
-        retry_policy=_DEFAULT_RETRIES,
+        retry_policy=DEFAULT_RETRY_POLICY,
     ):
-        if retry_policy == self._DEFAULT_RETRIES:
-            retry_policy = RetryPolicy(max_attempts=3, base_delay_s=0.005,
-                                       max_delay_s=0.1)
         self.retry_policy = retry_policy
         self.localizer = NLSLocalizer(field, sniffer_positions, d_floor=d_floor)
         self.engine = engine
@@ -241,7 +237,21 @@ class LocalizationService:
         ``engine=None`` — tracking steps execute on the scheduler
         thread, where the service engine may already be fanning out
         kernel work (the engine nesting rule).
+
+        A session of more than :data:`~repro.serve.requests.
+        MAX_CANDIDATE_ROWS` sample rows (``user_count x
+        prediction_count``) raises :class:`~repro.errors.
+        ConfigurationError`: the tracker builds each user's prior in
+        Python, and a gateway opens sessions on its event-loop thread.
         """
+        if config is None:
+            config = TrackerConfig()
+        rows = int(user_count) * config.prediction_count
+        if rows > MAX_CANDIDATE_ROWS:
+            raise ConfigurationError(
+                f"user_count x prediction_count = {rows} sample rows "
+                f"exceeds MAX_CANDIDATE_ROWS = {MAX_CANDIDATE_ROWS}"
+            )
         tracker = SequentialMonteCarloTracker(
             self.localizer.field,
             self.localizer.model.node_positions,

@@ -207,6 +207,30 @@ class TestTrackStream:
         for x, y in tracker.estimates():
             assert f"({x:6.2f}, {y:6.2f})" in out
 
+    def test_checkpoint_write_retried_without_fault_plan(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A transient OSError on a checkpoint write is retried in a
+        plain run, not only under --fault-plan."""
+        from repro.stream import checkpoint
+
+        real_write = checkpoint._atomic_write
+        calls = []
+
+        def flaky_write(path, arrays):
+            calls.append(path)
+            if len(calls) == 1:
+                raise OSError("transient write failure")
+            return real_write(path, arrays)
+
+        monkeypatch.setattr(checkpoint, "_atomic_write", flaky_write)
+        ckpt = tmp_path / "run.ckpt.npz"
+        rc = main(["--seed", "11", *self._STREAM, "--rounds", "3",
+                   "--checkpoint", str(ckpt)])
+        assert rc == 0
+        assert len(calls) == 2
+        assert checkpoint.load_checkpoint(ckpt).windows_consumed == 3
+
     def test_both_input_and_jsonl_rejected(self, tmp_path, capsys):
         rc = main(
             ["track-stream", "--input", "a.npz", "--jsonl", "b.jsonl"]
@@ -388,6 +412,51 @@ class TestServe:
         payload = _json.loads((tmp_path / "metrics.json").read_text())
         assert payload["replies_ok"] == 9  # 2x3 localize + 3 track steps
 
+    def test_serve_sessions_follow_the_seed(self, tmp_path, capsys):
+        """Each tracking session steps on its own seed, so runs at one
+        --seed checkpoint identical sessions whatever the thread
+        interleaving."""
+        import sys
+
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # vary the interleaving run to run
+        try:
+            for run in range(3):
+                directory = tmp_path / f"run-{run}"
+                rc = main(
+                    [
+                        "--seed", "3", "serve", *_SMALL, "--clients", "2",
+                        "--requests", "6", "--candidates", "24",
+                        "--track-sessions", "3",
+                        "--checkpoint-dir", str(directory),
+                    ]
+                )
+                assert rc == 0
+                runs.append({
+                    path.name: dict(np.load(path))
+                    for path in sorted(directory.glob("*.ckpt.npz"))
+                })
+        finally:
+            sys.setswitchinterval(interval)
+        first = runs[0]
+        assert sorted(first) == [f"track-{t}.ckpt.npz" for t in range(3)]
+        for other in runs[1:]:
+            assert sorted(other) == sorted(first)
+            for name, arrays in first.items():
+                assert sorted(other[name]) == sorted(arrays)
+                for key, value in arrays.items():
+                    np.testing.assert_array_equal(
+                        other[name][key], value, err_msg=f"{name}:{key}"
+                    )
+
+    def test_serve_refuses_an_oversized_session(self, capsys):
+        # 132 users x 1000 predictions passes MAX_CANDIDATE_ROWS.
+        rc = main(["serve", *_SMALL, "--clients", "0", "--users", "132",
+                   "--track-sessions", "1"])
+        assert rc == 1
+        assert "cannot open tracking session" in capsys.readouterr().err
+
     def test_serve_rejects_bad_map(self, tmp_path, capsys):
         bogus = tmp_path / "nope.npz"
         np.savez(bogus, junk=np.zeros(3))
@@ -409,3 +478,60 @@ class TestFleet:
         )
         assert rc == 0
         assert "36 ok, 0 errors" in capsys.readouterr().out
+
+
+class TestGateway:
+    _LOAD = [
+        *_SMALL, "--percentage", "20", "--clients", "2", "--requests", "3",
+        "--candidates", "24", "--track-sessions", "1",
+    ]
+
+    def test_gateway_load_run(self, tmp_path, capsys):
+        import json as _json
+
+        metrics = tmp_path / "gateway-metrics.json"
+        rc = main(
+            [
+                "--seed", "3", "gateway", *self._LOAD,
+                "--map-resolution", "2.0", "--metrics-out", str(metrics),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        # 2 clients x 3 localizes + 1 session x 3 track steps.
+        assert "9 ok, 0 errors, 0 dead connections" in out
+        snap = _json.loads(metrics.read_text())
+        assert snap["replies_ok"] == 9
+        assert snap["replies_error_total"] == 0
+        assert {"gateway_in", "gateway_out"} <= set(snap["stages"])
+
+    def test_gateway_connect_drives_a_serving_gateway(self, capsys):
+        from repro.gateway import GatewayServer
+        from repro.geometry import RectangularField
+        from repro.network import build_network, sample_sniffers_percentage
+        from repro.serve import LocalizationService
+
+        # The deployment `repro --seed 3 gateway` builds from _SMALL.
+        net = build_network(
+            field=RectangularField(15, 15), node_count=225, radius=2.0,
+            rng=np.random.default_rng(3),
+        )
+        sniffers = sample_sniffers_percentage(
+            net, 20, rng=np.random.default_rng(3)
+        )
+        with LocalizationService(
+            net.field, net.positions[sniffers]
+        ) as service, GatewayServer(service) as gateway:
+            rc = main(
+                [
+                    "--seed", "3", "gateway", *self._LOAD,
+                    "--connect", f"127.0.0.1:{gateway.port}",
+                ]
+            )
+        assert rc == 0
+        assert "9 ok, 0 errors, 0 dead connections" in capsys.readouterr().out
+
+    def test_gateway_connect_needs_host_and_port(self, capsys):
+        rc = main(["gateway", *_SMALL, "--connect", "nonsense"])
+        assert rc == 1
+        assert "--connect needs HOST:PORT" in capsys.readouterr().err

@@ -335,14 +335,16 @@ class TestSessionsOverTheWire:
         ("user_count", 1.5),
         ("user_count", 2.9),
         ("user_count", True),
+        ("user_count", 1000),
         ("seed", 2.5),
     ])
     def test_non_numeric_seed_is_a_typed_error_frame(
         self, scenario, field, value
     ):
-        """A ``seed`` or ``user_count`` that is not an integer gets
-        ``bad_request`` (never a truncated session), and the connection
-        keeps serving."""
+        """A ``seed`` or ``user_count`` that is not an integer, or a
+        session over the sample-row budget, gets ``bad_request`` (never a
+        truncated session, never a stalled event loop), and the
+        connection keeps serving."""
         with _service(scenario) as service, GatewayServer(service) as gateway:
             async def go():
                 reader, writer = await asyncio.open_connection(

@@ -317,6 +317,20 @@ class TestRequestBudget:
                 candidate_count=MAX_CANDIDATE_ROWS // 4 + 1,
             )
 
+    def test_oversized_session_refused(self, scenario):
+        """``user_count x prediction_count`` is capped at open_session,
+        before the tracker builds any prior."""
+        service = _service(scenario)
+        with pytest.raises(ConfigurationError, match="MAX_CANDIDATE_ROWS"):
+            service.open_session("big", user_count=132)  # 1000 predictions
+        cfg = TrackerConfig(prediction_count=MAX_CANDIDATE_ROWS // 2 + 1,
+                            keep_count=5)
+        with pytest.raises(ConfigurationError, match="MAX_CANDIDATE_ROWS"):
+            service.open_session("big", user_count=2, config=cfg)
+        assert service.session_ids == []
+        service.open_session("ok", user_count=131)
+        assert service.session_ids == ["ok"]
+
     @pytest.mark.parametrize("knob, value", [
         ("top_m", "3"),
         ("candidate_count", 24.5),
