@@ -866,10 +866,11 @@ def _print_stage_table(stages: dict) -> None:
         )
 
 
-def _drive_gateway(host, port, work, guard) -> None:
+def _drive_gateway(host, port, work, guard) -> int:
     """Send ``work`` through the gateway at ``host:port`` over real
     sockets, one connection per client and tracking session. A
-    connection that fails, refused ones included, counts as dead."""
+    connection that fails, refused ones included, counts as dead.
+    Returns how many connections got through."""
     import asyncio
 
     from repro.errors import GatewayError
@@ -877,7 +878,7 @@ def _drive_gateway(host, port, work, guard) -> None:
     from repro.serve import TrackStepRequest
 
     tally = _Tally()
-    dead = 0
+    dead = connected = 0
 
     async def send(client, request):
         if isinstance(request, TrackStepRequest):
@@ -895,10 +896,11 @@ def _drive_gateway(host, port, work, guard) -> None:
         )
 
     async def run(name, pairs, session_seed=None):
-        nonlocal dead
+        nonlocal dead, connected
         client = GatewayClient(host, port, name)
         try:
             await client.connect()
+            connected += 1
             if session_seed is not None:
                 opened = await client.open_session(
                     name, work.users, seed=session_seed
@@ -930,6 +932,7 @@ def _drive_gateway(host, port, work, guard) -> None:
     stages = asyncio.run(main())
     tally.print(f", {dead} dead connections")
     _print_stage_table(stages)
+    return connected
 
 
 def cmd_gateway(args) -> int:
@@ -956,8 +959,8 @@ def cmd_gateway(args) -> int:
     work = _Workload(args, net, sniffers, gen, args.deadline_ms)
     if remote is not None:
         with _ShutdownGuard() as guard:
-            _drive_gateway(*remote, work, guard)
-        return 0
+            connected = _drive_gateway(*remote, work, guard)
+        return 0 if connected else 1
 
     try:
         service = _service_from(args, net, sniffers, None)

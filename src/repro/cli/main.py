@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="client mode: drive the synthetic load against a remote "
-        "gateway instead of serving one",
+        "gateway instead of serving one (exit 1 if no connection got "
+        "through)",
     )
     p.add_argument(
         "--duration",

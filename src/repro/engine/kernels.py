@@ -15,12 +15,14 @@ This module replaces that with:
 
 * **broadcasting** — per-component ``(chunk, n)`` arithmetic, never an
   ``(m*n, 2)`` coordinate materialization;
-* a **closed-form rectangular ray exit** — for axis-aligned rectangles
-  the slab loop over four walls collapses to two divisions and a
-  ``max`` per axis, with no per-pair selection (bitwise-equal to the
-  reference slab method for in-field sinks, see :func:`_axis_exit`);
-  the rare-path fix-ups (exits behind the origin, a node at the sink,
-  non-finite kernels) each hide behind one ``min``/``max`` reduction;
+* a **closed-form rectangular ray exit on the unnormalized ray** — the
+  norm is ``d = sqrt(dx^2 + dy^2)``, and for axis-aligned rectangles
+  the slab loop over four walls collapses to two divisions of
+  ``(dx, dy)`` itself and a ``max`` per axis, giving the exit
+  parameter ``s`` and ``l = s * d``, so no pair is divided by its norm
+  (see :func:`_axis_exit`); the rare-path fix-ups (exits at or behind
+  the origin, a node at the sink, non-finite kernels) each hide behind
+  one ``min``/``max`` reduction;
 * **row blocks** — every chunk is evaluated ``_BLOCK_PAIRS`` pairs at
   a time on reused scratch, so the working set stays in L2 whatever the
   chunk size;
@@ -29,6 +31,14 @@ This module replaces that with:
   bitwise-identical to serial);
 * an optional **float32 mode** that halves memory traffic for
   huge pools (the theta solve downstream stays float64).
+
+Every value depends on its own (sink, node) pair and row alone, so all
+paths through the evaluator — any chunking, worker count, ``out=``
+buffer, or a sink alone against its row of a batch — agree bit for
+bit. Against the reference they agree within ``|dg| <= 1e-12 *
+max(1, |g|)``: ``sqrt`` and ``np.hypot``, and the exit on the
+unnormalized ray against the unit one, round differently in the last
+bits.
 """
 
 from __future__ import annotations
@@ -97,26 +107,40 @@ def _row_blocks(start: int, stop: int, n: int) -> List[Tuple[int, int]]:
 
 
 def _axis_exit(
-    u: np.ndarray, o: np.ndarray, lo: float, hi: float, out: np.ndarray
+    v: np.ndarray,
+    o: np.ndarray,
+    lo: float,
+    hi: float,
+    scale: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Smallest positive slab crossing along one axis, ``inf`` if none.
+    """Exit parameter ``s`` along the unnormalized direction on one axis.
 
-    Closed form of the reference slab loop restricted to one axis: for
-    an origin inside ``[lo, hi]`` the crossing ahead of it is the larger
-    of the two wall quotients (``u == 0`` gives ``±inf`` or NaN, which
-    end as ``+inf``), so the four-candidate scan collapses to two
-    divisions and a ``max``. The reference validity rule ``isfinite(t)
-    and t > eps`` is applied to that candidate, which keeps the result
-    bitwise-equal to the reference for every in-field origin. Writes
-    the result to ``out`` and overwrites ``u``.
+    ``o + s * v`` reaches the slab's far wall: for an origin inside
+    ``[lo, hi]`` the crossing ahead of it is the larger of the two wall
+    quotients, and ``v == 0`` gives ``±inf``, so the reference's
+    four-candidate slab scan collapses to two divisions and a ``max``.
+    The reference keeps a crossing only if its distance ``t > eps``.
+    Here the distance is ``t = s * scale``, ``scale`` being the norm of
+    ``v``. That rule can reject a crossing only for an origin within
+    eps of a wall (for any other the crossing is farther than the
+    wall), so only those rows test it; an exit it rejects, and a
+    ``0 / 0`` on a wall, becomes ``+inf``. Each row's result depends on
+    that row alone. Writes the result to ``out`` and overwrites ``v``.
     """
-    scalar = u.dtype.type
+    scalar = v.dtype.type
+    ahead = scalar(hi) - o  # (c, 1)
+    behind = scalar(lo) - o
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.divide(scalar(hi) - o, u, out=out)
-        np.maximum(t, np.divide(scalar(lo) - o, u, out=u), out=t)
-    if not t.min() > _EPS:  # rare: an origin on a wall facing out, or NaN
-        t[~(t > _EPS)] = np.inf
-    return t
+        s = np.divide(ahead, v, out=out)
+        np.maximum(s, np.divide(behind, v, out=v), out=s)
+    near = (ahead[:, 0] <= _EPS) | (behind[:, 0] >= -_EPS)
+    if near.any():  # rare: an origin on or within eps of a wall
+        rows = s[near]
+        with np.errstate(invalid="ignore"):
+            rows[~(rows * scale[near] > _EPS)] = np.inf
+        s[near] = rows
+    return s
 
 
 def _fill_rect_chunk(
@@ -130,9 +154,11 @@ def _fill_rect_chunk(
 ) -> None:
     """Closed-form kernels for sink rows ``[start, stop)`` of a rectangle.
 
-    Works through the rows in :func:`_row_blocks` on four reused
-    scratch arrays. Every step is elementwise, so the blocking never
-    changes a value.
+    The norm is ``d = sqrt(dx^2 + dy^2)`` and the boundary run is
+    ``l = s * d``, ``s`` being the exit parameter along ``(dx, dy)``
+    itself, so no pair is divided by its norm. Works through the rows
+    in :func:`_row_blocks` on four reused scratch arrays. Every step is
+    elementwise or row-local, so the blocking never changes a value.
     """
     n = nodes.shape[0]
     if n == 0:
@@ -149,17 +175,25 @@ def _fill_rect_chunk(
         sy = sinks[r0:r1, 1:2]
         np.subtract(nx, sx, out=dx)  # (c, n) — broadcast, no pair grid
         np.subtract(ny, sy, out=dy)
-        np.hypot(dx, dy, out=norms)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(dx, norms, out=dx)  # dx/dy now hold the unit direction
-            np.divide(dy, norms, out=dy)
+        np.multiply(dx, dx, out=norms)
+        np.multiply(dy, dy, out=l)
+        np.add(norms, l, out=norms)
+        np.sqrt(norms, out=norms)
+        degenerate = None
         if norms.min() < _EPS:  # rare: a node at the sink
+            # The reference's direction (1, 0), at unit scale; the
+            # true norm comes back for d below.
             degenerate = norms < _EPS
+            true_norms = norms[degenerate]
             dx[degenerate] = one
             dy[degenerate] = zero
-        tx = _axis_exit(dx, sx, field.xmin, field.xmax, out=l)
-        ty = _axis_exit(dy, sy, field.ymin, field.ymax, out=dx)
+            norms[degenerate] = one
+        tx = _axis_exit(dx, sx, field.xmin, field.xmax, norms, out=l)
+        ty = _axis_exit(dy, sy, field.ymin, field.ymax, norms, out=dx)
         np.minimum(tx, ty, out=l)
+        np.multiply(l, norms, out=l)  # l = s * d
+        if degenerate is not None:
+            norms[degenerate] = true_norms
         d = np.maximum(norms, d_floor, out=norms)
         np.multiply(l, l, out=l)  # l^2
         np.multiply(d, d, out=dy)  # d^2
@@ -169,9 +203,9 @@ def _fill_rect_chunk(
         block = out[r0:r1]
         np.maximum(l, zero, out=block)
         if not np.isfinite(block.max()):
-            # Unreachable-boundary pairs (sink within eps of a wall
-            # looking along it); the reference raises here — we define
-            # them to contribute no flux instead.
+            # Unreachable-boundary pairs (sink on a wall looking out or
+            # along it); the reference raises here — we define them to
+            # contribute no flux instead.
             block[~np.isfinite(block)] = zero
 
 
@@ -186,14 +220,15 @@ def _fill_generic_chunk(
 ) -> None:
     """Fallback for non-rectangular fields: chunked reference ray cast.
 
-    Uses the field's own ``ray_exit_distance`` (same operations as the
-    reference, hence bitwise-equal), but only ever materializes the
-    ``(chunk * n, 2)`` slice of the pair grid.
+    Uses the field's own ``ray_exit_distance`` on the unit direction, as
+    the reference does, with the rectangular filler's ``sqrt`` norm; it
+    only ever materializes the ``(chunk * n, 2)`` slice of the pair grid.
     """
     chunk = sinks[start:stop]
     c, n = chunk.shape[0], nodes.shape[0]
     directions = (nodes[None, :, :] - chunk[:, None, :]).reshape(c * n, 2)
-    norms = np.hypot(directions[:, 0], directions[:, 1])
+    dx, dy = directions[:, 0], directions[:, 1]
+    norms = np.sqrt(dx * dx + dy * dy)
     safe = np.maximum(norms, _EPS)
     unit = directions / safe[:, None]
     unit[norms < _EPS] = (1.0, 0.0)

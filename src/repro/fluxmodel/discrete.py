@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geometry.field import Field
-from repro.geometry.rays import boundary_distances
 from repro.network.topology import Network
 from repro.util.validation import check_positive
 
@@ -68,20 +67,13 @@ class DiscreteFluxModel:
     def geometry_kernel(self, sink: np.ndarray) -> np.ndarray:
         """``g_i = (l_i^2 - d_i^2) / (2 d_i)`` for one sink position.
 
-        Returns ``(n,)``; out-of-field sinks are clipped onto the field
+        Returns ``(n,)``, the sink's row of :meth:`geometry_kernels`
+        bit for bit; out-of-field sinks are clipped onto the field
         first (candidate samples can land marginally outside after disc
         resampling).
         """
-        sink = np.asarray(sink, dtype=float).reshape(2)
-        if not bool(self.field.contains(sink[None, :])[0]):
-            sink = self.field.clip(sink)
-        d = np.hypot(
-            self.node_positions[:, 0] - sink[0],
-            self.node_positions[:, 1] - sink[1],
-        )
-        l = boundary_distances(self.field, sink, self.node_positions)
-        dd = np.maximum(d, self.d_floor)
-        return np.maximum((l * l - dd * dd) / (2.0 * dd), 0.0)
+        sink = np.asarray(sink, dtype=float).reshape(1, 2)
+        return self.geometry_kernels(sink)[0]
 
     def geometry_kernels(
         self,

@@ -176,9 +176,6 @@ class CalibratedFluxModel(DiscreteFluxModel):
             base[j] *= self.kernel.correction_at(rho)
         return base
 
-    def geometry_kernel(self, sink: np.ndarray) -> np.ndarray:
-        return self.geometry_kernels(np.asarray(sink, dtype=float)[None, :])[0]
-
     def restrict_to(self, indices: np.ndarray) -> "CalibratedFluxModel":
         indices = np.asarray(indices, dtype=np.int64)
         return CalibratedFluxModel(

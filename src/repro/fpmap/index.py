@@ -17,6 +17,20 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
+#: Largest ``|reading|`` a target is matched at as given. A target above
+#: it is matched at an exact power-of-two rescale that brings its peak
+#: into ``[0.5, 1)``, and its thetas and residuals are scaled back, so
+#: ``theta * num`` and ``theta^2 * den`` stay finite for every reading
+#: ``check_readings`` admits. Targets at or below it take no rescale and
+#: match bit for bit as they always have.
+_MATCH_AS_GIVEN = 2.0**256
+
+
+def _target_exponents(targets: np.ndarray) -> np.ndarray:
+    """Per-target power of two to divide out: 0 for targets in range."""
+    peak = np.max(np.abs(targets), axis=-1, initial=0.0)
+    return np.where(peak > _MATCH_AS_GIVEN, np.frexp(peak)[1], 0)
+
 
 class SpatialIndex:
     """Clamped-projection signature scan over a fixed cell set.
@@ -80,6 +94,9 @@ class SpatialIndex:
             raise ConfigurationError(
                 f"target must have shape ({sig.shape[1]},), got {target.shape}"
             )
+        exponent = int(_target_exponents(target))
+        if exponent:  # rare: near-bound readings
+            target = np.ldexp(target, -exponent)
         num = sig @ target  # (C,)
         if columns is None:
             # Observation-independent: cache the full-column signature
@@ -97,6 +114,9 @@ class SpatialIndex:
             0.0,
         )
         residuals = np.sqrt(sq)
+        if exponent:
+            thetas = np.ldexp(thetas, exponent)
+            residuals = np.ldexp(residuals, exponent)
         return self._rank_matches(residuals, thetas, k)
 
     def knn_by_signature_batch(
@@ -141,6 +161,10 @@ class SpatialIndex:
             self._sig_norms = np.einsum("cn,cn->c", sig, sig)
         den = self._sig_norms
         den_floor = np.maximum(den, 1e-300)[:, None]
+        exponents = _target_exponents(targets)  # (B,)
+        rescaled = exponents.any()
+        if rescaled:  # rare: near-bound readings
+            targets = np.ldexp(targets, -exponents[:, None])
         num = np.einsum("cn,bn->cb", sig, targets)  # (C, B)
         t2 = np.einsum("bn,bn->b", targets, targets)
         thetas = np.maximum(num / den_floor, 0.0)
@@ -149,6 +173,9 @@ class SpatialIndex:
             0.0,
         )
         residuals = np.sqrt(sq)
+        if rescaled:
+            thetas = np.ldexp(thetas, exponents)
+            residuals = np.ldexp(residuals, exponents)
         return [
             self._rank_matches(
                 np.ascontiguousarray(residuals[:, b]),

@@ -531,6 +531,20 @@ class TestGateway:
         assert rc == 0
         assert "9 ok, 0 errors, 0 dead connections" in capsys.readouterr().out
 
+    def test_gateway_connect_to_closed_port_exits_1(self, capsys):
+        import socket
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        rc = main(
+            ["--seed", "3", "gateway", *self._LOAD,
+             "--connect", f"127.0.0.1:{port}"]
+        )
+        assert rc == 1
+        # The summary still prints: every connection was refused.
+        assert "0 ok, 0 errors, 3 dead connections" in capsys.readouterr().out
+
     def test_gateway_connect_needs_host_and_port(self, capsys):
         rc = main(["gateway", *_SMALL, "--connect", "nonsense"])
         assert rc == 1

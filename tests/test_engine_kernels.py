@@ -1,11 +1,20 @@
 """Equivalence tests for the chunked geometry-kernel evaluator.
 
-The contract under test: every configuration of
-:func:`repro.engine.kernels.evaluate_geometry_kernels` — chunked,
-parallel, preallocated output — produces float64 values
-bitwise identical to :func:`reference_geometry_kernels`, the pre-engine
-pair-grid implementation kept as oracle; float32 mode stays within a
-small relative envelope.
+The contract under test has two parts:
+
+* every configuration of
+  :func:`repro.engine.kernels.evaluate_geometry_kernels` — chunked,
+  parallel, preallocated output, one sink promoted to a row — produces
+  float64 values bitwise identical to the default evaluator;
+* the evaluator stays within ``|dg| <= 1e-12 * max(1, |g|)`` of
+  :func:`reference_geometry_kernels`, the pre-engine pair-grid
+  implementation kept as oracle. The evaluator takes ``sqrt(dx^2 +
+  dy^2)`` where the reference takes ``np.hypot``, and the exit along
+  the unnormalized direction where the reference divides by the norm,
+  so the last bits differ. The tolerance was fixed before that
+  arithmetic was written.
+
+float32 mode stays within a small relative envelope of the reference.
 """
 
 from __future__ import annotations
@@ -19,6 +28,15 @@ from repro.errors import ConfigurationError
 from repro.geometry import CircularField, PolygonField, RectangularField
 
 D_FLOOR = 0.05
+
+#: The evaluator against the reference: ``|dg| <= REL_TOL * max(1, |g|)``.
+REL_TOL = 1e-12
+
+
+def assert_matches_reference(got, want):
+    assert got.shape == want.shape
+    err = np.abs(got - want) / np.maximum(np.abs(want), 1.0)
+    assert err.max() <= REL_TOL, err.max()
 
 
 def _scenario(field, m=137, n=23, seed=7):
@@ -36,13 +54,15 @@ FIELDS = [
 ]
 
 
+# The id predates the tolerance: the evaluator once matched the
+# reference bit for bit.
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: type(f).__name__)
 def test_broadcast_matches_reference_bitwise(field):
     nodes, sinks = _scenario(field)
     want = reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
     got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
     assert got.dtype == np.float64
-    assert np.array_equal(want, got)
+    assert_matches_reference(got, want)
 
 
 #: The evaluator's internal row block at 23 nodes.
@@ -57,11 +77,14 @@ BLOCK = _BLOCK_PAIRS // 23
 def test_chunked_is_bitwise_invariant(chunk_size):
     field = RectangularField(15, 15)
     nodes, sinks = _scenario(field, m=2 * BLOCK + 5)
-    want = reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
+    want = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
     got = evaluate_geometry_kernels(
         field, nodes, sinks, D_FLOOR, chunk_size=chunk_size
     )
     assert np.array_equal(want, got)
+    assert_matches_reference(
+        got, reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
+    )
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: type(f).__name__)
@@ -71,6 +94,9 @@ def test_parallel_threads_bitwise_equal_serial(field):
     with Engine(workers=4, chunk_size=32) as eng:
         got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, engine=eng)
     assert np.array_equal(want, got)
+    assert_matches_reference(
+        got, reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
+    )
 
 
 RECTS = [RectangularField(10, 10), RectangularField(30, 30, origin=(-5.0, 2.0))]
@@ -78,11 +104,12 @@ RECTS = [RectangularField(10, 10), RectangularField(30, 30, origin=(-5.0, 2.0))]
 
 def test_node_at_sink_degenerate_direction():
     # A sink coincident with a node: the reference pins the ray
-    # direction to (1, 0); the broadcast path must reproduce that, also
-    # for nodes on the low-x, low-y and high-y walls, where the x exit
-    # is the far wall and the y component is 0. Sinks aligned with a
-    # node (dx == 0 or dy == 0) divide the zero component to +-inf or
-    # NaN in the axis exit, which must end as "no crossing".
+    # direction to (1, 0); the broadcast path must reproduce that, at
+    # unit scale, also for nodes on the low-x, low-y and high-y walls,
+    # where the x exit is the far wall and the y component is 0. Sinks
+    # aligned with a node (dx == 0 or dy == 0) divide the zero
+    # component to +-inf, or to NaN on a wall, in the axis exit, which
+    # must end as "no crossing".
     field = RectangularField(10, 10)
     nodes = np.array([[3.0, 4.0], [7.0, 2.0]])
     sinks = np.array([[3.0, 4.0], [5.0, 5.0]])
@@ -103,7 +130,7 @@ def test_node_at_sink_degenerate_direction():
     for field, nodes, sinks in cases:
         want = reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
         got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
-        assert np.array_equal(want, got), field.bounding_box
+        assert_matches_reference(got, want)
         assert np.all(np.isfinite(got))
 
 
@@ -124,7 +151,7 @@ def test_out_of_field_sinks_clipped_like_reference():
         ])
         want = reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
         got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
-        assert np.array_equal(want, got), field.bounding_box
+        assert_matches_reference(got, want)
 
 
 def test_single_sink_promoted_to_row():
@@ -133,7 +160,23 @@ def test_single_sink_promoted_to_row():
     got = evaluate_geometry_kernels(field, nodes, np.array([2.0, 3.0]), D_FLOOR)
     assert got.shape == (1, nodes.shape[0])
     want = reference_geometry_kernels(field, nodes, np.array([2.0, 3.0]), D_FLOOR)
-    assert np.array_equal(want, got)
+    assert_matches_reference(got, want)
+    # Each sink alone equals its row of a batch, bit for bit, also on
+    # the walls and corners and within eps of them, where the exit
+    # validity rule runs for some rows of the batch only.
+    sinks = np.array([
+        [2.0, 3.0], [0.0, 5.0], [10.0, 5.0], [5.0, 0.0], [5.0, 10.0],
+        [0.0, 0.0], [10.0, 10.0], [1e-13, 5.0], [5.0, 10.0 - 1e-13],
+        [7.0, 1.0],
+    ])
+    nodes = np.concatenate([nodes, [[0.0, 7.0], [3.0, 0.0], [10.0, 10.0]]])
+    batch = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
+    # A corner sink on a corner node never exits: no flux, not inf.
+    assert np.all(np.isfinite(batch))
+    assert batch[6, -1] == 0.0
+    for j, sink in enumerate(sinks):
+        row = evaluate_geometry_kernels(field, nodes, sink, D_FLOOR)
+        assert np.array_equal(row[0], batch[j]), sink
 
 
 def test_bad_sink_shape_raises():
@@ -164,8 +207,12 @@ def test_out_buffer_is_written_in_place_and_dtype_wins():
         )
     assert got is out
     # The preallocated buffer's float64 overrides the engine's float32.
-    want = reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
-    assert np.array_equal(want, out)
+    assert np.array_equal(
+        evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR), out
+    )
+    assert_matches_reference(
+        out, reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
+    )
 
 
 def test_out_buffer_shape_mismatch_raises():

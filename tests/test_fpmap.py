@@ -210,6 +210,39 @@ class TestValidation:
         assert again == fpmap.deployment
 
 
+# The match expressions with no rescale, kept as the reference: a
+# target in range must give exactly these bits.
+def _plain_match(sig, target, k):
+    num = sig @ target
+    den = np.einsum("cn,cn->c", sig, sig)
+    thetas = np.maximum(num / np.maximum(den, 1e-300), 0.0)
+    sq = np.maximum(
+        float(target @ target) - 2.0 * thetas * num + thetas * thetas * den,
+        0.0,
+    )
+    return SpatialIndex._rank_matches(np.sqrt(sq), thetas, k)
+
+
+def _plain_match_batch(sig, targets, k):
+    den = np.einsum("cn,cn->c", sig, sig)
+    num = np.einsum("cn,bn->cb", sig, targets)
+    t2 = np.einsum("bn,bn->b", targets, targets)
+    thetas = np.maximum(num / np.maximum(den, 1e-300)[:, None], 0.0)
+    sq = np.maximum(
+        t2[None, :] - 2.0 * thetas * num + thetas * thetas * den[:, None],
+        0.0,
+    )
+    residuals = np.sqrt(sq)
+    return [
+        SpatialIndex._rank_matches(
+            np.ascontiguousarray(residuals[:, b]),
+            np.ascontiguousarray(thetas[:, b]),
+            k,
+        )
+        for b in range(targets.shape[0])
+    ]
+
+
 class TestSpatialIndex:
     def test_knn_by_signature_matches_brute_force(self, fpmap):
         target = fpmap.signatures[37] * 1.7  # theta 1.7, exact match
@@ -230,6 +263,82 @@ class TestSpatialIndex:
         idx, thetas, _ = index.knn_by_signature(np.array([-2.0, -2.0]), 2)
         assert np.all(thetas >= 0)
         assert idx[0] == 1  # negative kernel fits a negative target
+
+    @staticmethod
+    def _observations(small_network, sniffers):
+        rows = []
+        for seed, truth in enumerate([(10.0, 5.0), (4.0, 11.0), (7.5, 7.5)]):
+            flux = simulate_flux(small_network, [np.array(truth)], [2.0], rng=seed)
+            obs = MeasurementModel(
+                small_network, sniffers, smooth=False, rng=seed + 10
+            ).observe(flux)
+            rows.append(obs.values)
+        return np.stack(rows)
+
+    def test_in_range_targets_match_the_plain_expression(
+        self, small_network, sniffers, fpmap
+    ):
+        index = fpmap.index
+        sig = index.signatures
+        base = self._observations(small_network, sniffers)
+        targets = np.concatenate([base, base * 2.0**200, base * 2.0**-300])
+        k = 7
+        got = index.knn_by_signature_batch(targets, [k] * len(targets))
+        for g, w in zip(got, _plain_match_batch(sig, targets, k)):
+            for a, b in zip(g, w):
+                assert np.array_equal(a, b)
+        columns = np.arange(0, sig.shape[1], 2)
+        for target in targets:
+            pairs = [
+                (index.knn_by_signature(target, k),
+                 _plain_match(sig, target, k)),
+                (index.knn_by_signature(target[columns], k, columns=columns),
+                 _plain_match(sig[:, columns], target[columns], k)),
+            ]
+            for g, w in pairs:
+                for a, b in zip(g, w):
+                    assert np.array_equal(a, b)
+
+    def test_near_bound_readings_rank_like_rescaled_readings(
+        self, small_network, sniffers, fpmap
+    ):
+        # Readings that check_readings admits, but whose expanded
+        # residual would overflow: they must rank cells as the same
+        # readings scaled by 2**-600 do, with thetas and residuals
+        # scaled back exactly.
+        from repro.util.validation import check_readings
+
+        index = fpmap.index
+        n = index.signatures.shape[1]
+        flux = self._observations(small_network, sniffers)[0]
+        near = np.stack([
+            np.full(n, 1.9e153),
+            flux * (np.sqrt(1.3e308) / np.linalg.norm(flux)),
+        ])
+        for target in near:
+            check_readings(target)
+        scaled = near * 2.0**-600
+        columns = np.arange(1, n, 3)
+        with np.errstate(over="raise", invalid="raise"):
+            pairs = list(zip(
+                index.knn_by_signature_batch(near, [9, 9]),
+                index.knn_by_signature_batch(scaled, [9, 9]),
+            ))
+            for target, rescaled in zip(near, scaled):
+                pairs.append((
+                    index.knn_by_signature(target, 9),
+                    index.knn_by_signature(rescaled, 9),
+                ))
+                pairs.append((
+                    index.knn_by_signature(target[columns], 9, columns=columns),
+                    index.knn_by_signature(
+                        rescaled[columns], 9, columns=columns
+                    ),
+                ))
+        for got, want in pairs:
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1] * 2.0**600)
+            assert np.array_equal(got[2], want[2] * 2.0**600)
 
 
 class TestKernelLRUCache:
