@@ -44,12 +44,14 @@ def _network_from(args):
 
 
 def _engine_from(args):
-    """Build the parallel engine requested by ``--workers``/``--chunk-size``/
-    ``--dtype`` (see docs/PERFORMANCE.md). Serial with default knobs."""
+    """Build the parallel engine requested by ``--workers``/``--chunk-size``,
+    and ``--dtype`` on the commands that take it (see docs/PERFORMANCE.md).
+    Serial with default knobs."""
     from repro.engine import Engine
 
     return Engine(
-        workers=args.workers, chunk_size=args.chunk_size, dtype=args.dtype
+        workers=args.workers, chunk_size=args.chunk_size,
+        dtype=getattr(args, "dtype", "float64"),
     )
 
 

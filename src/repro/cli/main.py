@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         "localize", help="run the sparse-sampling NLS localization attack"
     )
     _network_args(p)
-    _dtype_arg(_engine_args(p))
+    _engine_args(p)
     p.add_argument("--users", type=int, default=2)
     p.add_argument(
         "--percentage", type=float, default=10.0, help="%% of nodes sniffed"
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "survey stage; reuse it with 'localize --map' / 'track-stream --map')",
     )
     _network_args(p)
-    _dtype_arg(_engine_args(p))
+    _engine_args(p)
     p.add_argument(
         "--percentage", type=float, default=10.0, help="%% of nodes sniffed"
     )

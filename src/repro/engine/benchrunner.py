@@ -20,14 +20,17 @@ bounded-working-set evidence for the chunked kernel evaluator).
 
 from __future__ import annotations
 
+import fnmatch
 import json
+import os
 import platform
 import resource
+import subprocess
 import sys
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 # Percentile reduction is shared with the stream/serve metrics layers;
 # re-exported here because benchmark modules import it from benchrunner.
@@ -38,6 +41,7 @@ __all__ = [
     "quantile",
     "measure",
     "environment",
+    "git_state",
     "write_bench_json",
 ]
 
@@ -92,35 +96,55 @@ def measure(
     return record
 
 
+def git_state(path: Path) -> Tuple[Optional[str], Optional[bool]]:
+    """``(short commit, dirty)`` of the git checkout holding ``path``.
+
+    ``dirty``: a tracked file other than a ``BENCH_*.json`` (which a
+    benchmark rewrites before it is committed) differs from the commit.
+    Both are ``None`` where git or the checkout is missing.
+    """
+
+    def git(*args: str) -> Optional[str]:
+        try:
+            done = subprocess.run(
+                ["git", *args], capture_output=True, text=True, timeout=5.0,
+                cwd=path,
+            )
+        except (OSError, subprocess.SubprocessError):
+            return None
+        return done.stdout if done.returncode == 0 else None
+
+    commit = (git("rev-parse", "--short", "HEAD") or "").strip() or None
+    changed = git("diff", "--name-only", "HEAD") if commit else None
+    if changed is None:
+        return commit, None
+    return commit, any(
+        not fnmatch.fnmatch(Path(name).name, "BENCH_*.json")
+        for name in changed.splitlines()
+    )
+
+
 def environment() -> Dict[str, Any]:
     """Run metadata that makes BENCH_*.json files comparable.
 
     ``cpus`` is the machine's logical count; ``cpus_available`` is what
     this process may actually schedule on (CI runners and cgroup limits
     routinely make it smaller — the number that governs engine speedup).
-    ``git_commit`` pins the code the numbers were measured at.
+    ``git_commit`` pins the code the numbers were measured at, unless
+    ``git_dirty`` (see :func:`git_state`) says the tree differed from it.
     """
-    import os
-    import subprocess
-
     import numpy
 
     try:
         cpus_available = len(os.sched_getaffinity(0))
     except (AttributeError, OSError):  # pragma: no cover - non-Linux
         cpus_available = os.cpu_count()
-    try:
-        git_commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=5.0,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip() or None
-    except (OSError, subprocess.SubprocessError):
-        git_commit = None
+    git_commit, git_dirty = git_state(Path(__file__).resolve().parent)
     return {
         "cpus": os.cpu_count(),
         "cpus_available": cpus_available,
         "git_commit": git_commit,
+        "git_dirty": git_dirty,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "platform": sys.platform,

@@ -14,9 +14,7 @@ from repro.fingerprint.objective import (
     solve_thetas_batched,
 )
 from repro.fingerprint.candidates import (
-    CandidateGenerator,
     UniformCandidates,
-    GridCandidates,
     DiscCandidates,
     MapSeededCandidates,
 )
@@ -30,9 +28,7 @@ __all__ = [
     "FluxObjective",
     "solve_thetas",
     "solve_thetas_batched",
-    "CandidateGenerator",
     "UniformCandidates",
-    "GridCandidates",
     "DiscCandidates",
     "MapSeededCandidates",
     "CompositionFit",

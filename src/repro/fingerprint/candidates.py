@@ -1,34 +1,25 @@
 """Candidate position generators for sampling-based NLS search.
 
 The paper tests "10,000 random location samples for each user"
-(Fig. 5) — that is :class:`UniformCandidates`. :class:`GridCandidates`
-is the deterministic variant; :class:`DiscCandidates` implements the
-SMC prediction kernel's uniform-disc proposal (Formula 4.2) and is
-also reused for local refinement around an incumbent.
+(Fig. 5) — that is :class:`UniformCandidates`. :class:`DiscCandidates`
+implements the SMC prediction kernel's uniform-disc proposal (Formula
+4.2); :class:`MapSeededCandidates` refines fingerprint-map seeds with
+it. Each class's ``generate(count, rng)`` returns ``(count, 2)``
+positions inside the field.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geometry.field import Field
-from repro.util.rng import RandomState, as_generator
 from repro.util.validation import check_positive
 
 
-class CandidateGenerator(abc.ABC):
-    """Produces candidate sink positions inside a field."""
-
-    @abc.abstractmethod
-    def generate(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Return ``(count, 2)`` candidate positions inside the field."""
-
-
-class UniformCandidates(CandidateGenerator):
+class UniformCandidates:
     """Uniform random candidates over the whole field."""
 
     def __init__(self, field: Field):
@@ -40,45 +31,7 @@ class UniformCandidates(CandidateGenerator):
         return self.field.sample_uniform(count, rng)
 
 
-class GridCandidates(CandidateGenerator):
-    """Deterministic grid candidates (jittered optionally).
-
-    Exhaustive-ish coverage with predictable density; used by the
-    search ablation to compare against random sampling.
-    """
-
-    def __init__(self, field: Field, jitter: float = 0.0):
-        self.field = field
-        if jitter < 0:
-            raise ConfigurationError(f"jitter must be >= 0, got {jitter}")
-        self.jitter = float(jitter)
-
-    def generate(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        if count <= 0:
-            raise ConfigurationError(f"count must be > 0, got {count}")
-        xmin, ymin, xmax, ymax = self.field.bounding_box
-        side = max(1, int(np.ceil(np.sqrt(count))))
-        xs = np.linspace(xmin, xmax, side + 2)[1:-1]
-        ys = np.linspace(ymin, ymax, side + 2)[1:-1]
-        gx, gy = np.meshgrid(xs, ys)
-        pts = np.column_stack([gx.ravel(), gy.ravel()])
-        if pts.shape[0] > count:
-            # Never hand back more candidates than budgeted, and spread
-            # the truncation over the whole grid: dropping the trailing
-            # rows of the row-major layout would leave the top band of
-            # the field uncovered.
-            sel = (np.arange(count, dtype=np.int64) * pts.shape[0]) // count
-            pts = pts[sel]
-        if self.jitter > 0:
-            pts = pts + rng.uniform(-self.jitter, self.jitter, size=pts.shape)
-            pts = self.field.clip(pts)
-        inside = self.field.contains(pts)
-        if not np.all(inside):
-            pts = self.field.clip(pts)
-        return pts
-
-
-class DiscCandidates(CandidateGenerator):
+class DiscCandidates:
     """Uniform candidates within discs around given centers.
 
     This is the paper's prediction proposal (Formula 4.2): from a
@@ -114,7 +67,7 @@ class DiscCandidates(CandidateGenerator):
         return self.field.clip(pts)
 
 
-class MapSeededCandidates(CandidateGenerator):
+class MapSeededCandidates:
     """Fingerprint-map seeds followed by local disc refinement.
 
     The classic fingerprinting online stage: the first

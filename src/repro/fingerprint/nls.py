@@ -12,11 +12,15 @@ candidate ranking equals the paper's "minimum objective over
 compositions" ranking restricted to the incumbent neighborhood — the
 approximation DESIGN.md documents. Exact enumeration is retained for
 small problems (tests, ablation).
+
+:meth:`NLSLocalizer.localize` runs the restart pipeline of
+:mod:`repro.fingerprint.search` — the one the serving layer runs — on
+a batch of one: a single user's candidates are ranked exactly, and
+coordinate descent serves K >= 2.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -24,11 +28,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, FittingError
-from repro.fingerprint.candidates import (
-    CandidateGenerator,
-    MapSeededCandidates,
-    UniformCandidates,
-)
 from repro.fingerprint.objective import (
     EvalWorkspace,
     FluxObjective,
@@ -391,65 +390,6 @@ def forward_select_active(
     return mask, thetas, obj
 
 
-def harvest_outcome(
-    heap: List[Tuple[float, int, np.ndarray, np.ndarray]],
-    counter: int,
-    outcome: SweepOutcome,
-    pools: Sequence[np.ndarray],
-    top_m: int,
-) -> int:
-    """Push one descent outcome's compositions onto a harvest heap.
-
-    Harvests the incumbent composition plus, for each user, its
-    ``top_m`` next-best alternatives evaluated against the incumbents
-    of the others — the composition family :meth:`NLSLocalizer.
-    localize` accumulates across restarts. Factored out so the serving
-    layer's batched solve phase reuses the exact localize harvest.
-    Returns the updated heap tiebreak counter.
-    """
-    K = len(pools)
-    incumbent_pos = np.stack(
-        [pools[j][outcome.best_indices[j]] for j in range(K)]
-    )
-    _heap_push(
-        heap, counter, outcome.best_objective, incumbent_pos,
-        outcome.best_thetas,
-    )
-    counter += 1
-    for j in range(K):
-        objs = outcome.per_user_objectives[j]
-        order = np.argsort(objs)[: top_m + 1]
-        for idx in order:
-            if idx == outcome.best_indices[j]:
-                continue
-            pos = incumbent_pos.copy()
-            pos[j] = pools[j][idx]
-            thetas = outcome.best_thetas.copy()
-            thetas[j] = outcome.per_user_thetas[j][idx]
-            _heap_push(heap, counter, float(objs[idx]), pos, thetas)
-            counter += 1
-    return counter
-
-
-def fits_from_heap(
-    heap: List[Tuple[float, int, np.ndarray, np.ndarray]], top_m: int
-) -> List[CompositionFit]:
-    """The ``top_m`` best harvested compositions as CompositionFits."""
-    fits = [
-        CompositionFit(
-            positions=pos, thetas=np.maximum(thetas, 0.0), objective=obj
-        )
-        for obj, _, pos, thetas in sorted(heap, key=lambda e: e[0])[:top_m]
-    ]
-    if not fits:
-        raise FittingError("localization produced no candidate compositions")
-    return fits
-
-
-def _heap_push(heap, counter, objective, positions, thetas) -> None:
-    heapq.heappush(heap, (float(objective), counter, positions, thetas))
-
-
 def enumerate_compositions(
     objective: FluxObjective, pools: Sequence[np.ndarray], top_m: int = 10
 ) -> List[CompositionFit]:
@@ -531,7 +471,6 @@ class NLSLocalizer:
         top_m: int = 10,
         restarts: int = 3,
         sweeps: int = 4,
-        generator: Optional[CandidateGenerator] = None,
         rng: RandomState = None,
         fingerprint_map=None,
         seed_top_k: int = 32,
@@ -539,31 +478,34 @@ class NLSLocalizer:
     ) -> LocalizationResult:
         """Estimate the positions of ``user_count`` users.
 
-        The paper notes K need not be known exactly: choosing K
-        conservatively large works because surplus users fit
-        ``theta -> 0``. Each restart draws fresh candidate pools; the
-        top-``top_m`` distinct compositions across all restarts are
-        returned (Fig. 5 keeps the top 10).
+        Runs the search pipeline of :mod:`repro.fingerprint.search` — the
+        one the serving layer runs — on a batch of one. Each of the
+        ``restarts`` draws ``candidate_count`` candidates per user; the
+        top-``top_m`` compositions across all restarts are returned
+        (Fig. 5 keeps the top 10). The paper notes K need not be known
+        exactly: surplus users fit ``theta -> 0``.
 
         Parameters
         ----------
+        rng:
+            An integer is the search seed itself: ``localize(obs,
+            rng=7)`` equals the service's reply to a
+            :class:`repro.serve.LocalizeRequest` with ``seed=7`` and the
+            same knobs. ``None``, a ``SeedSequence`` or a ``Generator``
+            draws the seed as ``as_generator(rng).integers(2**63 - 1)``.
         fingerprint_map:
             Optional :class:`repro.fpmap.FingerprintMap` built for this
             localizer's deployment. When given, each user's pool is
-            seeded with the top-``seed_top_k`` map matches (greedy
-            residual peeling across users) plus local disc refinement
-            around them, instead of ``generator``'s uniform draws — the
-            same accuracy is reached at a fraction of the candidate
-            budget. The seeds' kernels come from the map's cache, so
-            they are never recomputed.
+            seeded with the top-``seed_top_k`` map matches plus local
+            refinement around them, instead of uniform draws — the same
+            accuracy at a fraction of the candidate budget.
         seed_top_k:
             Map matches seeding each user's pool (capped by
             ``candidate_count``).
         engine:
-            Optional :class:`repro.engine.Engine` forwarded to kernel
-            evaluation and coordinate descent. Restarts stay serial (the
-            candidate draws consume RNG), so results with and without an
-            engine are identical for float64.
+            Optional :class:`repro.engine.Engine` for kernel evaluation
+            and coordinate descent. Kernels are written in float64
+            whatever its dtype, so the result does not depend on it.
         """
         if user_count < 1:
             raise ConfigurationError(f"user_count must be >= 1, got {user_count}")
@@ -573,13 +515,6 @@ class NLSLocalizer:
             )
         if top_m < 1:
             raise ConfigurationError(f"top_m must be >= 1, got {top_m}")
-        gen = as_generator(rng)
-        if generator is None:
-            generator = UniformCandidates(self.field)
-        objective = self.objective_for(observation)
-
-        seed_generators: Optional[List[MapSeededCandidates]] = None
-        seed_columns: Optional[np.ndarray] = None
         if fingerprint_map is not None:
             if seed_top_k < 1:
                 raise ConfigurationError(
@@ -588,54 +523,24 @@ class NLSLocalizer:
             fingerprint_map.validate_against(
                 self.field, self.model.node_positions, self.model.d_floor
             )
-            values = np.asarray(observation.values, dtype=float)
-            good = np.isfinite(values)
-            if not np.all(good):
-                # The objective's model is restricted to the surviving
-                # sniffers; map kernel slices must use the same columns.
-                seed_columns = np.flatnonzero(good)
-            matches = fingerprint_map.peel_matches(
-                values, user_count, k=min(seed_top_k, candidate_count)
-            )
-            refine = 2.0 * fingerprint_map.resolution
-            seed_generators = [
-                MapSeededCandidates.from_match(self.field, match, refine)
-                for match in matches
-            ]
+        if isinstance(rng, (int, np.integer)):
+            seed = int(rng)
+        else:
+            seed = int(as_generator(rng).integers(2**63 - 1))
+        # Deferred: the search module imports coordinate_descent from here.
+        from repro.fingerprint import search
 
-        heap: List[Tuple[float, int, np.ndarray, np.ndarray]] = []
-        counter = 0
-        for _ in range(max(1, restarts)):
-            if seed_generators is None:
-                pools = [
-                    generator.generate(candidate_count, gen)
-                    for _ in range(user_count)
-                ]
-                pool_kernels = None
-            else:
-                pools = []
-                pool_kernels = []
-                for seeded in seed_generators:
-                    pool = seeded.generate(candidate_count, gen)
-                    k = seeded.seed_count(candidate_count)
-                    seed_kernels = fingerprint_map.kernels_for(
-                        seeded.seed_indices[:k], columns=seed_columns
-                    )
-                    if pool.shape[0] > k:
-                        rest = objective.model.geometry_kernels(
-                            pool[k:], engine=engine
-                        )
-                        kernels = np.concatenate([seed_kernels, rest], axis=0)
-                    else:
-                        kernels = np.asarray(seed_kernels)
-                    pools.append(pool)
-                    pool_kernels.append(kernels)
-            outcome = coordinate_descent(
-                objective, pools, rng=gen, sweeps=sweeps,
-                pool_kernels=pool_kernels, engine=engine,
-            )
-            # Harvest compositions: the incumbent plus, for each user,
-            # its next-best alternatives against the incumbents.
-            counter = harvest_outcome(heap, counter, outcome, pools, top_m)
-
-        return LocalizationResult(fits=fits_from_heap(heap, top_m))
+        request = search.SearchKnobs(
+            observation=observation, user_count=user_count,
+            candidate_count=candidate_count, top_m=top_m, restarts=restarts,
+            sweeps=sweeps, seed_top_k=seed_top_k, seed=seed,
+            use_map=fingerprint_map is not None,
+        )
+        prematch = search.fuse_map_matches(fingerprint_map, [request])[0]
+        plan = search.plan_localize(
+            self, fingerprint_map, request, prematch=prematch
+        )
+        search.fuse_pool_kernels(self.model, [plan], engine=engine)
+        if user_count == 1:
+            return search.solve_single_user_fused([plan])[0]
+        return search.solve_multi_user(plan, engine=engine)

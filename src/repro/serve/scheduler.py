@@ -23,27 +23,13 @@ the heuristic is free to be wrong without ever being incorrect.
 
 Determinism contract (the acceptance bar of this layer): a request's
 reply is bitwise-identical (float64) whether it was solved alone or
-inside any micro-batch, because
-
-* each request's candidate pools are drawn from its **own** seeded RNG
-  streams (``np.random.SeedSequence(seed).spawn(2)`` — one stream for
-  pool draws, one for the descent search), never from a shared
-  generator whose consumption order would depend on batch composition;
-* every fused operation is **row-local** — geometry kernels are
-  per-(sink, sniffer) pairs chunked over rows, and the fused K=1 solve
-  uses per-row einsum reductions — so the values computed for one
-  request's rows are independent of which other rows share the call;
-* sniffer dropout (NaN readings) restricts a request to a column
-  subset, and the geometry kernel of a (sink, sniffer) pair does not
-  depend on the other sniffers, so slicing the full-set kernels equals
-  computing on the restricted model;
-* every stitched kernel block (seed prefix, dropout column subset) is
-  written into its own C-contiguous array, so the descent downstream
-  sees the same memory layout whichever rows share the batch.
-
-Per-request dispatch is literally this same scheduler with
-``max_batch=1`` — one code path, two batch sizes — which is what makes
-the batched-vs-unbatched identity trivially auditable.
+inside any micro-batch, and equal to
+:meth:`repro.fingerprint.NLSLocalizer.localize` with ``rng=seed`` and
+the same knobs. Both run the plan → fuse → solve pipeline of
+:mod:`repro.fingerprint.search`, whose module docstring gives the
+rules that make this hold; the scheduler keeps batching, dispatch,
+retries and replies. Per-request dispatch is this same scheduler with
+``max_batch=1``.
 """
 
 from __future__ import annotations
@@ -54,37 +40,35 @@ import threading
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, FaultInjected
 from repro.faults import clock as _clock
 from repro.faults.plan import should_fire
 from repro.faults.retry import call_with_retry
-from repro.fingerprint.candidates import MapSeededCandidates, UniformCandidates
-from repro.fingerprint.nls import (
-    NLSLocalizer,
-    coordinate_descent,
-    fits_from_heap,
-    harvest_outcome,
+from repro.fingerprint.nls import NLSLocalizer
+# Not called here: benchmarks/e2e/tracing.py patches this name, and fails without it.
+from repro.fingerprint.nls import coordinate_descent  # noqa: F401
+from repro.fingerprint.results import LocalizationResult
+from repro.fingerprint.search import (
+    LocalizePlan,
+    fuse_map_matches,
+    fuse_pool_kernels,
+    plan_localize,
+    solve_multi_user,
+    solve_single_user_fused,
 )
-from repro.fingerprint.objective import _RIDGE
-from repro.fingerprint.results import CompositionFit, LocalizationResult
 from repro.serve.admission import AdmissionQueue, PendingRequest
 from repro.serve.metrics import ServerMetrics
 from repro.serve.requests import (
     ERROR_DEADLINE_EXPIRED,
     ERROR_INTERNAL,
     ERROR_UNKNOWN_SESSION,
+    MAX_CANDIDATE_ROWS,
     ErrorReply,
     LocalizeReply,
     LocalizeRequest,
     TrackStepReply,
     TrackStepRequest,
 )
-
-#: Row block of the fused single-user solve: bounds the ``(block, n)``
-#: residual temporary while staying large enough to amortize dispatch.
-_SOLVE_BLOCK_ROWS = 8192
 
 _LOG = logging.getLogger(__name__)
 
@@ -257,304 +241,24 @@ class AdaptiveBatchController:
         }
 
 
-class _LocalizePlan:
-    """One localize request, planned: pools drawn, kernels pending.
-
-    ``pools[r][u]`` is restart ``r``/user ``u``'s ``(N, 2)`` candidate
-    pool; ``seed_kernels[r][u]`` its map-cache kernel rows (``None``
-    without a map); ``pool_kernels`` is filled by the fused kernel pass
-    with the full raw ``(N, n_obs)`` kernels in the same layout.
-    """
-
-    __slots__ = (
-        "item", "request", "objective", "columns", "pools",
-        "seed_kernels", "pool_kernels", "search_seed",
-    )
-
-    def __init__(self, item, request, objective, columns, pools,
-                 seed_kernels, search_seed):
-        self.item = item
-        self.request = request
-        self.objective = objective
-        self.columns = columns
-        self.pools = pools
-        self.seed_kernels = seed_kernels
-        self.pool_kernels: List[List[Optional[np.ndarray]]] = [
-            [None] * len(row) for row in pools
-        ]
-        self.search_seed = search_seed
-
-
-def _fused_match_eligible(fingerprint_map, request) -> bool:
-    """Single-user, map-seeded, no-dropout: one fused match suffices.
-
-    Multi-user peeling is sequential (each match subtracts the prior
-    fit) and dropout restricts columns per observation, so those take
-    the per-request :meth:`FingerprintMap.peel_matches` path.
-    """
-    return (
-        fingerprint_map is not None
-        and isinstance(request, LocalizeRequest)
-        and request.use_map
-        and request.user_count == 1
-        and bool(np.all(np.isfinite(np.asarray(request.observation.values,
-                                               dtype=float))))
-    )
-
-
-def fuse_map_matches(
-    fingerprint_map, items: Sequence[PendingRequest]
-) -> Dict[int, object]:
-    """Pre-match eligible requests' observations in one fused call.
-
-    Returns ``{id(item): MapMatch}`` for the eligible subset; the plan
-    phase consumes these instead of per-request ``peel_matches``. Both
-    dispatch modes route through :meth:`FingerprintMap.match_many`
-    (batch size 1 in per-request mode), so the fusion never changes a
-    reply.
-    """
-    eligible = [
-        item for item in items
-        if _fused_match_eligible(fingerprint_map, item.request)
-    ]
-    if not eligible:
-        return {}
-    values = np.stack(
-        [np.asarray(i.request.observation.values, dtype=float)
-         for i in eligible]
-    )
-    ks = [min(i.request.seed_top_k, i.request.candidate_count)
-          for i in eligible]
-    matches = fingerprint_map.match_many(values, ks)
-    return {id(item): match for item, match in zip(eligible, matches)}
-
-
-def plan_localize(
-    localizer: NLSLocalizer, fingerprint_map, item: PendingRequest,
-    prematch=None,
-) -> _LocalizePlan:
-    """Draw a request's candidate pools from its private RNG streams.
-
-    Mirrors the map-seeded pool construction of
-    :meth:`NLSLocalizer.localize`, except that *all* restarts' pools are
-    drawn up front from a dedicated pool stream (the descent search gets
-    its own spawned stream), so the kernel evaluation of every pool can
-    be fused across the batch without perturbing any request's draws.
-    ``prematch`` is the request's :func:`fuse_map_matches` result, when
-    it was eligible.
-    """
-    req = item.request
-    pool_seed, search_seed = np.random.SeedSequence(int(req.seed)).spawn(2)
-    gen = np.random.default_rng(pool_seed)
-    objective = localizer.objective_for(req.observation)
-
-    values = np.asarray(req.observation.values, dtype=float)
-    good = np.isfinite(values)
-    columns = None if bool(np.all(good)) else np.flatnonzero(good)
-
-    seed_generators: Optional[List[MapSeededCandidates]] = None
-    if fingerprint_map is not None and req.use_map:
-        if prematch is not None:
-            matches = [prematch]
+def _row_budget_groups(pairs: Sequence[Tuple[PendingRequest, object]]):
+    """Split ``(item, prematch)`` pairs into consecutive fused passes
+    of at most :data:`MAX_CANDIDATE_ROWS` candidate rows each, so a
+    batch's fused kernel block is bounded like one request's. A request
+    is never split; every fused operation is row-local, so no reply
+    changes."""
+    groups: List[List[Tuple[PendingRequest, object]]] = []
+    rows = 0
+    for pair in pairs:
+        request = pair[0].request
+        need = request.user_count * request.restarts * request.candidate_count
+        if groups and rows + need <= MAX_CANDIDATE_ROWS:
+            groups[-1].append(pair)
+            rows += need
         else:
-            matches = fingerprint_map.peel_matches(
-                values, req.user_count,
-                k=min(req.seed_top_k, req.candidate_count),
-            )
-        refine = 2.0 * fingerprint_map.resolution
-        seed_generators = [
-            MapSeededCandidates.from_match(localizer.field, match, refine)
-            for match in matches
-        ]
-    uniform = UniformCandidates(localizer.field)
-
-    pools: List[List[np.ndarray]] = []
-    seed_kernels: List[List[Optional[np.ndarray]]] = []
-    for _ in range(max(1, req.restarts)):
-        row_pools: List[np.ndarray] = []
-        row_seeds: List[Optional[np.ndarray]] = []
-        for u in range(req.user_count):
-            if seed_generators is None:
-                row_pools.append(uniform.generate(req.candidate_count, gen))
-                row_seeds.append(None)
-            else:
-                seeded = seed_generators[u]
-                pool = seeded.generate(req.candidate_count, gen)
-                k = seeded.seed_count(req.candidate_count)
-                kernels = fingerprint_map.kernels_for(
-                    seeded.seed_indices[:k], columns=columns
-                )
-                row_pools.append(pool)
-                row_seeds.append(np.asarray(kernels, dtype=float))
-        pools.append(row_pools)
-        seed_kernels.append(row_seeds)
-    return _LocalizePlan(
-        item=item, request=req, objective=objective, columns=columns,
-        pools=pools, seed_kernels=seed_kernels, search_seed=search_seed,
-    )
-
-
-def fuse_pool_kernels(
-    model, plans: Sequence[_LocalizePlan], engine=None
-) -> int:
-    """Evaluate every plan's non-seed candidate rows in one kernels call.
-
-    Stacks the unseeded rows of all pools across all plans into one
-    contiguous block, evaluates float64 geometry kernels over the
-    **full** sniffer set once, then slices each plan's column subset
-    (dropout) and stitches map-seed kernels back in front. Row-locality
-    of the kernel makes the split irrelevant to the values; returns the
-    fused row count (a metrics signal of how much work one engine call
-    amortized).
-
-    A pool with no seed prefix and no dropout keeps a zero-copy view
-    into the fused block; every other pool gets its own C-contiguous
-    block (seed rows first, then the column subset taken with
-    ``np.take(..., out=)``). The layout matters: the descent rounds
-    differently on a Fortran-ordered ``block[:, columns]``.
-    """
-    segments: List[Tuple[_LocalizePlan, int, int, int, int]] = []
-    total = 0
-    for plan in plans:
-        for r, row_pools in enumerate(plan.pools):
-            for u, pool in enumerate(row_pools):
-                seed = plan.seed_kernels[r][u]
-                k = 0 if seed is None else seed.shape[0]
-                count = pool.shape[0] - k
-                if count > 0:
-                    segments.append((plan, r, u, k, count))
-                    total += count
-    fused = None
-    if total:
-        if should_fire("serve.batch.fuse") is not None:
-            raise FaultInjected(
-                f"serve.batch.fuse: fused kernel pass over {total} rows failed"
-            )
-        stacked = np.concatenate(
-            [plan.pools[r][u][k:] for plan, r, u, k, _ in segments], axis=0
-        )
-        # float64 whatever the engine's dtype: the solves run in float64.
-        fused = model.geometry_kernels(
-            stacked, engine=engine,
-            out=np.empty((total, model.node_count)),
-        )
-
-    offset = 0
-    for plan, r, u, k, count in segments:
-        block = fused[offset:offset + count]
-        offset += count
-        if k == 0 and plan.columns is None:
-            plan.pool_kernels[r][u] = block  # zero-copy view
-            continue
-        ncols = (
-            block.shape[1] if plan.columns is None
-            else plan.columns.shape[0]
-        )
-        dest = np.empty((k + count, ncols))
-        if k:
-            dest[:k] = plan.seed_kernels[r][u]
-        if plan.columns is None:
-            dest[k:] = block
-        else:
-            np.take(block, plan.columns, axis=1, out=dest[k:])
-        plan.pool_kernels[r][u] = dest
-    for plan in plans:  # pure-seed pools (candidate_count <= seeds)
-        for r, row in enumerate(plan.pool_kernels):
-            for u, kern in enumerate(row):
-                if kern is None:
-                    plan.pool_kernels[r][u] = plan.seed_kernels[r][u]
-    return total
-
-
-def solve_single_user_fused(
-    plans: Sequence[_LocalizePlan],
-) -> List[LocalizationResult]:
-    """Solve a group of K=1 plans (equal sniffer arity) in one call.
-
-    The single-user candidate solve is the scalar normal equation
-    ``theta = <k, t> / (<k, k> + ridge)`` clamped at zero, with the
-    residual norm as objective — per-row math identical to
-    :func:`repro.fingerprint.objective.solve_thetas_candidates` with no
-    fixed users; serve binds every objective with the default
-    ``"absolute"`` weighting, so the kernels need no sniffer weights.
-    Each plan's pools (every restart) are swept in row blocks of at
-    most ``_SOLVE_BLOCK_ROWS`` against that plan's own target, on
-    scratch shared by the group; every value is row-local, so the
-    grouping is value-neutral. The per-plan top-``top_m`` ranking over
-    all restarts equals the localize harvest for K=1 (the heap keeps
-    the incumbent plus each restart's next-best alternatives, which for
-    one user is exactly the candidate ranking).
-    """
-    n = plans[0].objective._weighted_target.shape[0]
-    block = min(_SOLVE_BLOCK_ROWS, max(
-        row[0].shape[0] for plan in plans for row in plan.pool_kernels
-    ))
-    resid_buf = np.empty((block, n))
-    num_buf = np.empty(block)
-    den_buf = np.empty(block)
-
-    results: List[LocalizationResult] = []
-    for plan in plans:
-        target = plan.objective._weighted_target
-        pools = [row[0] for row in plan.pool_kernels]
-        count = sum(kern.shape[0] for kern in pools)
-        thetas = np.empty(count)
-        objectives = np.empty(count)
-        offset = 0
-        for kern in pools:
-            # Row-contiguous like the solver's: a Fortran-ordered block
-            # (a column-sliced map seed) would sum in another order.
-            kern = np.ascontiguousarray(kern)
-            for start in range(0, kern.shape[0], _SOLVE_BLOCK_ROWS):
-                k_blk = kern[start:start + _SOLVE_BLOCK_ROWS]
-                rows = k_blk.shape[0]
-                num = num_buf[:rows]
-                den = den_buf[:rows]
-                np.einsum("ij,j->i", k_blk, target, out=num)
-                np.einsum("ij,ij->i", k_blk, k_blk, out=den)
-                den += _RIDGE
-                th = thetas[offset:offset + rows]
-                np.divide(num, den, out=th)
-                th[th < 0.0] = 0.0  # exact K=1 NNLS: infeasible => empty support
-                resid = resid_buf[:rows]
-                np.multiply(k_blk, th[:, None], out=resid)
-                resid -= target
-                objectives[offset:offset + rows] = np.linalg.norm(resid, axis=1)
-                offset += rows
-
-        positions = np.concatenate([row[0] for row in plan.pools], axis=0)
-        order = np.argsort(objectives, kind="stable")[: plan.request.top_m]
-        fits = [
-            CompositionFit(
-                positions=positions[i].reshape(1, 2).copy(),
-                thetas=np.array([thetas[i]]),
-                objective=float(objectives[i]),
-            )
-            for i in order
-        ]
-        results.append(LocalizationResult(fits=fits))
-    return results
-
-
-def solve_multi_user(plan: _LocalizePlan, engine=None) -> LocalizationResult:
-    """Solve one K>=2 plan: per-restart coordinate descent + harvest.
-
-    The descent consumes the plan's private search stream (restart
-    draws already happened in the plan phase), and the harvest is the
-    exact :meth:`NLSLocalizer.localize` composition heap.
-    """
-    req = plan.request
-    gen = np.random.default_rng(plan.search_seed)
-    heap: List[Tuple[float, int, np.ndarray, np.ndarray]] = []
-    counter = 0
-    for r in range(len(plan.pools)):
-        outcome = coordinate_descent(
-            plan.objective, plan.pools[r], rng=gen, sweeps=req.sweeps,
-            pool_kernels=plan.pool_kernels[r], engine=engine,
-        )
-        counter = harvest_outcome(heap, counter, outcome, plan.pools[r],
-                                  req.top_m)
-    return LocalizationResult(fits=fits_from_heap(heap, req.top_m))
+            groups.append([pair])
+            rows = need
+    return groups
 
 
 class MicroBatchScheduler:
@@ -701,7 +405,9 @@ class MicroBatchScheduler:
         track = [i for i in live if isinstance(i.request, TrackStepRequest)]
 
         try:
-            prematches = fuse_map_matches(self.fingerprint_map, localize)
+            prematches = fuse_map_matches(
+                self.fingerprint_map, [item.request for item in localize]
+            )
         except Exception as exc:
             # Observable fallback to per-request matching (values are
             # unchanged either way); a silent swallow here hid real
@@ -711,83 +417,90 @@ class MicroBatchScheduler:
                 "per-request matching", type(exc).__name__, exc,
             )
             self.metrics.record_internal_fault("serve.prematch")
-            prematches = {}
-        plans: List[_LocalizePlan] = []
-        for item in localize:
-            try:
-                plans.append(
-                    plan_localize(
-                        self.localizer, self.fingerprint_map, item,
-                        prematch=prematches.get(id(item)),
-                    )
-                )
-            except Exception as exc:  # typed reply, never a dropped future
-                self._complete_error(
-                    item, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
-                )
+            prematches = [None] * len(localize)
         fused_rows = 0
-        if plans:
-            try:
-                fused_rows = self._fused_kernels(plans)
-            except Exception as exc:
-                for plan in plans:
-                    self._complete_error(
-                        plan.item, ERROR_INTERNAL,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                plans = []
-            else:
-                fuse_done = _clock.monotonic()
-                for plan in plans:
-                    plan.item.stamp("fuse", fuse_done)
+        for group in _row_budget_groups(list(zip(localize, prematches))):
+            fused_rows += self._localize_group(group, batch_size, taken_at)
         self.metrics.record_batch(
             batch_size, self.queue.depth_hint(), fused_rows
         )
+        self._process_track(track, batch_size, taken_at)
 
-        singles = [p for p in plans if p.request.user_count == 1]
-        multis = [p for p in plans if p.request.user_count > 1]
+    def _localize_group(
+        self,
+        group: List[Tuple[PendingRequest, object]],
+        batch_size: int,
+        taken_at: float,
+    ) -> int:
+        """Plan, fuse and solve one group of ``(item, prematch)`` pairs.
+
+        Every request gets its reply here; returns the fused row count.
+        """
+        planned: List[Tuple[PendingRequest, LocalizePlan]] = []
+        for item, prematch in group:
+            try:
+                planned.append((item, plan_localize(
+                    self.localizer, self.fingerprint_map, item.request,
+                    prematch=prematch,
+                )))
+            except Exception as exc:  # typed reply, never a dropped future
+                self._fail([item], exc)
+        if not planned:
+            return 0
+        try:
+            fused_rows = self._fused_kernels([plan for _, plan in planned])
+        except Exception as exc:
+            self._fail([item for item, _ in planned], exc)
+            return 0
+        fuse_done = _clock.monotonic()
+        for item, _ in planned:
+            item.stamp("fuse", fuse_done)
 
         # K=1: fuse across requests of equal sniffer arity (dropout
         # gives different column counts; grouping keeps rows rectangular).
-        groups: "OrderedDict[int, List[_LocalizePlan]]" = OrderedDict()
-        for plan in singles:
-            groups.setdefault(plan.objective.sniffer_count, []).append(plan)
-        for group in groups.values():
+        arities: Dict[int, List[Tuple[PendingRequest, LocalizePlan]]] = {}
+        for item, plan in planned:
+            if plan.request.user_count == 1:
+                arities.setdefault(plan.objective.sniffer_count, []).append(
+                    (item, plan)
+                )
+        for pairs in arities.values():
             try:
-                results = solve_single_user_fused(group)
+                results = solve_single_user_fused([plan for _, plan in pairs])
             except Exception as exc:
-                for plan in group:
-                    self._complete_error(
-                        plan.item, ERROR_INTERNAL,
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                self._fail([item for item, _ in pairs], exc)
                 continue
             solve_done = _clock.monotonic()
-            for plan, result in zip(group, results):
-                plan.item.stamp("solve", solve_done)
-                self._complete_localize(plan.item, result, batch_size, taken_at)
+            for (item, _), result in zip(pairs, results):
+                item.stamp("solve", solve_done)
+                self._complete_localize(item, result, batch_size, taken_at)
 
-        for plan in multis:
+        for item, plan in planned:
+            if plan.request.user_count == 1:
+                continue
             try:
                 result = solve_multi_user(plan, engine=self.engine)
             except Exception as exc:
-                self._complete_error(
-                    plan.item, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
-                )
+                self._fail([item], exc)
                 continue
-            plan.item.stamp("solve")
-            self._complete_localize(plan.item, result, batch_size, taken_at)
+            item.stamp("solve")
+            self._complete_localize(item, result, batch_size, taken_at)
+        return fused_rows
 
-        self._process_track(track, batch_size, taken_at)
-
-    def _fused_kernels(self, plans: List[_LocalizePlan]) -> int:
+    def _fused_kernels(self, plans: List[LocalizePlan]) -> int:
         """The fused kernel pass, under ``retry_policy`` when one is set.
 
         A retry re-evaluates the same pools from scratch, so its rows
         are bitwise-identical to a first-try success.
         """
+        rows = sum(plan.fused_rows for plan in plans)
 
         def run() -> int:
+            if rows and should_fire("serve.batch.fuse") is not None:
+                raise FaultInjected(
+                    f"serve.batch.fuse: fused kernel pass over {rows} rows "
+                    "failed"
+                )
             return fuse_pool_kernels(self.localizer.model, plans,
                                      engine=self.engine)
 
@@ -839,9 +552,7 @@ class MicroBatchScheduler:
                         batch_size=batch_size,
                     )
                 except Exception as exc:
-                    self._complete_error(
-                        item, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
-                    )
+                    self._fail([item], exc)
                     continue
                 item.stamp("solve")
                 self.metrics.record_reply(
@@ -870,6 +581,13 @@ class MicroBatchScheduler:
         self.metrics.record_reply(reply.latency_s, taken_at - item.submitted_at)
         item.future.set_result(reply)
         self._finalize_trace(item, ok=True)
+
+    def _fail(self, items: List[PendingRequest], exc: Exception) -> None:
+        """Answer each of ``items`` with an ``internal`` error for ``exc``."""
+        for item in items:
+            self._complete_error(
+                item, ERROR_INTERNAL, f"{type(exc).__name__}: {exc}"
+            )
 
     def _complete_error(
         self, item: PendingRequest, code: str, message: str

@@ -1,12 +1,11 @@
-"""Candidate-generator edge behavior: field-boundary clipping and budgets."""
+"""Candidate-generator edge behavior: field-boundary clipping."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.fingerprint import DiscCandidates, GridCandidates
+from repro.fingerprint import DiscCandidates
 from repro.geometry import RectangularField
 
 
@@ -70,38 +69,3 @@ class TestDiscCandidatesBoundary:
         # both centers get close to half of the (odd) budget
         assert abs(int((nearest == 0).sum()) - 50) <= 1
         assert np.all(d.min(axis=1) <= 1.0 + 1e-9)
-
-
-class TestGridCandidatesBudget:
-    @pytest.mark.parametrize("count", [1, 3, 7, 10, 13, 50, 81, 100])
-    def test_exact_count_returned(self, small_field, rng, count):
-        pts = GridCandidates(small_field).generate(count, rng)
-        assert pts.shape == (count, 2)
-
-    @pytest.mark.parametrize("count", [7, 13, 23])
-    def test_truncation_keeps_full_field_coverage(self, small_field, rng, count):
-        """Regression: non-square budgets used to drop the trailing
-        row-major points, leaving the top band of the field empty."""
-        pts = GridCandidates(small_field).generate(count, rng)
-        xmin, ymin, xmax, ymax = small_field.bounding_box
-        ys = pts[:, 1]
-        assert ys.max() > ymin + 0.6 * (ymax - ymin)
-        assert ys.min() < ymin + 0.4 * (ymax - ymin)
-
-    def test_square_budget_is_the_full_grid(self, small_field, rng):
-        pts = GridCandidates(small_field).generate(9, rng)
-        assert np.unique(pts[:, 0]).size == 3
-        assert np.unique(pts[:, 1]).size == 3
-
-    def test_jitter_stays_inside_field(self, small_field, rng):
-        pts = GridCandidates(small_field, jitter=5.0).generate(64, rng)
-        assert pts.shape == (64, 2)
-        assert np.all(small_field.contains(pts))
-
-    def test_no_duplicate_selection_under_truncation(self, small_field, rng):
-        pts = GridCandidates(small_field).generate(37, rng)
-        assert np.unique(pts, axis=0).shape[0] == 37
-
-    def test_invalid_count_rejected(self, small_field, rng):
-        with pytest.raises(ConfigurationError):
-            GridCandidates(small_field).generate(0, rng)

@@ -37,6 +37,20 @@ class TestParser:
         assert args.checkpoint is None
         assert args.checkpoint_every == 0
 
+    @pytest.mark.parametrize("command", [
+        ["localize"], ["build-map", "--output", "map.npz"],
+    ])
+    def test_dtype_refused_where_no_reply_depends_on_it(self, command):
+        # Both write their kernels in float64 whatever the engine dtype.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, "--dtype", "float32"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["track", "track-stream"])
+    def test_trackers_keep_dtype(self, command):
+        args = build_parser().parse_args([command, "--dtype", "float32"])
+        assert args.dtype == "float32"
+
 
 class TestExitCodes:
     def test_version_flag(self, capsys):

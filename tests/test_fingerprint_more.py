@@ -1,15 +1,11 @@
-"""Additional fingerprint-path tests: generators in localize, dropout
-through the full pipeline, enumeration edge cases."""
+"""Additional fingerprint-path tests: dropout through the full
+pipeline, enumeration edge cases."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fingerprint import (
-    DiscCandidates,
-    GridCandidates,
-    NLSLocalizer,
-)
+from repro.fingerprint import NLSLocalizer
 from repro.fingerprint.nls import enumerate_compositions
 from repro.fingerprint.objective import FluxObjective
 from repro.fluxmodel.discrete import DiscreteFluxModel
@@ -20,40 +16,6 @@ from repro.traffic.measurement import FluxObservation
 
 
 class TestLocalizeWithGenerators:
-    def _observation(self, small_network, gen):
-        truth = np.array([[5.0, 10.0]])
-        flux = simulate_flux(small_network, list(truth), [2.0], rng=gen)
-        sniffers = sample_sniffers_percentage(small_network, 20, rng=gen)
-        obs = MeasurementModel(
-            small_network, sniffers, smooth=True, rng=gen
-        ).observe(flux)
-        return truth, sniffers, obs
-
-    def test_grid_candidates(self, small_network):
-        gen = np.random.default_rng(1)
-        truth, sniffers, obs = self._observation(small_network, gen)
-        loc = NLSLocalizer(small_network.field, small_network.positions[sniffers])
-        result = loc.localize(
-            obs,
-            user_count=1,
-            candidate_count=400,
-            generator=GridCandidates(small_network.field, jitter=0.2),
-            rng=gen,
-        )
-        assert float(result.errors_to(truth)[0]) < 4.0
-
-    def test_disc_candidates_focus_search(self, small_network):
-        gen = np.random.default_rng(2)
-        truth, sniffers, obs = self._observation(small_network, gen)
-        loc = NLSLocalizer(small_network.field, small_network.positions[sniffers])
-        generator = DiscCandidates(
-            small_network.field, truth, radius=2.0
-        )  # oracle prior around truth
-        result = loc.localize(
-            obs, user_count=1, candidate_count=300, generator=generator, rng=gen
-        )
-        assert float(result.errors_to(truth)[0]) < 2.0
-
     def test_dropout_flows_through_localize(self, small_network):
         gen = np.random.default_rng(3)
         truth = np.array([[5.0, 10.0]])

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError, FittingError
 from repro.fingerprint import (
     DiscCandidates,
-    GridCandidates,
     NLSLocalizer,
     UniformCandidates,
 )
@@ -45,18 +44,6 @@ class TestCandidateGenerators:
         pts = UniformCandidates(field).generate(100, np.random.default_rng(0))
         assert pts.shape == (100, 2)
         assert field.contains(pts).all()
-
-    def test_grid_deterministic(self):
-        field = RectangularField(10, 10)
-        a = GridCandidates(field).generate(49, np.random.default_rng(0))
-        b = GridCandidates(field).generate(49, np.random.default_rng(99))
-        np.testing.assert_array_equal(a, b)
-
-    def test_grid_jitter_varies(self):
-        field = RectangularField(10, 10)
-        a = GridCandidates(field, jitter=0.5).generate(49, np.random.default_rng(0))
-        b = GridCandidates(field, jitter=0.5).generate(49, np.random.default_rng(1))
-        assert not np.array_equal(a, b)
 
     def test_disc_within_radius(self):
         field = RectangularField(10, 10)

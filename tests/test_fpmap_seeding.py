@@ -124,19 +124,22 @@ class TestSeededNLS:
         localizer = NLSLocalizer(
             small_network.field, small_network.positions[sniffers]
         )
-        unseeded = localizer.localize(
-            obs, user_count=2, candidate_count=2000, restarts=2, rng=31
-        )
-        seeded = localizer.localize(
-            obs, user_count=2, candidate_count=500, restarts=2, rng=31,
-            fingerprint_map=fpmap,
-        )
-        unseeded_err = unseeded.errors_to(truth).mean()
-        seeded_err = seeded.errors_to(truth).mean()
-        # quarter of the evaluation budget, no worse than 1.5x the error
-        # (on single scenarios seeded usually wins; the benchmark checks
-        # the median claim across many scenarios)
-        assert seeded_err <= max(1.5 * unseeded_err, 1.5)
+        unseeded_err, seeded_err = [], []
+        for seed in range(8):
+            unseeded = localizer.localize(
+                obs, user_count=2, candidate_count=2000, restarts=2, rng=seed
+            )
+            seeded = localizer.localize(
+                obs, user_count=2, candidate_count=500, restarts=2, rng=seed,
+                fingerprint_map=fpmap,
+            )
+            unseeded_err.append(unseeded.errors_to(truth).mean())
+            seeded_err.append(seeded.errors_to(truth).mean())
+        # quarter of the evaluation budget, no worse than 1.5x the error,
+        # as a median over search seeds: a single draw of either search
+        # lands in a poor basin now and then (the benchmark checks the
+        # median claim across many scenarios)
+        assert np.median(seeded_err) <= max(1.5 * np.median(unseeded_err), 1.5)
 
     def test_seeded_uses_map_kernel_cache(self, small_network, sniffers, fpmap):
         flux = simulate_flux(small_network, [np.array([10.0, 5.0])], [2.0], rng=9)

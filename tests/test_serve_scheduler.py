@@ -336,101 +336,53 @@ class TestBatchOfOne:
         assert all(r.step is not None for r in replies)
 
 
-class TestFusedSingleUserSolve:
-    """The K=1 group solve is the factored sweep solver, row for row."""
+class TestFusedRowBudget:
+    """A drained batch fuses in consecutive groups of at most
+    MAX_CANDIDATE_ROWS candidate rows, so its kernel block is bounded
+    like one request's; the split changes no reply."""
 
-    def test_matches_factored_solver_bitwise(self, scenario):
-        from repro.fingerprint.nls import NLSLocalizer
-        from repro.fingerprint.objective import solve_thetas_candidates
-        from repro.serve.admission import PendingRequest
-        from repro.serve.scheduler import (
-            fuse_pool_kernels,
-            plan_localize,
-            solve_single_user_fused,
+    def test_batch_over_the_budget_fuses_in_groups(self, monkeypatch):
+        from repro.serve import MAX_CANDIDATE_ROWS
+        from repro.serve import scheduler
+
+        net = build_network(
+            field=RectangularField(10, 10), node_count=100, radius=2.0,
+            rng=5,
         )
-
-        net, sniffers, fmap = scenario
+        sniffers = sample_sniffers_percentage(net, 5, rng=3)
+        rows = MAX_CANDIDATE_ROWS // 2 + 1
         requests = [
-            r for r in _mixed_requests(net, sniffers) if r.user_count == 1
+            LocalizeRequest(
+                request_id=f"big-{i}", client_id="c0", observation=obs,
+                candidate_count=rows, top_m=3, seed=700 + i, use_map=False,
+            )
+            for i, obs in enumerate(_observations(net, sniffers, 3, seed=50))
         ]
-        dropout = requests[-1]
-        for i, (count, restarts) in enumerate([(16, 1), (40, 2)]):
-            # A pure-seed pool (Fortran-ordered under dropout) and a
-            # two-restart plan.
-            requests.append(LocalizeRequest(
-                request_id=f"extra-{i}", client_id="c5",
-                observation=dropout.observation, candidate_count=count,
-                restarts=restarts, seed=600 + i,
+
+        def service(max_batch):
+            return LocalizationService(
+                net.field, net.positions[sniffers], max_batch=max_batch
+            )
+
+        single = _replies(service(1), requests)
+        passes = []
+        fuse = scheduler.fuse_pool_kernels
+
+        def counted(model, plans, engine=None):
+            passes.append(sum(
+                p.request.user_count * p.request.restarts
+                * p.request.candidate_count for p in plans
             ))
-        localizer = NLSLocalizer(net.field, net.positions[sniffers])
-        plans = [
-            plan_localize(localizer, fmap, PendingRequest.wrap(r))
-            for r in requests
-        ]
-        fuse_pool_kernels(localizer.model, plans)
-        groups = {}
-        for plan in plans:
-            arity = plan.objective._weighted_target.shape[0]
-            groups.setdefault(arity, []).append(plan)
-        assert len(groups) == 2
-        for group in groups.values():
-            for plan, result in zip(group, solve_single_user_fused(group)):
-                # The solver's row-contiguous layout (a Fortran-ordered
-                # pure-seed block would sum in another order).
-                kernels = np.ascontiguousarray(np.concatenate(
-                    [row[0] for row in plan.pool_kernels], axis=0
-                ))
-                positions = np.concatenate(
-                    [row[0] for row in plan.pools], axis=0
-                )
-                thetas, objs = solve_thetas_candidates(
-                    kernels, None, plan.objective._weighted_target
-                )
-                order = np.argsort(objs, kind="stable")[: plan.request.top_m]
-                want = [
-                    (positions[i].tobytes(), thetas[i].tobytes(),
-                     float(objs[i]))
-                    for i in order
-                ]
-                got = [
-                    (fit.positions.tobytes(), fit.thetas.tobytes(),
-                     fit.objective)
-                    for fit in result.fits
-                ]
-                assert got == want, plan.request.request_id
+            return fuse(model, plans, engine=engine)
 
-
-class TestStitchedKernelLayout:
-    """Stitched pool kernels are C-contiguous, the layout the descent
-    was validated on: a Fortran-ordered dropout block rounds the K=2
-    objective differently in the last bit."""
-
-    @pytest.mark.parametrize("use_map", [True, False])
-    def test_k2_dropout_blocks_are_c_contiguous(self, scenario, use_map):
-        from repro.fingerprint.nls import NLSLocalizer
-        from repro.serve.admission import PendingRequest
-        from repro.serve.scheduler import fuse_pool_kernels, plan_localize
-
-        net, sniffers, fmap = scenario
-        obs = _observations(net, sniffers, 1, users=2, seed=14)[0]
-        values = obs.values.copy()
-        values[:3] = np.nan
-        request = LocalizeRequest(
-            request_id="k2-dropout", client_id="c",
-            observation=FluxObservation(
-                time=obs.time, sniffers=obs.sniffers, values=values
-            ),
-            user_count=2, candidate_count=32, restarts=2, seed=500,
-            use_map=use_map,
-        )
-        localizer = NLSLocalizer(net.field, net.positions[sniffers])
-        plan = plan_localize(localizer, fmap, PendingRequest.wrap(request))
-        assert plan.columns is not None
-        assert fuse_pool_kernels(localizer.model, [plan]) > 0
-        for r, row in enumerate(plan.pool_kernels):
-            for u, kernels in enumerate(row):
-                assert kernels.shape == (32, plan.columns.shape[0])
-                assert kernels.flags.c_contiguous, (r, u)
+        monkeypatch.setattr(scheduler, "fuse_pool_kernels", counted)
+        batched_service = service(16)
+        batched = _replies(batched_service, requests)
+        assert batched_service.metrics.batch_sizes == {3: 1}
+        assert passes == [rows] * 3
+        for request_id, reply in batched.items():
+            assert reply.ok, request_id
+            assert _payload(reply) == _payload(single[request_id]), request_id
 
 
 class TestSteadyHeap:
