@@ -1,4 +1,4 @@
-"""Engine benchmark trajectory: kernel evaluation + parallel filtering.
+"""Engine benchmark trajectory: kernel evaluation + filtering round.
 
 Two cases, both emitted into ``BENCH_engine.json`` through the shared
 runner (:mod:`repro.engine.benchrunner`):
@@ -6,30 +6,25 @@ runner (:mod:`repro.engine.benchrunner`):
 ``kernel_pool``
     A large candidate pool evaluated through the legacy pair-grid
     implementation (:func:`reference_geometry_kernels`, the pre-engine
-    code kept verbatim as oracle/baseline) vs the chunked broadcast
-    evaluator, plus its float32 mode. Records the evaluator's largest
-    relative error against the reference, ``|dg| / max(1, |g|)``, and
-    whether it is within ``REFERENCE_TOLERANCE``; and the traced
-    Python-level peak allocation of both — the evidence that the
-    chunked evaluator's working set stays bounded while the reference
-    materializes the ``(m*n, 2)`` grid.
+    code kept verbatim as oracle/baseline) vs the row-blocked broadcast
+    evaluator. Records the evaluator's largest relative error against
+    the reference, ``|dg| / max(1, |g|)``, and whether it is within
+    ``REFERENCE_TOLERANCE``; and the traced Python-level peak
+    allocation of both — the evidence that the evaluator's working set
+    stays bounded while the reference materializes the ``(m*n, 2)``
+    grid.
 
 ``filtering``
     The acceptance case: one 4-user / 1000-candidate / 3-sweep
-    coordinate-descent filtering round, timed three ways: the
+    coordinate-descent filtering round, timed two ways: the
     *pre-engine* implementation reproduced bench-locally (reference
     kernels, per-row scipy NNLS fallback, unconditional final
-    re-rank), the shipped engine path inline (0 workers) and with 4
-    workers. ``algorithm_speedup`` is the first against the second,
-    ``thread_speedup`` the second against the third. The run also
-    asserts that the engine's float64 output with workers is
-    bitwise-identical to its serial output.
+    re-rank) and the shipped path. ``algorithm_speedup`` is the first
+    against the second.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--quick] [--output P]
-
-or under pytest (one fast correctness test, no timing loops).
 """
 
 from __future__ import annotations
@@ -40,8 +35,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine import Engine, measure, reference_geometry_kernels, write_bench_json
-from repro.engine.kernels import evaluate_geometry_kernels
+from repro.engine import measure, reference_geometry_kernels, write_bench_json
 from repro.fingerprint.nls import coordinate_descent
 from repro.fingerprint.objective import (
     EvalWorkspace,
@@ -53,7 +47,6 @@ from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.traffic import MeasurementModel, simulate_flux
 
-WORKERS = 4
 SEED = 20100621
 #: The evaluator against the reference: ``|dg| <= tol * max(1, |g|)``.
 REFERENCE_TOLERANCE = 1e-12
@@ -164,27 +157,10 @@ def legacy_filtering_round(objective, pools, seed: int, sweeps: int):
     return incumbents, best_objective, rankings
 
 
-def engine_filtering_round(objective, pools, seed: int, sweeps: int, engine):
-    outcome = coordinate_descent(
-        objective, pools, rng=np.random.default_rng(seed), sweeps=sweeps,
-        engine=engine,
+def filtering_round(objective, pools, seed: int, sweeps: int):
+    return coordinate_descent(
+        objective, pools, rng=np.random.default_rng(seed), sweeps=sweeps
     )
-    return outcome
-
-
-def check_parallel_equals_serial(objective, pools, sweeps: int, workers: int):
-    """Assert the engine's parallel float64 outputs are bitwise serial."""
-    serial = engine_filtering_round(objective, pools, SEED, sweeps, engine=None)
-    with Engine(workers=workers) as eng:
-        parallel = engine_filtering_round(objective, pools, SEED, sweeps, eng)
-    assert np.array_equal(serial.best_indices, parallel.best_indices)
-    assert np.array_equal(serial.best_thetas, parallel.best_thetas)
-    assert serial.best_objective == parallel.best_objective
-    for a, b in zip(serial.per_user_objectives, parallel.per_user_objectives):
-        assert np.array_equal(a, b), "parallel ranking diverged from serial"
-    for a, b in zip(serial.per_user_thetas, parallel.per_user_thetas):
-        assert np.array_equal(a, b)
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -204,16 +180,9 @@ def case_kernel_pool(quick: bool, repeats: int):
         repeats=repeats,
         trace_memory=True,
     )
-    chunked = measure(
+    evaluator = measure(
         lambda: model.geometry_kernels(sinks), repeats=repeats, trace_memory=True
     )
-    with Engine(dtype="float32") as eng32:
-        f32 = measure(
-            lambda: model.geometry_kernels(sinks, engine=eng32),
-            repeats=repeats,
-            trace_memory=True,
-        )
-        got32 = model.geometry_kernels(sinks, engine=eng32)
 
     want = reference_geometry_kernels(
         model.field, model.node_positions, sinks, model.d_floor
@@ -221,21 +190,19 @@ def case_kernel_pool(quick: bool, repeats: int):
     got = model.geometry_kernels(sinks)
     scale = np.maximum(np.abs(want), 1.0)
     max_rel_err = float(np.max(np.abs(got - want) / scale))
-    f32_err = float(np.max(np.abs(got32.astype(float) - want) / scale))
     return {
         "case": "kernel_pool",
         "sinks": int(sinks_count),
         "nodes": int(model.node_count),
         "reference": reference,
-        "chunked": chunked,
-        "float32": f32,
-        "speedup": reference["median_s"] / chunked["median_s"],
+        "evaluator": evaluator,
+        "speedup": reference["median_s"] / evaluator["median_s"],
         "reference_max_rel_err": max_rel_err,
         "reference_tolerance": REFERENCE_TOLERANCE,
         "within_reference_tolerance": max_rel_err <= REFERENCE_TOLERANCE,
-        "float32_max_rel_err": f32_err,
         "traced_peak_ratio": (
-            reference["traced_peak_bytes"] / max(chunked["traced_peak_bytes"], 1)
+            reference["traced_peak_bytes"]
+            / max(evaluator["traced_peak_bytes"], 1)
         ),
     }
 
@@ -251,34 +218,24 @@ def case_filtering(quick: bool, repeats: int):
     gen = np.random.default_rng(SEED)
     pools = [net.field.sample_uniform(candidates, gen) for _ in range(users)]
 
-    serial = measure(
+    legacy = measure(
         lambda: legacy_filtering_round(objective, pools, SEED, sweeps),
         repeats=repeats,
     )
-    engine_serial = measure(
-        lambda: engine_filtering_round(objective, pools, SEED, sweeps, None),
+    current = measure(
+        lambda: filtering_round(objective, pools, SEED, sweeps),
         repeats=repeats,
     )
-    with Engine(workers=WORKERS) as eng:
-        parallel = measure(
-            lambda: engine_filtering_round(objective, pools, SEED, sweeps, eng),
-            repeats=repeats,
-        )
-    equal = check_parallel_equals_serial(objective, pools, sweeps, WORKERS)
     return {
         "case": "filtering",
         "users": users,
         "candidates_per_user": candidates,
         "sweeps": sweeps,
-        "workers": WORKERS,
-        "serial_baseline": "pre-engine implementation (reference pair-grid "
+        "legacy_baseline": "pre-engine implementation (reference pair-grid "
         "kernels, per-row scipy NNLS, unconditional final re-rank)",
-        "serial": serial,
-        "engine_serial": engine_serial,
-        "parallel": parallel,
-        "algorithm_speedup": serial["median_s"] / engine_serial["median_s"],
-        "thread_speedup": engine_serial["median_s"] / parallel["median_s"],
-        "parallel_equals_serial": equal,
+        "legacy": legacy,
+        "current": current,
+        "algorithm_speedup": legacy["median_s"] / current["median_s"],
     }
 
 
@@ -289,19 +246,6 @@ def run(quick: bool = False, output: Optional[str] = None):
         "engine", records, path=output, meta={"quick": quick, "seed": SEED}
     )
     return path, records
-
-
-# ----------------------------------------------------------------------
-# Pytest entry (correctness only, no timing loops).
-# ----------------------------------------------------------------------
-def test_engine_filtering_parallel_equals_serial():
-    net, sniffers = _deployment(quick=True)
-    obs = _observation(net, sniffers, 3)
-    model = DiscreteFluxModel(net.field, net.positions[sniffers])
-    objective = FluxObjective.from_observation(model, obs)
-    gen = np.random.default_rng(SEED)
-    pools = [net.field.sample_uniform(200, gen) for _ in range(3)]
-    assert check_parallel_equals_serial(objective, pools, sweeps=2, workers=4)
 
 
 def main(argv=None) -> int:

@@ -43,18 +43,6 @@ def _network_from(args):
     )
 
 
-def _engine_from(args):
-    """Build the parallel engine requested by ``--workers``/``--chunk-size``,
-    and ``--dtype`` on the commands that take it (see docs/PERFORMANCE.md).
-    Serial with default knobs."""
-    from repro.engine import Engine
-
-    return Engine(
-        workers=args.workers, chunk_size=args.chunk_size,
-        dtype=getattr(args, "dtype", "float64"),
-    )
-
-
 def _sniffers_from(args, net, gen, map_path=None):
     """``(map, sniffer ids)`` of the deployment on ``net``.
 
@@ -212,7 +200,6 @@ def cmd_build_map(args) -> int:
         resolution=args.resolution,
         d_floor=args.d_floor,
         sniffer_ids=sniffers,
-        engine=_engine_from(args),
     )
     path = fmap.save(args.output)
     cols, rows = fmap.grid_shape()
@@ -252,7 +239,6 @@ def cmd_localize(args) -> int:
             rng=gen,
             fingerprint_map=fmap,
             seed_top_k=args.seed_top_k if args.map else 32,
-            engine=_engine_from(args),
         )
     except ConfigurationError as exc:
         return _refuse(f"cannot use map {args.map}", exc)
@@ -316,7 +302,6 @@ def cmd_track(args) -> int:
             max_speed=args.max_speed,
         ),
         rng=gen,
-        engine=_engine_from(args),
     )
 
     print(f"{'round':>5}  mean error")
@@ -413,7 +398,6 @@ def cmd_track_stream(args) -> int:
             ),
             rng=gen,
             fingerprint_map=fmap,
-            engine=_engine_from(args),
         )
         return TrackingSession("cli", tracker, truth=truth)
 
@@ -666,14 +650,10 @@ def _backend_args(args, fmap) -> dict:
 
 
 def _service_from(args, net, sniffers, fmap):
-    from repro.engine import Engine
     from repro.serve import LocalizationService
 
     return LocalizationService(
-        net.field,
-        net.positions[sniffers],
-        engine=Engine(workers=args.workers, chunk_size=args.chunk_size),
-        **_backend_args(args, fmap),
+        net.field, net.positions[sniffers], **_backend_args(args, fmap)
     )
 
 
@@ -797,8 +777,6 @@ def cmd_fleet(args) -> int:
             net.positions[sniffers],
             workers=args.fleet_workers,
             checkpoint_dir=args.checkpoint_dir,
-            engine_workers=args.workers,
-            engine_chunk_size=args.chunk_size,
             **_backend_args(args, fmap),
         )
     except ConfigurationError as exc:
@@ -821,10 +799,13 @@ def cmd_fleet(args) -> int:
     with injected(plan):
         fleet.start()
     try:
-        with _ShutdownGuard() as guard:
-            endpoint = _metrics_endpoint(args, fleet=fleet)
+        try:
             for session_id, seed, _ in work.sessions:
                 fleet.open_session(session_id, work.users, seed=seed)
+        except ConfigurationError as exc:
+            return _refuse("cannot open tracking session", exc)
+        with _ShutdownGuard() as guard:
+            endpoint = _metrics_endpoint(args, fleet=fleet)
             tally = _drive(fleet, work, guard)
             snapshot = fleet.fleet_snapshot()
             if endpoint is not None:

@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "localize", help="run the sparse-sampling NLS localization attack"
     )
     _network_args(p)
-    _engine_args(p)
     p.add_argument("--users", type=int, default=2)
     p.add_argument(
         "--percentage", type=float, default=10.0, help="%% of nodes sniffed"
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         "survey stage; reuse it with 'localize --map' / 'track-stream --map')",
     )
     _network_args(p)
-    _engine_args(p)
     p.add_argument(
         "--percentage", type=float, default=10.0, help="%% of nodes sniffed"
     )
@@ -83,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run the SMC tracker over moving users")
     _network_args(p)
-    _dtype_arg(_engine_args(p))
     p.add_argument("--users", type=int, default=2)
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--percentage", type=float, default=10.0)
@@ -102,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the streaming tracking service (replay / tail / live)",
     )
     _network_args(p)
-    _dtype_arg(_engine_args(p))
     p.add_argument(
         "--input", default=None, help="replay an .npz observation log"
     )
@@ -235,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fleet-workers",
         type=int,
         default=2,
-        help="worker processes (each its own scheduler + engine)",
+        help="worker processes (each its own admission queue and "
+        "scheduler)",
     )
     p.add_argument(
         "--map",
@@ -292,42 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine_args(p: argparse.ArgumentParser):
-    group = p.add_argument_group(
-        "engine", "parallel kernel engine (see docs/PERFORMANCE.md)"
-    )
-    group.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker threads for kernel evaluation and NLS solving "
-        "(0 = serial; float64 results are identical either way)",
-    )
-    group.add_argument(
-        "--chunk-size",
-        type=int,
-        default=4096,
-        help="candidate sinks per kernel-evaluation chunk, the unit of "
-        "fan-out over --workers",
-    )
-    return group
-
-
-def _dtype_arg(group) -> None:
-    group.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help="kernel evaluation precision (float32 halves memory "
-        "traffic; the theta solve stays float64)",
-    )
-
-
 def _load_args(p: argparse.ArgumentParser) -> None:
-    """The deployment, engine, load and serving flags shared by
-    ``serve``, ``fleet`` and ``gateway``."""
+    """The deployment, load and serving flags shared by ``serve``,
+    ``fleet`` and ``gateway``."""
     _network_args(p)
-    _engine_args(p)
     group = p.add_argument_group(
         "load", "synthetic load and serving knobs (a fleet applies the "
         "batching and queue knobs per worker)"

@@ -1,24 +1,19 @@
-"""Parallel kernel engine: chunked zero-copy kernel evaluation and fan-out.
+"""The geometry-kernel evaluator and the benchmark recorder.
 
-The engine makes the two costs that dominate every localization and
-tracking round — geometry-kernel evaluation (paper Formula 3.4) and the
-batched theta solve (Formula 4.1) — hardware-saturating:
-
-* :mod:`repro.engine.kernels` streams candidate pools through a
-  broadcast (no ``(m*n, 2)`` materialization), chunked, optionally
-  float32 evaluator with a closed-form rectangular ray-exit fast path;
-* :mod:`repro.engine.executor` fans chunks, solver row blocks,
-  per-user rankings, and fingerprint-map cell batches out over a shared
-  thread pool — with the invariant that float64 parallel output is
-  bitwise-equal to serial (disjoint writes, no reduction-order changes);
+* :mod:`repro.engine.kernels` evaluates the cost that dominates every
+  localization and tracking round — the geometry kernels of paper
+  Formula 3.4 — in float64 through a broadcast (no ``(m*n, 2)``
+  materialization) in row blocks, with a closed-form rectangular
+  ray-exit fast path. Every row depends on its own sink alone, so a
+  sink evaluated alone equals its row of any batch bit for bit;
 * :mod:`repro.engine.benchrunner` records every perf benchmark into a
   machine-readable ``BENCH_*.json`` trajectory.
 
-See docs/PERFORMANCE.md for knob guidance.
+Both are plain functions on the calling thread. A second core is used
+by running more processes: :class:`repro.fleet.ServeFleet` (see
+docs/PERFORMANCE.md).
 """
 
-from repro.engine.config import EngineConfig
-from repro.engine.executor import Engine, resolve_engine
 from repro.engine.kernels import (
     evaluate_geometry_kernels,
     reference_geometry_kernels,
@@ -26,9 +21,6 @@ from repro.engine.kernels import (
 from repro.engine.benchrunner import measure, peak_rss_kb, write_bench_json
 
 __all__ = [
-    "EngineConfig",
-    "Engine",
-    "resolve_engine",
     "evaluate_geometry_kernels",
     "reference_geometry_kernels",
     "measure",

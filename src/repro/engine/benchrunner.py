@@ -15,7 +15,7 @@ so this and every future perf PR appends comparable numbers — the
 is steered by. :func:`measure` is the shared timing core: repeated
 wall-clock runs reduced to median/p95 plus the process peak RSS, and
 optionally the Python-level peak allocation of one traced run (the
-bounded-working-set evidence for the chunked kernel evaluator).
+bounded-working-set evidence for the row-blocked kernel evaluator).
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def measure(
     (untimed) run executes under :mod:`tracemalloc` and the record
     gains ``traced_peak_bytes`` — the Python-allocator high-water mark
     of that run, which includes numpy array buffers and is what bounds
-    a chunked evaluator's working set.
+    a row-blocked evaluator's working set.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -129,7 +129,8 @@ def environment() -> Dict[str, Any]:
 
     ``cpus`` is the machine's logical count; ``cpus_available`` is what
     this process may actually schedule on (CI runners and cgroup limits
-    routinely make it smaller — the number that governs engine speedup).
+    routinely make it smaller — the number that governs any multi-core
+    speedup).
     ``git_commit`` pins the code the numbers were measured at, unless
     ``git_dirty`` (see :func:`git_state`) says the tree differed from it.
     """

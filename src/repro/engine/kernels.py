@@ -1,4 +1,4 @@
-"""Chunked, zero-copy geometry-kernel evaluation.
+"""Zero-copy float64 geometry-kernel evaluation.
 
 The Formula-3.4 geometry kernel ``g = (l^2 - d^2) / (2 d)`` over an
 ``(m sinks, n nodes)`` pair grid is the single hottest operation of the
@@ -13,7 +13,7 @@ casting.
 
 This module replaces that with:
 
-* **broadcasting** — per-component ``(chunk, n)`` arithmetic, never an
+* **broadcasting** — per-component ``(rows, n)`` arithmetic, never an
   ``(m*n, 2)`` coordinate materialization;
 * a **closed-form rectangular ray exit on the unnormalized ray** — the
   norm is ``d = sqrt(dx^2 + dy^2)``, and for axis-aligned rectangles
@@ -23,22 +23,17 @@ This module replaces that with:
   (see :func:`_axis_exit`); the rare-path fix-ups (exits at or behind
   the origin, a node at the sink, non-finite kernels) each hide behind
   one ``min``/``max`` reduction;
-* **row blocks** — every chunk is evaluated ``_BLOCK_PAIRS`` pairs at
-  a time on reused scratch, so the working set stays in L2 whatever the
-  chunk size;
-* **chunking** — ``chunk_size`` is only the executor's unit of fan-out
-  (chunks write disjoint output rows, so any worker count is
-  bitwise-identical to serial);
-* an optional **float32 mode** that halves memory traffic for
-  huge pools (the theta solve downstream stays float64).
+* **row blocks** — the rows are evaluated ``_BLOCK_PAIRS`` pairs at a
+  time on reused scratch, so the working set stays in L2 whatever the
+  number of sinks.
 
 Every value depends on its own (sink, node) pair and row alone, so all
-paths through the evaluator — any chunking, worker count, ``out=``
-buffer, or a sink alone against its row of a batch — agree bit for
-bit. Against the reference they agree within ``|dg| <= 1e-12 *
-max(1, |g|)``: ``sqrt`` and ``np.hypot``, and the exit on the
-unnormalized ray against the unit one, round differently in the last
-bits.
+paths through the evaluator — an ``out=`` buffer, or a sink alone
+against its row of a batch on either side of a row-block boundary —
+agree bit for bit. Fused batches rely on this. Against the reference
+they agree within ``|dg| <= 1e-12 * max(1, |g|)``: ``sqrt`` and
+``np.hypot``, and the exit on the unnormalized ray against the unit
+one, round differently in the last bits.
 """
 
 from __future__ import annotations
@@ -47,8 +42,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.config import EngineConfig
-from repro.engine.executor import Engine, resolve_engine
 from repro.errors import ConfigurationError, FaultInjected
 from repro.faults.plan import should_fire
 from repro.geometry.field import Field, RectangularField
@@ -92,18 +85,18 @@ def reference_geometry_kernels(
 
 
 # ----------------------------------------------------------------------
-# Chunk fillers.
+# Row fillers.
 # ----------------------------------------------------------------------
 #: Sink-node pairs per row block (about 180 rows at 180 sniffers). The
 #: rectangular filler's four scratch arrays, 256 KiB each in float64,
-#: stay in L2 where a whole 4096-row chunk's would not.
+#: stay in L2 where a whole pool's would not.
 _BLOCK_PAIRS = 1 << 15
 
 
-def _row_blocks(start: int, stop: int, n: int) -> List[Tuple[int, int]]:
-    """Rows ``[start, stop)`` as spans of about ``_BLOCK_PAIRS`` pairs."""
+def _row_blocks(m: int, n: int) -> List[Tuple[int, int]]:
+    """Rows ``[0, m)`` as spans of about ``_BLOCK_PAIRS`` pairs."""
     rows = max(1, _BLOCK_PAIRS // max(n, 1))
-    return [(lo, min(lo + rows, stop)) for lo in range(start, stop, rows)]
+    return [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
 
 
 def _axis_exit(
@@ -128,9 +121,8 @@ def _axis_exit(
     ``0 / 0`` on a wall, becomes ``+inf``. Each row's result depends on
     that row alone. Writes the result to ``out`` and overwrites ``v``.
     """
-    scalar = v.dtype.type
-    ahead = scalar(hi) - o  # (c, 1)
-    behind = scalar(lo) - o
+    ahead = hi - o  # (rows, 1)
+    behind = lo - o
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.divide(ahead, v, out=out)
         np.maximum(s, np.divide(behind, v, out=v), out=s)
@@ -143,16 +135,14 @@ def _axis_exit(
     return s
 
 
-def _fill_rect_chunk(
+def _fill_rect(
     field: RectangularField,
     nodes: np.ndarray,
     d_floor: float,
     sinks: np.ndarray,
     out: np.ndarray,
-    start: int,
-    stop: int,
 ) -> None:
-    """Closed-form kernels for sink rows ``[start, stop)`` of a rectangle.
+    """Closed-form kernels for every sink row of a rectangle.
 
     The norm is ``d = sqrt(dx^2 + dy^2)`` and the boundary run is
     ``l = s * d``, ``s`` being the exit parameter along ``(dx, dy)``
@@ -163,17 +153,15 @@ def _fill_rect_chunk(
     n = nodes.shape[0]
     if n == 0:
         return
-    one = out.dtype.type(1.0)
-    zero = out.dtype.type(0.0)
     nx = np.ascontiguousarray(nodes[:, 0])
     ny = np.ascontiguousarray(nodes[:, 1])
-    blocks = _row_blocks(start, stop, n)
-    scratch = np.empty((4, blocks[0][1] - start, n), dtype=out.dtype)
+    blocks = _row_blocks(sinks.shape[0], n)
+    scratch = np.empty((4, blocks[0][1], n))
     for r0, r1 in blocks:
         dx, dy, norms, l = scratch[:, : r1 - r0]
-        sx = sinks[r0:r1, 0:1]  # (c, 1)
+        sx = sinks[r0:r1, 0:1]  # (rows, 1)
         sy = sinks[r0:r1, 1:2]
-        np.subtract(nx, sx, out=dx)  # (c, n) — broadcast, no pair grid
+        np.subtract(nx, sx, out=dx)  # (rows, n) — broadcast, no pair grid
         np.subtract(ny, sy, out=dy)
         np.multiply(dx, dx, out=norms)
         np.multiply(dy, dy, out=l)
@@ -185,9 +173,9 @@ def _fill_rect_chunk(
             # true norm comes back for d below.
             degenerate = norms < _EPS
             true_norms = norms[degenerate]
-            dx[degenerate] = one
-            dy[degenerate] = zero
-            norms[degenerate] = one
+            dx[degenerate] = 1.0
+            dy[degenerate] = 0.0
+            norms[degenerate] = 1.0
         tx = _axis_exit(dx, sx, field.xmin, field.xmax, norms, out=l)
         ty = _axis_exit(dy, sy, field.ymin, field.ymax, norms, out=dx)
         np.minimum(tx, ty, out=l)
@@ -201,63 +189,42 @@ def _fill_rect_chunk(
         np.multiply(d, 2.0, out=d)
         np.divide(l, d, out=l)
         block = out[r0:r1]
-        np.maximum(l, zero, out=block)
+        np.maximum(l, 0.0, out=block)
         if not np.isfinite(block.max()):
             # Unreachable-boundary pairs (sink on a wall looking out or
             # along it); the reference raises here — we define them to
             # contribute no flux instead.
-            block[~np.isfinite(block)] = zero
+            block[~np.isfinite(block)] = 0.0
 
 
-def _fill_generic_chunk(
+def _fill_generic(
     field: Field,
     nodes: np.ndarray,
     d_floor: float,
     sinks: np.ndarray,
     out: np.ndarray,
-    start: int,
-    stop: int,
 ) -> None:
-    """Fallback for non-rectangular fields: chunked reference ray cast.
+    """Fallback for non-rectangular fields: the reference ray cast.
 
     Uses the field's own ``ray_exit_distance`` on the unit direction, as
-    the reference does, with the rectangular filler's ``sqrt`` norm; it
-    only ever materializes the ``(chunk * n, 2)`` slice of the pair grid.
+    the reference does, with the rectangular filler's ``sqrt`` norm.
+    Works through the rows in :func:`_row_blocks`, so it only ever
+    materializes one block's ``(rows * n, 2)`` slice of the pair grid.
     """
-    chunk = sinks[start:stop]
-    c, n = chunk.shape[0], nodes.shape[0]
-    directions = (nodes[None, :, :] - chunk[:, None, :]).reshape(c * n, 2)
-    dx, dy = directions[:, 0], directions[:, 1]
-    norms = np.sqrt(dx * dx + dy * dy)
-    safe = np.maximum(norms, _EPS)
-    unit = directions / safe[:, None]
-    unit[norms < _EPS] = (1.0, 0.0)
-    origins = np.repeat(chunk, n, axis=0)
-    l = field.ray_exit_distance(
-        origins.astype(float, copy=False), unit.astype(float, copy=False)
-    ).astype(out.dtype, copy=False)
-    d = np.maximum(norms, d_floor)
-    out[start:stop] = np.maximum((l * l - d * d) / (2.0 * d), 0.0).reshape(c, n)
-
-
-def _fill_span(
-    field: Field,
-    nodes: np.ndarray,
-    d_floor: float,
-    sinks: np.ndarray,
-    out: np.ndarray,
-    start: int,
-    stop: int,
-) -> None:
-    if should_fire("engine.kernel.transient") is not None:
-        raise FaultInjected(
-            f"engine.kernel.transient: kernel chunk [{start}, {stop}) failed"
-        )
-    if isinstance(field, RectangularField):
-        _fill_rect_chunk(field, nodes, d_floor, sinks, out, start, stop)
-    else:
-        for r0, r1 in _row_blocks(start, stop, nodes.shape[0]):
-            _fill_generic_chunk(field, nodes, d_floor, sinks, out, r0, r1)
+    n = nodes.shape[0]
+    for r0, r1 in _row_blocks(sinks.shape[0], n):
+        rows = sinks[r0:r1]
+        c = rows.shape[0]
+        directions = (nodes[None, :, :] - rows[:, None, :]).reshape(c * n, 2)
+        dx, dy = directions[:, 0], directions[:, 1]
+        norms = np.sqrt(dx * dx + dy * dy)
+        safe = np.maximum(norms, _EPS)
+        unit = directions / safe[:, None]
+        unit[norms < _EPS] = (1.0, 0.0)
+        origins = np.repeat(rows, n, axis=0)
+        l = field.ray_exit_distance(origins, unit)
+        d = np.maximum(norms, d_floor)
+        out[r0:r1] = np.maximum((l * l - d * d) / (2.0 * d), 0.0).reshape(c, n)
 
 
 # ----------------------------------------------------------------------
@@ -268,11 +235,9 @@ def evaluate_geometry_kernels(
     node_positions: np.ndarray,
     sinks: np.ndarray,
     d_floor: float,
-    engine: Optional[Engine] = None,
     out: Optional[np.ndarray] = None,
-    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
-    """Stacked geometry kernels ``(m, n)`` for many candidate sinks.
+    """Stacked float64 geometry kernels ``(m, n)`` for many candidate sinks.
 
     Parameters
     ----------
@@ -282,50 +247,37 @@ def evaluate_geometry_kernels(
     sinks:
         ``(m, 2)`` candidate sink positions (``(2,)`` is promoted);
         out-of-field sinks are clipped onto the field first.
-    engine:
-        Parallel engine; ``None`` evaluates inline with the default
-        chunking and float64. The engine's dtype selects float32 mode.
     out:
-        Optional preallocated ``(m, n)`` output (its dtype wins over the
-        engine dtype); chunks are written straight into it — the
-        fingerprint-map builder passes its signature matrix here.
-    chunk_size:
-        Per-call override of the engine's chunk size (the fan-out unit;
-        it does not change the working set).
+        Optional preallocated ``(m, n)`` float64 output, written in
+        place — the fingerprint-map builder passes its signature matrix
+        here. Any other shape or dtype raises
+        :class:`~repro.errors.ConfigurationError`.
+
+    The ``engine.kernel.transient`` fault site fires at most once per
+    call, before any row is written.
     """
-    eng = resolve_engine(engine)
-    cfg: EngineConfig = eng.config
     sinks = np.asarray(sinks, dtype=float)
     if sinks.ndim == 1:
         sinks = sinks[None, :]
     if sinks.ndim != 2 or sinks.shape[1] != 2:
         raise ConfigurationError(f"sinks must be (m, 2), got {sinks.shape}")
-    sinks = field.clip(sinks)
-    node_positions = np.asarray(node_positions, dtype=float)
-    m, n = sinks.shape[0], node_positions.shape[0]
+    sinks = np.ascontiguousarray(field.clip(sinks))
+    nodes = np.ascontiguousarray(node_positions, dtype=float)
+    m, n = sinks.shape[0], nodes.shape[0]
 
-    if out is not None:
-        if out.shape != (m, n):
-            raise ConfigurationError(
-                f"out must have shape ({m}, {n}), got {out.shape}"
-            )
-        dtype = out.dtype
-    else:
-        dtype = cfg.np_dtype
-        out = np.empty((m, n), dtype=dtype)
-    sinks = np.ascontiguousarray(sinks, dtype=dtype)
-    nodes = np.ascontiguousarray(node_positions, dtype=dtype)
-    floor = dtype.type(d_floor)
-
-    size = cfg.chunk_size if chunk_size is None else int(chunk_size)
-    if size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-
-    eng.run_chunks(
-        m,
-        lambda start, stop: _fill_span(
-            field, nodes, floor, sinks, out, start, stop
-        ),
-        chunk_size=size,
-    )
+    if out is None:
+        out = np.empty((m, n))
+    elif out.shape != (m, n) or out.dtype != np.float64:
+        raise ConfigurationError(
+            f"out must be a ({m}, {n}) float64 array, got {out.shape} "
+            f"{out.dtype}"
+        )
+    if m == 0:
+        return out
+    if should_fire("engine.kernel.transient") is not None:
+        raise FaultInjected(
+            f"engine.kernel.transient: kernel evaluation of {m} rows failed"
+        )
+    fill = _fill_rect if isinstance(field, RectangularField) else _fill_generic
+    fill(field, nodes, float(d_floor), sinks, out)
     return out

@@ -61,12 +61,11 @@ class StreamError(ReproError):
 class EngineError(ReproError):
     """An execution failure of the serving machinery, not of the math.
 
-    Per-chunk *numerical* problems are not engine errors — kernels
-    raise :class:`FittingError`/``FloatingPointError`` style failures
-    that retries can absorb. The kernel engine runs on threads of the
-    calling process, so it has no worker process that could die; the
-    one subclass is a fleet worker process that died
-    (:class:`WorkerCrashed`).
+    *Numerical* problems are not engine errors — kernels raise
+    :class:`FittingError`/``FloatingPointError`` style failures that
+    retries can absorb. Kernels and solves are plain functions on the
+    calling thread, so the one subclass is a fleet worker process that
+    died (:class:`WorkerCrashed`).
     """
 
 

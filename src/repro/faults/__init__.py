@@ -1,13 +1,13 @@
 """repro.faults — deterministic fault injection and resilience primitives.
 
-The production layers built in PRs 1–4 (streaming, fingerprint map,
-parallel engine, batched serving) are exercised under *failure* through
-this package: seeded :class:`FaultPlan`\\ s fire at named injection
-sites wired into kernel evaluation, stream sources, checkpoint
-persistence, the serve scheduler, fleet workers and the gateway;
-:class:`RetryPolicy` bounds the recovery attempts those layers make;
-and the injectable :mod:`clock <repro.faults.clock>` makes every
-deadline and backoff decision testable without real sleeps.
+The production layers (streaming, fingerprint map, kernel evaluation,
+batched serving) are exercised under *failure* through this package:
+seeded :class:`FaultPlan`\\ s fire at named injection sites wired into
+kernel evaluation, stream sources, checkpoint persistence, the serve
+scheduler, fleet workers and the gateway; :class:`RetryPolicy` bounds
+the recovery attempts those layers make; and the injectable
+:mod:`clock <repro.faults.clock>` makes every deadline and backoff
+decision testable without real sleeps.
 
 Quick chaos run::
 

@@ -8,7 +8,7 @@ calls) at the places production failures actually happen:
 ======================== ==================================================
 site                      effect at the call site
 ======================== ==================================================
-``engine.kernel.transient`` kernel chunk raises :class:`FaultInjected`
+``engine.kernel.transient`` kernel evaluation raises :class:`FaultInjected`
                           (a transient numerical failure; the serve
                           scheduler's fused pass retries it)
 ``stream.source.stall``   observation stream sleeps ``delay_s``
@@ -131,9 +131,8 @@ class FaultSpec:
 class FaultPlan:
     """A seeded set of :class:`FaultSpec`\\ s with firing state.
 
-    Thread-safe: fault points are hit from scheduler threads, stream
-    pumps, and engine threads concurrently; all decision state mutates
-    under one lock.
+    Thread-safe: fault points are hit from scheduler threads and stream
+    pumps concurrently; all decision state mutates under one lock.
     """
 
     def __init__(

@@ -80,7 +80,6 @@ def coordinate_descent(
     sweeps: int = 4,
     init_indices: Optional[np.ndarray] = None,
     pool_kernels: Optional[Sequence[Optional[np.ndarray]]] = None,
-    engine=None,
 ) -> SweepOutcome:
     """Coordinate-descent composition search over per-user candidate pools.
 
@@ -100,14 +99,6 @@ def coordinate_descent(
         over the objective's sniffer set (``None`` entries are
         computed here). Map-seeded search passes the fingerprint map's
         cached kernels so candidates at map cells cost nothing.
-    engine:
-        Optional :class:`repro.engine.Engine`. With workers, pool
-        kernel evaluation is chunk-parallel, each sweep's batched theta
-        solve splits its candidate rows across workers, and the final
-        per-user re-ranking fans out one user per worker. RNG
-        consumption (shuffles) stays serial, and every parallel section
-        writes disjoint output slices, so the float64 result is
-        bitwise-identical to the serial one.
     """
     if not pools:
         raise ConfigurationError("need at least one candidate pool")
@@ -126,7 +117,7 @@ def coordinate_descent(
     kernels = []
     for p, pre in zip(pools, pool_kernels):
         raw = (
-            objective.model.geometry_kernels(np.asarray(p, float), engine=engine)
+            objective.model.geometry_kernels(np.asarray(p, float))
             if pre is None
             else np.asarray(pre, dtype=float)
         )
@@ -160,8 +151,7 @@ def coordinate_descent(
         for j in order:
             fixed = np.asarray(fixed_stack) if fixed_stack else None
             _, objs = objective.evaluate_batch(
-                kernels[j], fixed, workspace=workspaces[j], preweighted=True,
-                engine=engine,
+                kernels[j], fixed, workspace=workspaces[j], preweighted=True
             )
             best = int(np.argmin(objs))
             incumbents[j] = best
@@ -195,8 +185,7 @@ def coordinate_descent(
                 else None
             )
             thetas, objs = objective.evaluate_batch(
-                kernels[j], fixed, workspace=workspaces[j], preweighted=True,
-                engine=engine,
+                kernels[j], fixed, workspace=workspaces[j], preweighted=True
             )
             per_user_objectives[j] = objs
             per_user_thetas[j] = thetas[:, 0]
@@ -223,26 +212,18 @@ def coordinate_descent(
     # Only stale users are re-evaluated — when the loop exits via the
     # unimproved-sweep break, every ranking already reflects the final
     # incumbents and this costs nothing.
-    stale = [j for j in range(K) if not evals_valid[j]]
-
-    def _rerank(j: int) -> None:
+    for j in range(K):
+        if evals_valid[j]:
+            continue
         others = [k for k in range(K) if k != j]
         fixed = (
             np.stack([kernels[k][incumbents[k]] for k in others]) if others else None
         )
-        # Inner engine=None: this may already run on an engine worker
-        # (see the nesting rule in repro.engine.executor).
         thetas, objs = objective.evaluate_batch(
             kernels[j], fixed, workspace=workspaces[j], preweighted=True
         )
         per_user_objectives[j] = objs
         per_user_thetas[j] = thetas[:, 0]
-
-    if engine is not None and engine.parallel and len(stale) > 1:
-        engine.map(_rerank, stale)
-    else:
-        for j in stale:
-            _rerank(j)
 
     return SweepOutcome(
         best_indices=incumbents,
@@ -474,7 +455,6 @@ class NLSLocalizer:
         rng: RandomState = None,
         fingerprint_map=None,
         seed_top_k: int = 32,
-        engine=None,
     ) -> LocalizationResult:
         """Estimate the positions of ``user_count`` users.
 
@@ -502,10 +482,6 @@ class NLSLocalizer:
         seed_top_k:
             Map matches seeding each user's pool (capped by
             ``candidate_count``).
-        engine:
-            Optional :class:`repro.engine.Engine` for kernel evaluation
-            and coordinate descent. Kernels are written in float64
-            whatever its dtype, so the result does not depend on it.
         """
         if user_count < 1:
             raise ConfigurationError(f"user_count must be >= 1, got {user_count}")
@@ -540,7 +516,7 @@ class NLSLocalizer:
         plan = search.plan_localize(
             self, fingerprint_map, request, prematch=prematch
         )
-        search.fuse_pool_kernels(self.model, [plan], engine=engine)
+        search.fuse_pool_kernels(self.model, [plan])
         if user_count == 1:
             return search.solve_single_user_fused([plan])[0]
-        return search.solve_multi_user(plan, engine=engine)
+        return search.solve_multi_user(plan)

@@ -81,18 +81,11 @@ def solve_thetas(kernels: np.ndarray, target: np.ndarray) -> Tuple[np.ndarray, f
 # solves); beyond it the scipy per-row fallback takes over.
 _NNLS_ENUM_MAX_K = 8
 
-# Smallest batch worth splitting across engine workers: below this the
-# per-task dispatch overhead outweighs the row work (each row is a
-# K x K solve — microseconds), so smaller batches solve inline even
-# when an engine with workers is passed.
-_SOLVE_PARALLEL_MIN_ROWS = 2048
-
 
 def solve_thetas_batched(
     kernel_stacks: np.ndarray,
     target: np.ndarray,
     workspace: Optional[EvalWorkspace] = None,
-    engine=None,
     nnls_mode: str = "auto",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Non-negative LS for a batch of compositions.
@@ -107,13 +100,7 @@ def solve_thetas_batched(
     workspace:
         Optional scratch-buffer pool; pass one per repeated call site
         to avoid reallocating the normal-equation and prediction
-        buffers every sweep. Used by the serial path only — parallel
-        row chunks carry their own scratch.
-    engine:
-        Optional :class:`repro.engine.Engine`; with workers the batch
-        rows are split into contiguous chunks solved concurrently.
-        Every operation is row-local, so the parallel float64 result is
-        bitwise-equal to the serial one.
+        buffers every sweep.
     nnls_mode:
         ``"auto"`` (default) — negative-theta compositions are re-solved
         by exact batched support enumeration for ``K <= 8`` (one tiny
@@ -146,52 +133,11 @@ def solve_thetas_batched(
             f"target must have shape ({n},), got {target.shape}"
         )
     ws = workspace if workspace is not None else EvalWorkspace()
-    thetas = np.empty((B, K))
-    objectives = np.empty(B)
-
-    if (
-        engine is not None
-        and engine.parallel
-        and B >= _SOLVE_PARALLEL_MIN_ROWS
-    ):
-        rows = max(256, -(-B // engine.workers))  # ceil division
-        engine.run_chunks(
-            B,
-            lambda start, stop: _solve_rows(
-                kernel_stacks, target, thetas, objectives,
-                start, stop, None, nnls_mode,
-            ),
-            chunk_size=rows,
-        )
-        return thetas, objectives
-    _solve_rows(kernel_stacks, target, thetas, objectives, 0, B, ws, nnls_mode)
-    return thetas, objectives
-
-
-def _solve_rows(
-    kernel_stacks: np.ndarray,
-    target: np.ndarray,
-    thetas: np.ndarray,
-    objectives: np.ndarray,
-    start: int,
-    stop: int,
-    ws: Optional[EvalWorkspace],
-    nnls_mode: str,
-) -> None:
-    """Solve composition rows ``[start, stop)`` into the output slices."""
-    sub = kernel_stacks[start:stop]
-    B, K, n = sub.shape
+    G = kernel_stacks
     # Normal equations: A = G G^T (B, K, K), b = G F' (B, K).
-    if ws is not None:
-        A = np.matmul(
-            sub, sub.transpose(0, 2, 1), out=ws.buffer("normal", (B, K, K))
-        )
-        b = np.matmul(sub, target, out=ws.buffer("rhs", (B, K)))
-        predicted = ws.buffer("predicted", (B, n))
-    else:
-        A = np.matmul(sub, sub.transpose(0, 2, 1))
-        b = np.matmul(sub, target)
-        predicted = np.empty((B, n))
+    A = np.matmul(G, G.transpose(0, 2, 1), out=ws.buffer("normal", (B, K, K)))
+    b = np.matmul(G, target, out=ws.buffer("rhs", (B, K)))
+    predicted = ws.buffer("predicted", (B, n))
     diag = np.arange(K)
     A[:, diag, diag] += _RIDGE
     th = _solve_normal(A, b)
@@ -205,12 +151,11 @@ def _solve_rows(
             from scipy.optimize import nnls
 
             for idx in bad:
-                th[idx], _ = nnls(sub[idx].T, target)
+                th[idx], _ = nnls(G[idx].T, target)
 
-    np.einsum("bk,bkn->bn", th, sub, out=predicted)
+    np.einsum("bk,bkn->bn", th, G, out=predicted)
     predicted -= target[None, :]
-    objectives[start:stop] = np.linalg.norm(predicted, axis=1)
-    thetas[start:stop] = th
+    return th, np.linalg.norm(predicted, axis=1)
 
 
 def solve_thetas_candidates(
@@ -218,7 +163,6 @@ def solve_thetas_candidates(
     fixed_kernels: Optional[np.ndarray],
     target: np.ndarray,
     workspace: Optional[EvalWorkspace] = None,
-    engine=None,
     nnls_mode: str = "auto",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Factored NNLS for sweep-shaped batches (one varying user).
@@ -238,7 +182,7 @@ def solve_thetas_candidates(
     fixed_kernels:
         ``(F, n)`` (already weighted) incumbent kernels of the other
         users, or ``None``.
-    target / workspace / engine / nnls_mode:
+    target / workspace / nnls_mode:
         As in :func:`solve_thetas_batched`.
 
     Returns ``(thetas, objectives)`` of shapes ``(N, 1 + F)`` and
@@ -268,68 +212,22 @@ def solve_thetas_candidates(
         Aff = fixed @ fixed.T
         bf = fixed @ target
         K = 1 + fixed.shape[0]
+    F = K - 1
     ws = workspace if workspace is not None else EvalWorkspace()
-    thetas = np.empty((N, K))
-    objectives = np.empty(N)
-
-    if (
-        engine is not None
-        and engine.parallel
-        and N >= _SOLVE_PARALLEL_MIN_ROWS
-    ):
-        rows = max(256, -(-N // engine.workers))
-        engine.run_chunks(
-            N,
-            lambda start, stop: _solve_candidate_rows(
-                candidate_kernels, fixed, Aff, bf, target,
-                thetas, objectives, start, stop, None, nnls_mode,
-            ),
-            chunk_size=rows,
-        )
-        return thetas, objectives
-    _solve_candidate_rows(
-        candidate_kernels, fixed, Aff, bf, target,
-        thetas, objectives, 0, N, ws, nnls_mode,
-    )
-    return thetas, objectives
-
-
-def _solve_candidate_rows(
-    candidates: np.ndarray,
-    fixed: Optional[np.ndarray],
-    Aff: Optional[np.ndarray],
-    bf: Optional[np.ndarray],
-    target: np.ndarray,
-    thetas: np.ndarray,
-    objectives: np.ndarray,
-    start: int,
-    stop: int,
-    ws: Optional[EvalWorkspace],
-    nnls_mode: str,
-) -> None:
-    """Factored-normal-equation solve of candidate rows ``[start, stop)``."""
-    c = candidates[start:stop]
-    B, n = c.shape
-    F = 0 if fixed is None else fixed.shape[0]
-    K = 1 + F
-    if ws is not None:
-        A = ws.buffer("normal", (B, K, K))
-        b = ws.buffer("rhs", (B, K))
-        predicted = ws.buffer("predicted", (B, n))
-    else:
-        A = np.empty((B, K, K))
-        b = np.empty((B, K))
-        predicted = np.empty((B, n))
+    c = candidate_kernels
+    A = ws.buffer("normal", (N, K, K))
+    b = ws.buffer("rhs", (N, K))
+    predicted = ws.buffer("predicted", (N, n))
     # All row products go through einsum rather than BLAS ``@``: gemm
-    # picks blocking by matrix shape, so a chunk of rows can round
+    # picks blocking by matrix shape, so a block of rows can round
     # differently than the full batch — einsum's per-output-element
-    # loops make every row's value independent of the chunk split,
-    # keeping parallel output bitwise-equal to serial.
+    # loops make every row's value independent of its batch mates,
+    # which keeps a candidate's fit the same alone or in a fused batch.
     np.einsum("ij,ij->i", c, c, out=A[:, 0, 0])
     A[:, 0, 0] += _RIDGE
     np.einsum("ij,j->i", c, target, out=b[:, 0])
     if F:
-        border = np.einsum("ij,kj->ik", c, fixed)  # (B, F)
+        border = np.einsum("ij,kj->ik", c, fixed)  # (N, F)
         A[:, 0, 1:] = border
         A[:, 1:, 0] = border
         A[:, 1:, 1:] = Aff
@@ -338,7 +236,7 @@ def _solve_candidate_rows(
         b[:, 1:] = bf
         th = _solve_normal(A, b)
     else:
-        th = b / A[:, :, 0]  # (B, 1) — scalar normal equation
+        th = b / A[:, :, 0]  # (N, 1) — scalar normal equation
 
     negative = np.any(th < 0, axis=1)
     if np.any(negative):
@@ -360,8 +258,7 @@ def _solve_candidate_rows(
     if F:
         predicted += np.einsum("ik,kn->in", th[:, 1:], fixed)
     predicted -= target[None, :]
-    objectives[start:stop] = np.linalg.norm(predicted, axis=1)
-    thetas[start:stop] = th
+    return th, np.linalg.norm(predicted, axis=1)
 
 
 def _nnls_enumerate(
@@ -452,7 +349,7 @@ def _solve_normal(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     of its diagonal (a repeated user, say); then the batch is solved
     again row by row and only the singular rows take the
     pseudo-inverse, so every row's thetas stay independent of its
-    batch mates and of how the batch was chunked.
+    batch mates.
     """
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
@@ -567,7 +464,6 @@ class FluxObjective:
         fixed_kernels: Optional[np.ndarray] = None,
         workspace: Optional[EvalWorkspace] = None,
         preweighted: bool = False,
-        engine=None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Evaluate many single-user candidates against fixed co-users.
 
@@ -588,9 +484,6 @@ class FluxObjective:
             The kernels were already passed through per-sniffer
             weighting (:meth:`_weight_kernels`); skip re-weighting.
             Lets sweep loops weight each candidate pool once up front.
-        engine:
-            Optional :class:`repro.engine.Engine`, forwarded to
-            :func:`solve_thetas_batched` for row-parallel solving.
 
         Returns
         -------
@@ -622,5 +515,5 @@ class FluxObjective:
             if not preweighted:
                 fixed = self._weight_kernels(fixed)
         return solve_thetas_candidates(
-            cand, fixed, self._weighted_target, workspace=ws, engine=engine
+            cand, fixed, self._weighted_target, workspace=ws
         )

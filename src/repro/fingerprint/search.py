@@ -201,9 +201,7 @@ def plan_localize(localizer, fingerprint_map, request,
     )
 
 
-def fuse_pool_kernels(
-    model, plans: Sequence[LocalizePlan], engine=None
-) -> int:
+def fuse_pool_kernels(model, plans: Sequence[LocalizePlan]) -> int:
     """Evaluate every plan's non-seed candidate rows in one kernels call.
 
     Stacks the unseeded rows of all pools across all plans into one
@@ -211,7 +209,7 @@ def fuse_pool_kernels(
     **full** sniffer set once, then slices each plan's column subset
     (dropout) and stitches map-seed kernels back in front. Row-locality
     of the kernel makes the split irrelevant to the values; returns the
-    fused row count (a metrics signal of how much work one engine call
+    fused row count (a metrics signal of how much work one kernels call
     amortized).
 
     A pool with no seed prefix and no dropout keeps a zero-copy view
@@ -236,11 +234,7 @@ def fuse_pool_kernels(
         stacked = np.concatenate(
             [plan.pools[r][u][k:] for plan, r, u, k, _ in segments], axis=0
         )
-        # float64 whatever the engine's dtype: the solves run in float64.
-        fused = model.geometry_kernels(
-            stacked, engine=engine,
-            out=np.empty((total, model.node_count)),
-        )
+        fused = model.geometry_kernels(stacked)
 
     offset = 0
     for plan, r, u, k, count in segments:
@@ -337,7 +331,7 @@ def solve_single_user_fused(
     return results
 
 
-def solve_multi_user(plan: LocalizePlan, engine=None) -> LocalizationResult:
+def solve_multi_user(plan: LocalizePlan) -> LocalizationResult:
     """Solve one K>=2 plan: per-restart coordinate descent + harvest.
 
     The descent consumes the plan's private search stream (restart
@@ -353,7 +347,7 @@ def solve_multi_user(plan: LocalizePlan, engine=None) -> LocalizationResult:
     for r in range(len(plan.pools)):
         outcome = coordinate_descent(
             plan.objective, plan.pools[r], rng=gen, sweeps=req.sweeps,
-            pool_kernels=plan.pool_kernels[r], engine=engine,
+            pool_kernels=plan.pool_kernels[r],
         )
         _harvest(heap, outcome, plan.pools[r], req.top_m)
     return LocalizationResult(fits=[

@@ -2,7 +2,7 @@
 
 :class:`ServeFleet` is the horizontal-scale layer over
 :class:`~repro.serve.service.LocalizationService`. It forks a fixed set
-of N worker processes (each a full admission+scheduler+engine stack, see
+of N worker processes (each a full admission+scheduler stack, see
 :mod:`repro.fleet.worker`), places requests on them with one rule
 (:func:`worker_for`), and preserves the serve layer's core contract
 across process deaths: **every submitted request resolves to exactly one
@@ -68,6 +68,7 @@ from repro.serve.requests import (
     ErrorReply,
     LocalizeRequest,
     TrackStepRequest,
+    require_session_rows,
     require_sniffer_count,
 )
 
@@ -139,7 +140,7 @@ class ServeFleet:
         directory (cleaned by :meth:`stop`). Checkpoints are the
         failover currency, so the directory must be shared by all
         workers (it is: they fork from this process).
-    max_batch .. engine_chunk_size:
+    max_batch / max_wait_s / queue_capacity:
         Per-worker service knobs, forwarded to :class:`~repro.fleet.
         worker.WorkerSpec`.
     """
@@ -156,8 +157,6 @@ class ServeFleet:
         max_batch: int = 32,
         max_wait_s: float = 0.002,
         queue_capacity: int = 512,
-        engine_workers: int = 0,
-        engine_chunk_size: int = 4096,
     ):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -186,8 +185,6 @@ class ServeFleet:
             max_batch=max_batch,
             max_wait_s=max_wait_s,
             queue_capacity=queue_capacity,
-            engine_workers=engine_workers,
-            engine_chunk_size=engine_chunk_size,
         )
         # "fork" shares the (possibly large) fingerprint map with the
         # children copy-on-write; WorkerSpec never crosses a pickle.
@@ -581,7 +578,10 @@ class ServeFleet:
 
         Returns the owning worker id. The worker writes an initial
         checkpoint immediately, so even a session that crashes before
-        its first step can be resumed from durable state.
+        its first step can be resumed from durable state. A session over
+        the row budget of :func:`~repro.serve.requests.
+        require_session_rows` raises :class:`~repro.errors.
+        ConfigurationError` here, before it reaches a worker.
         """
         with self._lock:
             if self._stopped or not self._started:
@@ -594,6 +594,9 @@ class ServeFleet:
         spec = SessionSpec(
             session_id=session_id, user_count=int(user_count),
             seed=int(seed), config=config,
+        )
+        require_session_rows(
+            spec.user_count, spec.tracker_config().prediction_count
         )
         self._control(owner, "open", spec)
         with self._lock:

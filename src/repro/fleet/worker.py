@@ -1,8 +1,8 @@
 """The fleet worker: one process, one full serving stack.
 
 Each worker process runs its own :class:`~repro.serve.service.
-LocalizationService` — admission queue, micro-batch scheduler, optional
-engine, the deployment's fingerprint map when it has one — and speaks a
+LocalizationService` — admission queue, micro-batch scheduler, the
+deployment's fingerprint map when it has one — and speaks a
 tiny envelope protocol with the router over a pair of pipes:
 
 parent -> worker
@@ -69,6 +69,13 @@ class SessionSpec:
     seed: int = 0
     config: Optional[dict] = None
 
+    def tracker_config(self) -> TrackerConfig:
+        """The session's tracker knobs (the defaults without ``config``)."""
+        return (
+            TrackerConfig(**self.config) if self.config is not None
+            else TrackerConfig()
+        )
+
 
 @dataclass
 class WorkerSpec:
@@ -88,23 +95,12 @@ class WorkerSpec:
     max_batch: int = 32
     max_wait_s: float = 0.002
     queue_capacity: int = 512
-    engine_workers: int = 0
-    engine_chunk_size: int = 4096
 
     def build_service(self) -> LocalizationService:
-        engine = None
-        if self.engine_workers >= 1:
-            from repro.engine import Engine
-
-            engine = Engine(
-                workers=self.engine_workers,
-                chunk_size=self.engine_chunk_size,
-            )
         return LocalizationService(
             self.field,
             self.sniffer_positions,
             d_floor=self.d_floor,
-            engine=engine,
             fingerprint_map=self.fingerprint_map,
             max_batch=self.max_batch,
             max_wait_s=self.max_wait_s,
@@ -118,11 +114,9 @@ def checkpoint_path(checkpoint_dir: str, session_id: str) -> str:
 
 
 def _open_session(service: LocalizationService, spec: SessionSpec):
-    config = (
-        TrackerConfig(**spec.config) if spec.config is not None else None
-    )
     return service.open_session(
-        spec.session_id, spec.user_count, config=config, rng=spec.seed
+        spec.session_id, spec.user_count, config=spec.tracker_config(),
+        rng=spec.seed,
     )
 
 

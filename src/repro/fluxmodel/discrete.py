@@ -76,35 +76,25 @@ class DiscreteFluxModel:
         return self.geometry_kernels(sink)[0]
 
     def geometry_kernels(
-        self,
-        sinks: np.ndarray,
-        engine=None,
-        out: Optional[np.ndarray] = None,
-        chunk_size: Optional[int] = None,
+        self, sinks: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Stacked kernels for many candidate sinks: ``(m, n)``.
 
         This is the inner loop of candidate search, evaluated for
         thousands of candidates per filtering round. Evaluation is
         delegated to :func:`repro.engine.kernels.
-        evaluate_geometry_kernels`: broadcast over the (sink, node)
-        product (no flattened pair-grid materialization) and fanned
-        out in ``chunk_size`` spans over ``engine``'s workers when one
-        is passed — bitwise-identical to the serial float64 result
-        either way. ``out`` lets batch producers (the
-        fingerprint-map builder) write kernels straight into their own
-        storage.
+        evaluate_geometry_kernels`: float64, broadcast over the (sink,
+        node) product (no flattened pair-grid materialization), every
+        row independent of the others. ``out`` lets batch producers
+        (the fingerprint-map builder) write kernels straight into their
+        own ``(m, n)`` float64 storage.
         """
+        # Looked up at call time, so a wrapper patched onto the kernels
+        # module sees every evaluation.
         from repro.engine.kernels import evaluate_geometry_kernels
 
         return evaluate_geometry_kernels(
-            self.field,
-            self.node_positions,
-            sinks,
-            self.d_floor,
-            engine=engine,
-            out=out,
-            chunk_size=chunk_size,
+            self.field, self.node_positions, sinks, self.d_floor, out=out
         )
 
     def predict(self, sinks: np.ndarray, thetas: Sequence[float]) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import ConfigurationError, FittingError
 from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.geometry.field import Field
-from repro.geometry.rays import boundary_distances
+from repro.geometry.rays import boundary_distances, pairwise_ray_lengths
 from repro.network.topology import Network
 from repro.routing.spt import build_collection_tree
 from repro.traffic.smoothing import smooth_flux
@@ -155,25 +155,21 @@ class CalibratedFluxModel(DiscreteFluxModel):
         self.kernel = kernel
 
     def geometry_kernels(
-        self, sinks: np.ndarray, engine=None, out=None, chunk_size=None
+        self, sinks: np.ndarray, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        base = super().geometry_kernels(
-            sinks, engine=engine, out=out, chunk_size=chunk_size
-        )
+        base = super().geometry_kernels(sinks, out=out)
         sinks = np.asarray(sinks, dtype=float)
         if sinks.ndim == 1:
             sinks = sinks[None, :]
         sinks = self.field.clip(sinks)
+        # One broadcast pass over every (sink, node) pair; each value
+        # depends on its own pair, so this is bit for bit the per-sink
+        # ``np.hypot`` and ``boundary_distances`` formula.
+        d, l = pairwise_ray_lengths(self.field, sinks, self.node_positions)
+        rho = np.where(l > 1e-12, d / np.maximum(l, 1e-12), 1.0)
         # Correct in place: ``base`` is either our fresh allocation or
         # the caller-supplied ``out`` — both must end up corrected.
-        for j in range(sinks.shape[0]):
-            d = np.hypot(
-                self.node_positions[:, 0] - sinks[j, 0],
-                self.node_positions[:, 1] - sinks[j, 1],
-            )
-            l = boundary_distances(self.field, sinks[j], self.node_positions)
-            rho = np.where(l > 1e-12, d / np.maximum(l, 1e-12), 1.0)
-            base[j] *= self.kernel.correction_at(rho)
+        base *= self.kernel.correction_at(rho)
         return base
 
     def restrict_to(self, indices: np.ndarray) -> "CalibratedFluxModel":

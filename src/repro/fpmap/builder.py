@@ -3,10 +3,10 @@
 Builds the spatial grid over the field, drops cells outside the
 boundary, and evaluates the discrete flux model's geometry kernel at
 every (cell, sniffer) pair — the O(cells x sniffers) work the online
-stages then never repeat. Kernels are computed in blocks to bound peak
-memory at large grids (a 30x30 field at 0.25 resolution with 90
-sniffers is ~14400 x 90 doubles per block batch, not one giant
-allocation).
+stages then never repeat. The kernel evaluator works through the cells
+in row blocks of a fixed pair budget, so its scratch stays small at
+large grids; only the signature matrix itself (a 30x30 field at 0.25
+resolution with 90 sniffers is 14400 x 90 doubles) is cells-sized.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ def build_fingerprint_map(
     resolution: float = 1.0,
     d_floor: float = 1.0,
     sniffer_ids: Optional[np.ndarray] = None,
-    block_size: int = 2048,
-    engine=None,
 ) -> FingerprintMap:
     """Precompute the flux-kernel fingerprint of every grid cell.
 
@@ -74,13 +72,6 @@ def build_fingerprint_map(
     sniffer_ids:
         Optional ``(n,)`` deployment indices of the sniffers (defaults
         to ``arange(n)``); stored so observations can be aligned.
-    block_size:
-        Cells per kernel-evaluation chunk, the unit of fan-out.
-    engine:
-        Optional :class:`repro.engine.Engine`; cell batches are fanned
-        out across its workers, each writing its block of the signature
-        matrix in place (float64 output is bitwise-identical to the
-        serial build).
     """
     sniffer_positions = np.asarray(sniffer_positions, dtype=float)
     if sniffer_positions.ndim != 2 or sniffer_positions.shape[1] != 2:
@@ -89,8 +80,6 @@ def build_fingerprint_map(
         )
     if sniffer_positions.shape[0] == 0:
         raise ConfigurationError("need at least one sniffer")
-    if block_size < 1:
-        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
     if sniffer_ids is None:
         sniffer_ids = np.arange(sniffer_positions.shape[0], dtype=np.int64)
     else:
@@ -103,12 +92,9 @@ def build_fingerprint_map(
 
     cells = grid_cells(field, resolution)
     model = DiscreteFluxModel(field, sniffer_positions, d_floor=d_floor)
-    # One chunked (and, with an engine, parallel) evaluation straight
-    # into the signature matrix, ``block_size`` cells per chunk.
+    # One evaluation straight into the signature matrix.
     signatures = np.empty((cells.shape[0], sniffer_positions.shape[0]))
-    model.geometry_kernels(
-        cells, engine=engine, out=signatures, chunk_size=block_size
-    )
+    model.geometry_kernels(cells, out=signatures)
 
     return FingerprintMap(
         field=field,

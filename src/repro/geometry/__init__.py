@@ -13,7 +13,11 @@ from repro.geometry.field import (
     PolygonField,
     RectangularField,
 )
-from repro.geometry.rays import boundary_distances, pairwise_boundary_distances
+from repro.geometry.rays import (
+    boundary_distances,
+    pairwise_boundary_distances,
+    pairwise_ray_lengths,
+)
 from repro.geometry.distance import pairwise_distances, distances_to_point
 from repro.geometry.grid import SpatialHashGrid
 
@@ -24,6 +28,7 @@ __all__ = [
     "PolygonField",
     "boundary_distances",
     "pairwise_boundary_distances",
+    "pairwise_ray_lengths",
     "pairwise_distances",
     "distances_to_point",
     "SpatialHashGrid",

@@ -2,10 +2,10 @@
 
 Many logical clients submit :class:`LocalizeRequest` /
 :class:`TrackStepRequest` work to one :class:`LocalizationService`,
-which shares the deployment's flux model, fingerprint map, and engine
-pool across all of them. Admission is bounded and client-fair
+which shares the deployment's flux model and fingerprint map across
+all of them. Admission is bounded and client-fair
 (:class:`AdmissionQueue`), evaluation is micro-batched with fused
-engine kernel calls (:class:`MicroBatchScheduler`), operations are
+kernel calls (:class:`MicroBatchScheduler`), operations are
 observable (:class:`ServerMetrics`, :class:`MetricsServer`), and
 shutdown drains then checkpoints every tracking session.
 """

@@ -9,7 +9,7 @@ The latency machinery is the shared :class:`repro.metrics.
 LatencyReservoir` — the same ring buffer the streaming layer uses —
 extended here with p99 (a serving SLO, not a tracking one) and a
 batch-size histogram, the direct evidence of how well micro-batching
-is amortizing engine calls.
+is amortizing kernel calls.
 """
 
 from __future__ import annotations

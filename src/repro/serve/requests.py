@@ -42,9 +42,9 @@ ERROR_WORKER_CRASHED = "worker_crashed"
 #: localize request may ask for. Each row is one float64 kernel over the
 #: sniffers, held in memory for the whole batch: at 180 sniffers the cap
 #: is 180 MiB. It admits the paper's Fig. 5 budget of 10,000 candidates
-#: per user at up to 4 users and 3 restarts. ``LocalizationService.
-#: open_session`` caps a tracking session's ``user_count x
-#: prediction_count`` sample rows at the same value.
+#: per user at up to 4 users and 3 restarts. :func:`require_session_rows`
+#: caps a tracking session's ``user_count x prediction_count`` sample
+#: rows at the same value.
 MAX_CANDIDATE_ROWS = 1 << 17
 
 #: ``dataclass(slots=True)`` needs Python 3.10; on 3.9 the classes
@@ -175,6 +175,24 @@ def require_sniffer_count(request, sniffer_count: int) -> None:
                 f"observation readings have shape {shape}, but the "
                 f"deployment has {sniffer_count} sniffers"
             )
+
+
+def require_session_rows(user_count: int, prediction_count: int) -> None:
+    """Refuse a tracking session of more than :data:`MAX_CANDIDATE_ROWS`
+    sample rows (``user_count x prediction_count``).
+
+    The tracker builds each user's prior in Python, and a gateway opens
+    sessions on its event-loop thread. Raises
+    :class:`~repro.errors.ConfigurationError`; both
+    ``LocalizationService.open_session`` and ``ServeFleet.open_session``
+    call this before building anything.
+    """
+    rows = int(user_count) * int(prediction_count)
+    if rows > MAX_CANDIDATE_ROWS:
+        raise ConfigurationError(
+            f"user_count x prediction_count = {rows} sample rows "
+            f"exceeds MAX_CANDIDATE_ROWS = {MAX_CANDIDATE_ROWS}"
+        )
 
 
 @dataclass(frozen=True, **_DC_SLOTS)

@@ -6,11 +6,11 @@ every drained envelope exactly once. The point of batching on a
 localization service is not thread parallelism — it is **fusion**: the
 geometry-kernel evaluation that dominates a localization request is a
 row-local map over candidate positions, so the candidate pools of all
-requests in a batch can be concatenated and evaluated in *one* engine
-kernels call, amortizing the per-call dispatch, validation, and chunk
-setup that a request paid on its own. Single-user solves fuse the same
-way: the per-candidate theta/objective math is one einsum row reduction,
-so a batch of K=1 requests becomes one stacked row sweep.
+requests in a batch can be concatenated and evaluated in *one*
+kernels call, amortizing the per-call dispatch, validation, and
+scratch setup that a request paid on its own. Single-user solves fuse
+the same way: the per-candidate theta/objective math is one einsum row
+reduction, so a batch of K=1 requests becomes one stacked row sweep.
 
 :class:`AdaptiveBatchController` keeps batching from costing latency:
 it sizes the linger window from an EWMA of the inter-arrival gap and
@@ -275,9 +275,6 @@ class MicroBatchScheduler:
     fingerprint_map:
         Optional shared map for seeded pools (requests opt out via
         ``use_map=False``).
-    engine:
-        Optional :class:`repro.engine.Engine` for chunked kernel
-        evaluation inside the fused call.
     session_lookup:
         ``session_id -> TrackingSession | None`` resolver for
         :class:`TrackStepRequest` work.
@@ -302,7 +299,6 @@ class MicroBatchScheduler:
         queue: AdmissionQueue,
         metrics: ServerMetrics,
         fingerprint_map=None,
-        engine=None,
         session_lookup: Optional[Callable[[str], object]] = None,
         max_batch: int = 32,
         max_wait_s: float = 0.002,
@@ -314,7 +310,6 @@ class MicroBatchScheduler:
         self.queue = queue
         self.metrics = metrics
         self.fingerprint_map = fingerprint_map
-        self.engine = engine
         self.session_lookup = session_lookup
         self.max_batch = int(max_batch)
         self.controller = AdaptiveBatchController(max_wait_s=max_wait_s)
@@ -479,7 +474,7 @@ class MicroBatchScheduler:
             if plan.request.user_count == 1:
                 continue
             try:
-                result = solve_multi_user(plan, engine=self.engine)
+                result = solve_multi_user(plan)
             except Exception as exc:
                 self._fail([item], exc)
                 continue
@@ -501,8 +496,7 @@ class MicroBatchScheduler:
                     f"serve.batch.fuse: fused kernel pass over {rows} rows "
                     "failed"
                 )
-            return fuse_pool_kernels(self.localizer.model, plans,
-                                     engine=self.engine)
+            return fuse_pool_kernels(self.localizer.model, plans)
 
         if self.retry_policy is None:
             return run()

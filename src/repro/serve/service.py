@@ -3,10 +3,10 @@
 :class:`LocalizationService` ties the serve layer together around
 *shared* heavyweight state — one :class:`~repro.fingerprint.nls.
 NLSLocalizer` (flux model), one optional fingerprint map (built or
-loaded once per deployment and shared by every request and session),
-one optional engine pool — behind one bounded, client-fair admission
-queue that rejects when full, and one micro-batching scheduler thread. Clients call :meth:`submit` with a
-:class:`~repro.serve.requests.LocalizeRequest` or
+loaded once per deployment and shared by every request and session) —
+behind one bounded, client-fair admission queue that rejects when full,
+and one micro-batching scheduler thread. Clients call :meth:`submit`
+with a :class:`~repro.serve.requests.LocalizeRequest` or
 :class:`~repro.serve.requests.TrackStepRequest` and get a
 ``concurrent.futures.Future`` that always resolves to exactly one
 reply: success, or a typed :class:`~repro.serve.requests.ErrorReply`
@@ -42,10 +42,10 @@ from repro.serve.metrics import ServerMetrics
 from repro.serve.requests import (
     ERROR_REJECTED,
     ERROR_SHUTDOWN,
-    MAX_CANDIDATE_ROWS,
     ErrorReply,
     LocalizeRequest,
     TrackStepRequest,
+    require_session_rows,
     require_sniffer_count,
 )
 from repro.serve.scheduler import MicroBatchScheduler
@@ -66,15 +66,12 @@ class LocalizationService:
     ----------
     field / sniffer_positions / d_floor:
         The deployment the service answers for.
-    engine:
-        Optional :class:`repro.engine.Engine` shared by every batch's
-        fused kernel call.
     fingerprint_map:
         Optional prebuilt map, used as given (validated once against
         the deployment).
     map_resolution:
         Without a prebuilt map, setting ``map_resolution`` builds the
-        deployment's map here (with ``engine``).
+        deployment's map here.
     max_batch / max_wait_s:
         Micro-batching trigger (``max_batch=1`` is per-request
         dispatch; the benchmark's baseline). ``max_wait_s`` is the
@@ -100,7 +97,6 @@ class LocalizationService:
         field,
         sniffer_positions: np.ndarray,
         d_floor: float = 1.0,
-        engine=None,
         fingerprint_map=None,
         map_resolution: Optional[float] = None,
         max_batch: int = 32,
@@ -111,14 +107,12 @@ class LocalizationService:
     ):
         self.retry_policy = retry_policy
         self.localizer = NLSLocalizer(field, sniffer_positions, d_floor=d_floor)
-        self.engine = engine
         if fingerprint_map is None and map_resolution is not None:
             from repro.fpmap import build_fingerprint_map
 
             fingerprint_map = build_fingerprint_map(
                 field, self.localizer.model.node_positions,
                 resolution=map_resolution, d_floor=d_floor,
-                engine=engine,
             )
         if fingerprint_map is not None:
             # Refuse a wrong-deployment map once, up front — requests
@@ -134,7 +128,6 @@ class LocalizationService:
             queue=self.queue,
             metrics=self.metrics,
             fingerprint_map=fingerprint_map,
-            engine=engine,
             session_lookup=self._session_for,
             max_batch=max_batch,
             max_wait_s=max_wait_s,
@@ -233,25 +226,14 @@ class LocalizationService:
     ) -> TrackingSession:
         """Create and register a tracking session on this deployment.
 
-        The tracker shares the service's fingerprint map but runs with
-        ``engine=None`` — tracking steps execute on the scheduler
-        thread, where the service engine may already be fanning out
-        kernel work (the engine nesting rule).
-
-        A session of more than :data:`~repro.serve.requests.
-        MAX_CANDIDATE_ROWS` sample rows (``user_count x
-        prediction_count``) raises :class:`~repro.errors.
-        ConfigurationError`: the tracker builds each user's prior in
-        Python, and a gateway opens sessions on its event-loop thread.
+        The tracker shares the service's fingerprint map; its steps run
+        on the scheduler thread. A session over the row budget of
+        :func:`~repro.serve.requests.require_session_rows` raises
+        :class:`~repro.errors.ConfigurationError`.
         """
         if config is None:
             config = TrackerConfig()
-        rows = int(user_count) * config.prediction_count
-        if rows > MAX_CANDIDATE_ROWS:
-            raise ConfigurationError(
-                f"user_count x prediction_count = {rows} sample rows "
-                f"exceeds MAX_CANDIDATE_ROWS = {MAX_CANDIDATE_ROWS}"
-            )
+        require_session_rows(user_count, config.prediction_count)
         tracker = SequentialMonteCarloTracker(
             self.localizer.field,
             self.localizer.model.node_positions,

@@ -169,13 +169,6 @@ class SequentialMonteCarloTracker:
         Optional :class:`repro.fpmap.FingerprintMap` built for this
         exact deployment; enables the degenerate-sample recovery path
         (see :meth:`attach_map`). Validated on attach.
-    engine:
-        Optional :class:`repro.engine.Engine` used by every filtering
-        round: prediction-pool kernel evaluation runs chunk-parallel
-        and the coordinate-descent solves split across workers. The
-        sampling phases consume RNG serially regardless, so a tracker
-        with an engine follows the exact trajectory of one without
-        (float64 bitwise).
     """
 
     def __init__(
@@ -187,7 +180,6 @@ class SequentialMonteCarloTracker:
         start_time: float = 0.0,
         rng: RandomState = None,
         fingerprint_map=None,
-        engine=None,
     ):
         if user_count < 1:
             raise ConfigurationError(f"user_count must be >= 1, got {user_count}")
@@ -199,7 +191,6 @@ class SequentialMonteCarloTracker:
             d_floor=self.config.d_floor,
         )
         self._rng = as_generator(rng)
-        self.engine = engine
         # Initialization: M random positions, equal weights (Algorithm 4.1).
         self.samples: List[UserSamples] = [
             UserSamples.uniform_prior(
@@ -275,8 +266,7 @@ class SequentialMonteCarloTracker:
 
         # Filtering phase: composition search + per-user rankings.
         outcome = coordinate_descent(
-            objective, pools, rng=self._rng, sweeps=cfg.sweeps,
-            engine=self.engine,
+            objective, pools, rng=self._rng, sweeps=cfg.sweeps
         )
 
         # Asynchronous updating: decide who actually collected. The

@@ -6,6 +6,13 @@ import pytest
 from repro.cli import build_parser, main
 
 
+#: The commands that evaluate kernels.
+_KERNEL_COMMANDS = [
+    ["localize"], ["build-map", "--output", "map.npz"], ["track"],
+    ["track-stream"], ["serve"], ["fleet"], ["gateway"],
+]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -37,19 +44,23 @@ class TestParser:
         assert args.checkpoint is None
         assert args.checkpoint_every == 0
 
-    @pytest.mark.parametrize("command", [
-        ["localize"], ["build-map", "--output", "map.npz"],
-    ])
+    @pytest.mark.parametrize("command", _KERNEL_COMMANDS)
     def test_dtype_refused_where_no_reply_depends_on_it(self, command):
-        # Both write their kernels in float64 whatever the engine dtype.
+        # Kernels and solves run in float64 only.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([*command, "--dtype", "float32"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["track", "track-stream"])
-    def test_trackers_keep_dtype(self, command):
-        args = build_parser().parse_args([command, "--dtype", "float32"])
-        assert args.dtype == "float32"
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--chunk-size", "64"]],
+                             ids=lambda flag: flag[0])
+    @pytest.mark.parametrize("command", _KERNEL_COMMANDS,
+                             ids=lambda command: command[0])
+    def test_thread_pool_flags_refused(self, command, flag):
+        # Kernels and solves run on the calling thread; a second core is
+        # the fleet's worker processes (repro fleet --fleet-workers).
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*command, *flag])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:
@@ -492,6 +503,17 @@ class TestFleet:
         )
         assert rc == 0
         assert "36 ok, 0 errors" in capsys.readouterr().out
+
+    def test_fleet_refuses_an_oversized_session(self, capsys):
+        # 132 users x 1000 predictions passes MAX_CANDIDATE_ROWS; the
+        # router refuses it before any worker sees it.
+        rc = main([
+            "--seed", "1", "fleet", "--nodes", "100", "--field", "10",
+            "--radius", "2.0", "--users", "132", "--track-sessions", "1",
+            "--clients", "1", "--requests", "1",
+        ])
+        assert rc == 1
+        assert "cannot open tracking session" in capsys.readouterr().err
 
 
 class TestGateway:

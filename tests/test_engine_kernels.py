@@ -1,11 +1,12 @@
-"""Equivalence tests for the chunked geometry-kernel evaluator.
+"""Equivalence tests for the row-blocked geometry-kernel evaluator.
 
 The contract under test has two parts:
 
-* every configuration of
-  :func:`repro.engine.kernels.evaluate_geometry_kernels` — chunked,
-  parallel, preallocated output, one sink promoted to a row — produces
-  float64 values bitwise identical to the default evaluator;
+* every path through
+  :func:`repro.engine.kernels.evaluate_geometry_kernels` — preallocated
+  output, one sink promoted to a row, a row on either side of a
+  row-block boundary — produces float64 values bitwise identical to
+  the sink evaluated alone;
 * the evaluator stays within ``|dg| <= 1e-12 * max(1, |g|)`` of
   :func:`reference_geometry_kernels`, the pre-engine pair-grid
   implementation kept as oracle. The evaluator takes ``sqrt(dx^2 +
@@ -13,8 +14,6 @@ The contract under test has two parts:
   the unnormalized direction where the reference divides by the norm,
   so the last bits differ. The tolerance was fixed before that
   arithmetic was written.
-
-float32 mode stays within a small relative envelope of the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import Engine, reference_geometry_kernels
+from repro.engine import reference_geometry_kernels
 from repro.engine.kernels import _BLOCK_PAIRS, evaluate_geometry_kernels
 from repro.errors import ConfigurationError
 from repro.geometry import CircularField, PolygonField, RectangularField
@@ -69,33 +68,29 @@ def test_broadcast_matches_reference_bitwise(field):
 BLOCK = _BLOCK_PAIRS // 23
 
 
-# Chunks of one row, around the row block, and (None: the default
-# 4096) spanning two blocks and a partial third.
+# Pools inside one row block, around its size, and (4097) spanning two
+# blocks and a partial third. The id predates the row blocks: the
+# evaluator once split pools into chunks of these sizes.
 @pytest.mark.parametrize(
-    "chunk_size", [1, 7, 64, 137, 1000, BLOCK - 1, BLOCK, BLOCK + 1, None]
+    "rows", [1, 7, 64, 137, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 4097]
 )
-def test_chunked_is_bitwise_invariant(chunk_size):
+def test_chunked_is_bitwise_invariant(rows):
+    """Row independence: every row of a pool, on either side of a
+    row-block boundary and next to rows that take the rare paths (a
+    node at the sink, a sink on a wall, a corner sink), equals its sink
+    evaluated alone, bit for bit."""
     field = RectangularField(15, 15)
-    nodes, sinks = _scenario(field, m=2 * BLOCK + 5)
-    want = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
-    got = evaluate_geometry_kernels(
-        field, nodes, sinks, D_FLOOR, chunk_size=chunk_size
-    )
-    assert np.array_equal(want, got)
+    nodes, sinks = _scenario(field, m=rows)
+    for at, sink in zip([rows - 1, rows // 2, BLOCK],
+                        [nodes[0], [0.0, 7.5], [15.0, 15.0]]):
+        if at < rows:
+            sinks[at] = sink
+    batch = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
+    for j, sink in enumerate(sinks):
+        alone = evaluate_geometry_kernels(field, nodes, sink, D_FLOOR)
+        assert np.array_equal(alone[0], batch[j]), j
     assert_matches_reference(
-        got, reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
-    )
-
-
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: type(f).__name__)
-def test_parallel_threads_bitwise_equal_serial(field):
-    nodes, sinks = _scenario(field, m=301)
-    want = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR)
-    with Engine(workers=4, chunk_size=32) as eng:
-        got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, engine=eng)
-    assert np.array_equal(want, got)
-    assert_matches_reference(
-        got, reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
+        batch, reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
     )
 
 
@@ -186,33 +181,28 @@ def test_bad_sink_shape_raises():
         evaluate_geometry_kernels(field, nodes, np.zeros((4, 3)), D_FLOOR)
 
 
-def test_float32_mode_dtype_and_envelope():
-    field = RectangularField(15, 15)
-    nodes, sinks = _scenario(field, m=500)
-    want = reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
-    with Engine(dtype="float32") as eng:
-        got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, engine=eng)
-    assert got.dtype == np.float32
-    scale = np.maximum(np.abs(want), 1.0)
-    assert np.max(np.abs(got.astype(float) - want) / scale) < 1e-3
-
-
-def test_out_buffer_is_written_in_place_and_dtype_wins():
+def test_out_buffer_is_written_in_place():
     field = RectangularField(15, 15)
     nodes, sinks = _scenario(field)
-    out = np.empty((sinks.shape[0], nodes.shape[0]), dtype=np.float64)
-    with Engine(dtype="float32") as eng:
-        got = evaluate_geometry_kernels(
-            field, nodes, sinks, D_FLOOR, engine=eng, out=out
-        )
+    out = np.empty((sinks.shape[0], nodes.shape[0]))
+    got = evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR, out=out)
     assert got is out
-    # The preallocated buffer's float64 overrides the engine's float32.
     assert np.array_equal(
         evaluate_geometry_kernels(field, nodes, sinks, D_FLOOR), out
     )
     assert_matches_reference(
         out, reference_geometry_kernels(field, nodes, sinks, D_FLOOR)
     )
+
+
+def test_out_buffer_must_be_float64():
+    field = RectangularField(15, 15)
+    nodes, sinks = _scenario(field)
+    with pytest.raises(ConfigurationError):
+        evaluate_geometry_kernels(
+            field, nodes, sinks, D_FLOOR,
+            out=np.empty((sinks.shape[0], nodes.shape[0]), dtype=np.float32),
+        )
 
 
 def test_out_buffer_shape_mismatch_raises():

@@ -200,6 +200,23 @@ class TestSessionsAndErrors:
                 assert fleet.session_owner(f"s{i}") == owner
                 assert f"s{i}" in fleet.worker_snapshot(owner)["sessions"]
 
+    def test_oversized_session_is_refused_before_any_worker(self, scenario):
+        _, _, _, localizes, stream = scenario
+        with _fleet(scenario) as fleet:
+            # 132 users x 1000 predictions passes MAX_CANDIDATE_ROWS.
+            with pytest.raises(ConfigurationError, match="MAX_CANDIDATE_ROWS"):
+                fleet.open_session("big", 132)
+            with pytest.raises(ConfigurationError, match="MAX_CANDIDATE_ROWS"):
+                fleet.open_session(
+                    "big", USERS, config={"prediction_count": 70000}
+                )
+            assert fleet.session_ids == []
+            fleet.open_session("s0", USERS, seed=7)
+            assert fleet.call(localizes[0], timeout=120).ok
+            assert fleet.call(_steps(stream)[0], timeout=120).ok
+            router = fleet.fleet_snapshot()["router"]
+        assert router["worker_deaths"] == 0
+
     def test_wrong_arity_localize_is_refused_before_any_worker(
         self, scenario
     ):

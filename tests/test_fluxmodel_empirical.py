@@ -10,6 +10,7 @@ from repro.fluxmodel.empirical import (
     fit_empirical_kernel,
 )
 from repro.fluxmodel.discrete import DiscreteFluxModel
+from repro.geometry import boundary_distances
 
 
 class TestEmpiricalKernel:
@@ -107,6 +108,30 @@ class TestCalibratedFluxModel:
             2.0 * analytic.geometry_kernel(sink),
             rtol=1e-9,
         )
+
+    def test_batch_is_bitwise_the_per_sink_formula(self, small_network):
+        """One broadcast pass over every (sink, node) pair, bit for bit
+        the per-sink ``np.hypot`` and ``boundary_distances`` correction,
+        on a pool spanning two ray-cast row blocks with a corner sink,
+        wall sinks and a sink on a node."""
+        kernel = fit_empirical_kernel(small_network, probe_count=2, rng=2)
+        field = small_network.field
+        nodes = small_network.positions[:30]
+        model = CalibratedFluxModel(field, nodes, kernel=kernel)
+        x0, y0, x1, y1 = field.bounding_box
+        sinks = np.concatenate([
+            field.sample_uniform(1500, np.random.default_rng(4)),
+            [[x0, y0], [x1, y1], [x0, (y0 + y1) / 2.0], [(x0 + x1) / 2.0, y1],
+             nodes[3]],
+        ])
+        got = model.geometry_kernels(sinks)
+        analytic = DiscreteFluxModel(field, nodes).geometry_kernels(sinks)
+        for j, sink in enumerate(sinks):
+            d = np.hypot(nodes[:, 0] - sink[0], nodes[:, 1] - sink[1])
+            l = boundary_distances(field, sink, nodes)
+            rho = np.where(l > 1e-12, d / np.maximum(l, 1e-12), 1.0)
+            want = analytic[j] * kernel.correction_at(rho)
+            assert np.array_equal(got[j], want), j
 
     def test_restrict_to_preserves_kernel(self, small_network):
         kernel = fit_empirical_kernel(small_network, probe_count=2, rng=2)

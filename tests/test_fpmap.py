@@ -66,16 +66,6 @@ class TestBuilder:
         direct = model.geometry_kernels(fpmap.cell_positions[:17])
         assert np.array_equal(fpmap.signatures[:17], direct)
 
-    def test_block_size_does_not_change_result(self, small_network, sniffers, fpmap):
-        small_blocks = build_fingerprint_map(
-            small_network.field,
-            small_network.positions[sniffers],
-            resolution=0.75,
-            sniffer_ids=sniffers,
-            block_size=7,
-        )
-        assert np.array_equal(small_blocks.signatures, fpmap.signatures)
-
     def test_default_sniffer_ids(self, small_network, sniffers):
         fmap = build_fingerprint_map(
             small_network.field,

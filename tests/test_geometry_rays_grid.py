@@ -5,12 +5,15 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import (
+    CircularField,
+    PolygonField,
     RectangularField,
     SpatialHashGrid,
     boundary_distances,
     distances_to_point,
     pairwise_boundary_distances,
     pairwise_distances,
+    pairwise_ray_lengths,
 )
 
 
@@ -58,6 +61,24 @@ class TestBoundaryDistances:
         for j in range(2):
             np.testing.assert_allclose(
                 out[j], boundary_distances(field, sinks[j], nodes)
+            )
+
+    @pytest.mark.parametrize("field", [
+        RectangularField(10, 10),
+        CircularField(5.0, center=(5.0, 5.0)),
+        PolygonField([(0, 0), (8, 0), (10, 5), (4, 9), (0, 6)]),
+    ], ids=lambda f: type(f).__name__)
+    def test_pairwise_rows_are_bitwise_the_per_sink_loop(self, field):
+        # 1000 sinks at 40 nodes span two row blocks of the ray cast.
+        gen = np.random.default_rng(2)
+        nodes = field.sample_uniform(40, gen)
+        sinks = np.concatenate([field.sample_uniform(999, gen), nodes[:1]])
+        d, l = pairwise_ray_lengths(field, sinks, nodes)
+        assert np.array_equal(l, pairwise_boundary_distances(field, sinks, nodes))
+        for j, sink in enumerate(sinks):
+            assert np.array_equal(l[j], boundary_distances(field, sink, nodes))
+            assert np.array_equal(
+                d[j], np.hypot(nodes[:, 0] - sink[0], nodes[:, 1] - sink[1])
             )
 
 

@@ -1,4 +1,4 @@
-"""Resilience wiring across engine, serve, and stream.
+"""Resilience wiring across serve and stream.
 
 The latent-bug sweep's regression tests live here: exception swallows
 are now observable, the admission deadline race is closed under an
@@ -10,7 +10,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine import Engine
 from repro.errors import ConfigurationError, FaultInjected
 from repro.faults import (
     FakeClock,
@@ -70,18 +69,6 @@ def _tracker(net, sniffers, rng=3):
     return SequentialMonteCarloTracker(
         net.field, net.positions[sniffers], user_count=1, config=_CFG, rng=rng
     )
-
-
-# ----------------------------------------------------------------------
-# Engine: failures propagate; the serve scheduler owns the retry.
-# ----------------------------------------------------------------------
-class TestEngineRetry:
-    def test_no_policy_propagates_first_failure(self):
-        def broken(x):
-            raise FaultInjected("down")
-
-        with pytest.raises(FaultInjected):
-            Engine().map(broken, [1, 2])
 
 
 # ----------------------------------------------------------------------
@@ -188,48 +175,35 @@ class TestServeDegradation:
                 np.testing.assert_array_equal(fa.thetas, fb.thetas)
                 assert fa.objective == fb.objective
 
-    @pytest.mark.parametrize(
-        "engine_kwargs",
-        [None, {}, {"workers": 2, "chunk_size": 16}],
-        ids=["no-engine", "serial-engine", "threaded-engine"],
-    )
     def test_persistent_fuse_fault_is_one_typed_reply_per_request(
-        self, scenario, engine_kwargs
+        self, scenario
     ):
         """A fault the retries cannot absorb costs one retry budget and
-        answers each request once with ``internal``, whatever the engine."""
+        answers each request once with ``internal``."""
         net, sniffers = scenario
-        eng = None if engine_kwargs is None else Engine(**engine_kwargs)
         service = LocalizationService(
-            net.field, net.positions[sniffers], engine=eng,
-            retry_policy=_FAST_RETRIES,
+            net.field, net.positions[sniffers], retry_policy=_FAST_RETRIES,
         )
         scheduler = service.scheduler
         plan = FaultPlan([FaultSpec("serve.batch.fuse", times=None)], seed=2)
-        try:
-            items = [
-                PendingRequest.wrap(request)
-                for request in _requests(net, sniffers, 2, seed=10)
-            ]
-            with injected(plan):
-                scheduler._process(items)
-            for item in items:
-                reply = item.future.result(timeout=5)
-                assert reply.code == ERROR_INTERNAL
-                assert "RetriesExhausted" in reply.message
-            assert plan.fired("serve.batch.fuse") == 3
-            snapshot = service.metrics.snapshot()
-            assert snapshot["retries_total"] == 2
-            assert snapshot["replies_error"] == {ERROR_INTERNAL: 2}
-            # Disarmed: the next batch is answered normally.
-            item = PendingRequest.wrap(
-                _requests(net, sniffers, 1, seed=12)[0]
-            )
-            scheduler._process([item])
-            assert item.future.result(timeout=5).ok
-        finally:
-            if eng is not None:
-                eng.close()
+        items = [
+            PendingRequest.wrap(request)
+            for request in _requests(net, sniffers, 2, seed=10)
+        ]
+        with injected(plan):
+            scheduler._process(items)
+        for item in items:
+            reply = item.future.result(timeout=5)
+            assert reply.code == ERROR_INTERNAL
+            assert "RetriesExhausted" in reply.message
+        assert plan.fired("serve.batch.fuse") == 3
+        snapshot = service.metrics.snapshot()
+        assert snapshot["retries_total"] == 2
+        assert snapshot["replies_error"] == {ERROR_INTERNAL: 2}
+        # Disarmed: the next batch is answered normally.
+        item = PendingRequest.wrap(_requests(net, sniffers, 1, seed=12)[0])
+        scheduler._process([item])
+        assert item.future.result(timeout=5).ok
 
     def test_metrics_snapshot_has_resilience_keys(self):
         snapshot = ServerMetrics().snapshot()

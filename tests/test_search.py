@@ -130,26 +130,3 @@ class TestSeedRule:
         assert _payload(drawn) == _payload(keyed)
         other = localizer.localize(obs, rng=seed + 1, **knobs)
         assert _payload(other) != _payload(keyed)
-
-
-class TestEngineDtype:
-    def test_float32_engine_changes_no_fit(self, scenario):
-        """The fused pass writes float64 kernels whatever the engine's
-        dtype, so a float32 engine gives the same fits bit for bit."""
-        from repro.engine import Engine
-
-        net, sniffers, fmap = scenario
-        localizer = NLSLocalizer(net.field, net.positions[sniffers])
-        with Engine(dtype="float32") as engine:
-            for r in _mixed_requests(net, sniffers):
-                knobs = dict(
-                    user_count=r.user_count,
-                    candidate_count=r.candidate_count, sweeps=r.sweeps,
-                    restarts=r.restarts, rng=r.seed,
-                    fingerprint_map=fmap if r.use_map else None,
-                )
-                plain = localizer.localize(r.observation, **knobs)
-                narrow = localizer.localize(
-                    r.observation, engine=engine, **knobs
-                )
-                assert _payload(narrow) == _payload(plain), r.request_id

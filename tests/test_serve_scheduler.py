@@ -368,12 +368,12 @@ class TestFusedRowBudget:
         passes = []
         fuse = scheduler.fuse_pool_kernels
 
-        def counted(model, plans, engine=None):
+        def counted(model, plans):
             passes.append(sum(
                 p.request.user_count * p.request.restarts
                 * p.request.candidate_count for p in plans
             ))
-            return fuse(model, plans, engine=engine)
+            return fuse(model, plans)
 
         monkeypatch.setattr(scheduler, "fuse_pool_kernels", counted)
         batched_service = service(16)
