@@ -55,7 +55,6 @@ CANDIDATES = 64
 SEED_TOP_K = 16
 TOP_M = 5
 MAX_BATCH = 16
-MAX_WAIT_S = 0.002
 #: Tracking-session gate parameters.
 TRACK_STEPS = 12
 KILL_AFTER = 4  # completed steps before the owner worker dies
@@ -121,7 +120,6 @@ def _track_stream(net, sniffers, steps, seed=21):
 
 def _fleet(net, sniffers, fmap, workers, **kwargs):
     kwargs.setdefault("max_batch", MAX_BATCH)
-    kwargs.setdefault("max_wait_s", MAX_WAIT_S)
     return ServeFleet(
         net.field,
         net.positions[sniffers],
@@ -192,7 +190,11 @@ def _run_workers(net, sniffers, fmap, work, workers):
 
 def _record(workers, clients, per_client, replies, elapsed, snapshot):
     total = len(replies)
-    aggregate = snapshot["aggregate"]
+    # Each live worker's own counters; no worker dies in the sweep.
+    workers_seen = [
+        w["metrics"] for w in snapshot["workers"].values() if w is not None
+    ]
+    batches = sum(m["batches"] for m in workers_seen)
     return {
         "benchmark": "fleet_scaling",
         "workers": workers,
@@ -202,10 +204,14 @@ def _record(workers, clients, per_client, replies, elapsed, snapshot):
         "elapsed_s": elapsed,
         "aggregate_rps": total / elapsed,
         "rps_per_worker": total / elapsed / workers,
-        "worker_replies_ok": aggregate.get("replies_ok"),
-        "worker_batches": aggregate.get("batches"),
-        "worker_batch_size_mean": aggregate.get("batch_size_mean"),
-        "workers_reporting": aggregate.get("workers_reporting"),
+        "worker_replies_ok": sum(m["replies_ok"] for m in workers_seen),
+        "worker_batches": batches,
+        "worker_batch_size_mean": (
+            sum(m["batch_size_mean"] * m["batches"] for m in workers_seen
+                if m["batches"]) / batches
+            if batches else None
+        ),
+        "workers_reporting": len(workers_seen),
     }
 
 
@@ -229,8 +235,7 @@ def _run_session(net, sniffers, fmap, stream, kill_after=None):
     redelivery path.
     """
     estimates = []
-    with _fleet(net, sniffers, fmap, workers=2, max_batch=8,
-                max_wait_s=0.001) as fleet:
+    with _fleet(net, sniffers, fmap, workers=2, max_batch=8) as fleet:
         fleet.open_session("s0", user_count=SESSION_USERS, seed=7)
         owner = fleet.session_owner("s0")
         i = 0
@@ -337,7 +342,6 @@ def main() -> None:
         "requests_per_client": per_client,
         "candidate_count": CANDIDATES,
         "max_batch": MAX_BATCH,
-        "max_wait_s": MAX_WAIT_S,
         "map_resolution": 1.0,
         "quick": quick,
         "cpus": os.cpu_count(),

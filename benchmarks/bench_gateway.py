@@ -155,7 +155,7 @@ def _run_tier(service, gateway, observations, connections, total_requests):
 def _gateway_stack(net, sniffers, fmap):
     service = LocalizationService(
         net.field, net.positions[sniffers], fingerprint_map=fmap,
-        max_batch=MAX_BATCH, max_wait_s=0.002,
+        max_batch=MAX_BATCH,
         queue_capacity=QUEUE_CAPACITY,
     )
     return service, GatewayServer(service, name="bench")

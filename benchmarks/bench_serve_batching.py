@@ -2,15 +2,15 @@
 
 Drives the :class:`repro.serve.LocalizationService` with 1, 8, and 64
 closed-loop clients over identical pre-generated workloads, once with
-adaptive micro-batching enabled (``max_batch=64``) and once degraded
-to per-request dispatch (``max_batch=1`` — same scheduler, same code
+micro-batching enabled (``max_batch=64``) and once degraded to
+per-request dispatch (``max_batch=1`` — same scheduler, same code
 path, no fusion). The speedup column is the direct value of fusing
 each batch's candidate pools into one engine kernels call and its map
-matches into one einsum. The adaptive controller's depth-k bypass is
-what keeps the 1-client row from paying a linger penalty; the
-64-client row shows the amortization. Each record also carries both
-sides' p95 so the latency cost of batching is visible, not just the
-throughput win.
+matches into one einsum. Each drain takes what is queued and never
+lingers, so a lone client's batches hold one request and the 1-client
+row pays no wait; the 64-client row shows the amortization. Each
+record also carries both sides' p95 so the latency cost of batching is
+visible, not just the throughput win.
 
 Runs under pytest-benchmark like the rest of the suite, or
 standalone::
@@ -48,11 +48,10 @@ from repro.traffic import MeasurementModel, simulate_flux
 CLIENT_COUNTS = (1, 8, 64)
 #: Closed-loop requests per client (total grows with the fleet, capped).
 #: The 1-client row is the noisiest ratio (its true value is ~1.0 —
-#: the adaptive bypass makes batched equal per-request dispatch), so
-#: it gets the most samples.
+#: a lone client's drains hold one request, which is per-request
+#: dispatch), so it gets the most samples.
 REQUESTS_PER_CLIENT = {1: 128, 8: 32, 64: 8}
 MAX_BATCH = 64
-MAX_WAIT_S = 0.002
 CANDIDATES = 64
 SEED_TOP_K = 16
 TOP_M = 5
@@ -99,7 +98,6 @@ def _service(net, sniffers, fingerprint_map, max_batch):
         net.positions[sniffers],
         fingerprint_map=fingerprint_map,
         max_batch=max_batch,
-        max_wait_s=MAX_WAIT_S,
         queue_capacity=1024,
     )
 
@@ -178,8 +176,6 @@ def _record(clients, per_client, batched, unbatched):
     p95_ratio = (
         quantiles["p95"] / quantiles_u["p95"] if quantiles_u["p95"] else None
     )
-    snap = metrics_b.snapshot()
-    controller = snap.get("batch_controller", {})
     return {
         "benchmark": "serve_batching",
         "clients": clients,
@@ -197,9 +193,6 @@ def _record(clients, per_client, batched, unbatched):
         "unbatched_latency_p50_s": quantiles_u["p50"],
         "unbatched_latency_p95_s": quantiles_u["p95"],
         "batched_p95_over_unbatched_p95": p95_ratio,
-        "controller_bypasses": controller.get("bypasses"),
-        "controller_windows": controller.get("windows"),
-        "controller_window_mean_s": controller.get("window_mean_s"),
     }
 
 
@@ -217,8 +210,8 @@ def check_bitwise_identity(net, sniffers, fmap) -> bool:
     """Batched replies == per-request replies, float64-bitwise.
 
     Two workloads: one client's 16 requests, and 4 clients x 6 requests
-    whose lanes interleave in the fair drain. The controller only
-    decides *when* a batch drains, never what a request computes, so
+    whose lanes interleave in the fair drain. Batching only decides
+    which requests share a drain, never what a request computes, so
     both must match the ``max_batch=1`` oracle on every bit.
     """
     for clients, per_client, seed in ((1, 16, 99), (4, 6, 97)):
@@ -314,7 +307,6 @@ def main() -> None:
         print(json.dumps(record))
     meta = {
         "max_batch": MAX_BATCH,
-        "max_wait_s": MAX_WAIT_S,
         "candidate_count": CANDIDATES,
         "seed_top_k": SEED_TOP_K,
         "top_m": TOP_M,
@@ -331,7 +323,7 @@ def main() -> None:
     print(f"wrote {path}")
     if gate:
         # Strict batched >= unbatched wherever fusion actually engaged
-        # (mean batch >= 2). Where the controller bypassed fusion the
+        # (mean batch >= 2). Where drains held one request the
         # batched path IS per-request dispatch — the true ratio is 1.0
         # — so those rows only need to sit within the measurement noise
         # floor of a shared-CPU runner.

@@ -94,7 +94,7 @@ def main() -> None:
 
     service = LocalizationService(
         net.field, net.positions[sniffers], fingerprint_map=fmap,
-        max_batch=8, max_wait_s=0.002,
+        max_batch=8,
     )
     with service, GatewayServer(service) as gateway:
         print(f"Gateway listening on 127.0.0.1:{gateway.port} "

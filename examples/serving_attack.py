@@ -51,7 +51,6 @@ def main() -> None:
         fingerprint_map=None,
         map_resolution=2.0,
         max_batch=16,
-        max_wait_s=0.002,
         queue_capacity=256,
     )
 

@@ -644,7 +644,6 @@ def _backend_args(args, fmap) -> dict:
         fingerprint_map=fmap,
         map_resolution=args.map_resolution,
         max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1000.0,
         queue_capacity=args.queue_capacity,
     )
 
@@ -663,8 +662,7 @@ def _print_header(what: str, args, work, net, sniffers, fmap) -> None:
         f"{what}serving {len(work.clients)} localize clients x "
         f"{args.requests} requests + {len(work.sessions)} tracking sessions "
         f"on {len(sniffers)}/{net.node_count} sniffed nodes{map_tag}; "
-        f"max_batch={args.max_batch} max_wait={args.max_wait_ms:g}ms "
-        f"queue_capacity={args.queue_capacity}"
+        f"max_batch={args.max_batch} queue_capacity={args.queue_capacity}"
     )
 
 

@@ -321,13 +321,8 @@ def _load_args(p: argparse.ArgumentParser) -> None:
         "--max-batch",
         type=int,
         default=32,
-        help="micro-batch size cap (1 = per-request dispatch)",
-    )
-    group.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch linger ceiling before a partial batch is drained",
+        help="most requests one drain takes; each drain takes what is "
+        "queued, up to this (1 = per-request dispatch)",
     )
     group.add_argument(
         "--queue-capacity",

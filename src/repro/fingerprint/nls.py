@@ -234,75 +234,6 @@ def coordinate_descent(
     )
 
 
-def prune_inactive_users(
-    objective: FluxObjective,
-    kernels: np.ndarray,
-    tolerance: float = 0.05,
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Backward elimination of users whose stretch fits to ~zero.
-
-    An unconstrained multi-user fit happily *splits* one true user's
-    flux across several fitted users (extra degrees of freedom always
-    reduce the residual a little), which defeats both the paper's
-    "choose K conservatively large" robustness claim and the
-    asynchronous-updating test ``s_j/r -> 0``. The operational meaning
-    of that test is: *if removing user j barely changes the best
-    achievable fit, user j did not collect this round.* This routine
-    implements exactly that — repeatedly drop the user whose removal
-    increases the objective the least, as long as the increase stays
-    within ``tolerance`` (relative).
-
-    Parameters
-    ----------
-    kernels:
-        ``(K, n)`` incumbent geometry kernels, one row per user.
-    tolerance:
-        Maximum relative objective increase an inactive user's removal
-        may cause.
-
-    Returns
-    -------
-    ``(active_mask, thetas, objective_value)`` — thetas are zero for
-    pruned users.
-    """
-    kernels = np.asarray(kernels, dtype=float)
-    if kernels.ndim != 2:
-        raise ConfigurationError(f"kernels must be (K, n), got {kernels.shape}")
-    if tolerance < 0:
-        raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
-    K = kernels.shape[0]
-    weighted = objective._weight_kernels(kernels)
-    target = objective._weighted_target
-
-    def fit(indices: List[int]) -> Tuple[np.ndarray, float]:
-        thetas, objs = solve_thetas_batched(weighted[indices][None, :, :], target)
-        return thetas[0], float(objs[0])
-
-    active = list(range(K))
-    thetas_active, obj = fit(active)
-    while len(active) > 1:
-        best_j = None
-        best_obj = np.inf
-        best_thetas = None
-        for j in active:
-            subset = [k for k in active if k != j]
-            th, o = fit(subset)
-            if o < best_obj:
-                best_j, best_obj, best_thetas = j, o, th
-        if best_obj <= (1.0 + tolerance) * obj + 1e-12:
-            active.remove(best_j)
-            obj = best_obj
-            thetas_active = best_thetas
-        else:
-            break
-
-    mask = np.zeros(K, dtype=bool)
-    mask[active] = True
-    thetas = np.zeros(K)
-    thetas[active] = thetas_active
-    return mask, thetas, obj
-
-
 def forward_select_active(
     objective: FluxObjective,
     kernels: np.ndarray,
@@ -310,9 +241,11 @@ def forward_select_active(
 ) -> Tuple[np.ndarray, np.ndarray, float]:
     """Greedy forward selection of the users that actually collected.
 
-    The conservative dual of :func:`prune_inactive_users`: start from
-    an empty model and add the user whose inclusion improves the fit
-    the most, stopping when the best addition improves the objective
+    An unconstrained multi-user fit happily *splits* one true user's
+    flux across several fitted users, since extra degrees of freedom
+    always reduce the residual a little. So start from an empty model
+    and add the user whose inclusion improves the fit the most,
+    stopping when the best addition improves the objective
     by less than ``min_improvement`` (relative). A user that truly
     collected leaves a large unexplained flux component until added, so
     it always clears the bar; a silent user only ever soaks up model

@@ -9,23 +9,16 @@ checkpoint-backed session recovery. See ``docs/ALGORITHMS.md`` §8 for
 the placement and failover invariants.
 """
 
-from repro.fleet.metrics import FleetMetrics, merge_worker_snapshots
+from repro.fleet.metrics import FleetMetrics
 from repro.fleet.router import REDELIVERY_LIMIT, ServeFleet, worker_for
-from repro.fleet.worker import (
-    FAULT_EXIT_CODE,
-    SessionSpec,
-    WorkerSpec,
-    checkpoint_path,
-)
+from repro.fleet.worker import FAULT_EXIT_CODE, SessionSpec, WorkerSpec
 
 __all__ = [
     "FleetMetrics",
-    "merge_worker_snapshots",
     "ServeFleet",
     "REDELIVERY_LIMIT",
     "worker_for",
     "FAULT_EXIT_CODE",
     "SessionSpec",
     "WorkerSpec",
-    "checkpoint_path",
 ]

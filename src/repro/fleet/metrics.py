@@ -1,84 +1,21 @@
-"""Fleet-level metrics: router counters + merged worker snapshots.
+"""Fleet-level metrics: the router's own counters.
 
 The router counts what only it can see — routing decisions, worker
 deaths and respawns, redeliveries, duplicate replies dropped by the
-exactly-one-reply guard — while each worker's
+exactly-one-reply guard — and every reply it hands back, so its
+``replies_ok`` plus ``replies_error_total`` reconcile with
+``requests_submitted`` across worker deaths. Each worker's
 :class:`~repro.serve.metrics.ServerMetrics` keeps counting its own
-admission/batching/latency story in its own process.
-:func:`merge_worker_snapshots` folds the per-worker snapshots into one
-aggregate (summing counters, merging histograms; latency quantiles are
-not mergeable across reservoirs and stay per-worker), and
-:meth:`FleetMetrics.fleet_snapshot` is the one JSON document the
-``/metrics`` endpoint serves for a fleet: ``router`` + ``aggregate`` +
-``workers`` sections instead of one flat blob.
+admission, batching and latency story in its own process and dies with
+it; :meth:`~repro.fleet.ServeFleet.fleet_snapshot` reports them side
+by side, ``router`` and ``workers``, with no sum across processes.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import Counter
-from typing import Dict, Mapping, Optional
-
-#: Worker-snapshot keys that sum across the fleet.
-_SUMMED_KEYS = (
-    "requests_submitted",
-    "replies_ok",
-    "replies_error_total",
-    "admission_rejections",
-    "admission_timeouts",
-    "deadline_expiries",
-    "queue_depth",
-    "batches",
-    "fused_candidate_rows",
-    "retries_total",
-    "internal_faults_total",
-)
-
-#: Worker-snapshot keys holding ``{label: count}`` dicts that merge.
-_MERGED_COUNTER_KEYS = (
-    "replies_error",
-    "batch_size_histogram",
-    "retries",
-    "internal_faults",
-)
-
-
-def merge_worker_snapshots(
-    snapshots: Mapping[int, Optional[dict]]
-) -> dict:
-    """Fold per-worker ``ServerMetrics.snapshot()`` dicts into one.
-
-    ``None`` entries (a worker that died before answering the metrics
-    probe) are skipped but counted in ``workers_unreachable``.
-    """
-    aggregate: dict = {key: 0 for key in _SUMMED_KEYS}
-    merged: Dict[str, Counter] = {
-        key: Counter() for key in _MERGED_COUNTER_KEYS
-    }
-    reachable = 0
-    for snapshot in snapshots.values():
-        if snapshot is None:
-            continue
-        reachable += 1
-        metrics = snapshot.get("metrics", snapshot)
-        for key in _SUMMED_KEYS:
-            value = metrics.get(key)
-            if value is not None:
-                aggregate[key] += int(value)
-        for key in _MERGED_COUNTER_KEYS:
-            merged[key].update(metrics.get(key) or {})
-    for key in _MERGED_COUNTER_KEYS:
-        aggregate[key] = dict(sorted(merged[key].items()))
-    sizes = merged["batch_size_histogram"]
-    total = sum(sizes.values())
-    aggregate["batch_size_mean"] = (
-        sum(int(size) * count for size, count in sizes.items()) / total
-        if total
-        else None
-    )
-    aggregate["workers_reporting"] = reachable
-    aggregate["workers_unreachable"] = len(snapshots) - reachable
-    return aggregate
+from typing import Optional
 
 
 class FleetMetrics:

@@ -53,13 +53,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, ServeError, WorkerCrashed
-from repro.fleet.metrics import FleetMetrics, merge_worker_snapshots
-from repro.fleet.worker import (
-    SessionSpec,
-    WorkerSpec,
-    checkpoint_path,
-    worker_main,
-)
+from repro.fleet.metrics import FleetMetrics
+from repro.fleet.worker import SessionSpec, WorkerSpec, worker_main
 from repro.fpmap import build_fingerprint_map
 from repro.serve.requests import (
     ERROR_SHUTDOWN,
@@ -71,6 +66,7 @@ from repro.serve.requests import (
     require_session_rows,
     require_sniffer_count,
 )
+from repro.stream.checkpoint import checkpoint_path
 
 #: Poll interval of the pump loop's liveness check.
 _PUMP_TICK_S = 0.05
@@ -140,7 +136,7 @@ class ServeFleet:
         directory (cleaned by :meth:`stop`). Checkpoints are the
         failover currency, so the directory must be shared by all
         workers (it is: they fork from this process).
-    max_batch / max_wait_s / queue_capacity:
+    max_batch / queue_capacity:
         Per-worker service knobs, forwarded to :class:`~repro.fleet.
         worker.WorkerSpec`.
     """
@@ -155,7 +151,6 @@ class ServeFleet:
         map_resolution: Optional[float] = None,
         checkpoint_dir: Optional[str] = None,
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
         queue_capacity: int = 512,
     ):
         if workers < 1:
@@ -183,7 +178,6 @@ class ServeFleet:
             fingerprint_map=fingerprint_map,
             checkpoint_dir=self.checkpoint_dir,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             queue_capacity=queue_capacity,
         )
         # "fork" shares the (possibly large) fingerprint map with the
@@ -685,10 +679,19 @@ class ServeFleet:
             return None
 
     def fleet_snapshot(self) -> dict:
-        """Router counters + per-worker snapshots + fleet aggregate."""
-        snaps = {wid: self.worker_snapshot(wid) for wid in self._workers}
+        """Router counters and each live worker process's own snapshot.
+
+        ``router`` is the fleet's one reconciling count: every submitted
+        request gets exactly one reply there, across worker deaths.
+        ``workers`` maps each worker id to :meth:`worker_snapshot` of
+        the process now in that slot (its pid, open sessions and
+        service metrics), ``None`` if it did not answer. A respawned
+        process counts from zero, so the workers' counters do not add
+        up to ``router`` after a death.
+        """
         return {
             "router": self.metrics.snapshot(),
-            "workers": {str(wid): snap for wid, snap in snaps.items()},
-            "aggregate": merge_worker_snapshots(snaps),
+            "workers": {
+                str(wid): self.worker_snapshot(wid) for wid in self._workers
+            },
         }

@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -48,7 +47,7 @@ from repro.faults.plan import should_fire
 from repro.serve.requests import TrackStepReply
 from repro.serve.service import LocalizationService
 from repro.smc.tracker import TrackerConfig
-from repro.stream.checkpoint import save_checkpoint
+from repro.stream.checkpoint import checkpoint_path, save_checkpoint
 
 #: Exit code of a fault-injected worker kill (tests assert on it).
 FAULT_EXIT_CODE = 17
@@ -93,7 +92,6 @@ class WorkerSpec:
     fingerprint_map: object = None
     checkpoint_dir: Optional[str] = None
     max_batch: int = 32
-    max_wait_s: float = 0.002
     queue_capacity: int = 512
 
     def build_service(self) -> LocalizationService:
@@ -103,14 +101,8 @@ class WorkerSpec:
             d_floor=self.d_floor,
             fingerprint_map=self.fingerprint_map,
             max_batch=self.max_batch,
-            max_wait_s=self.max_wait_s,
             queue_capacity=self.queue_capacity,
         )
-
-
-def checkpoint_path(checkpoint_dir: str, session_id: str) -> str:
-    """The fleet-wide location of one session's newest checkpoint."""
-    return str(Path(checkpoint_dir) / f"{session_id}.ckpt.npz")
 
 
 def _open_session(service: LocalizationService, spec: SessionSpec):

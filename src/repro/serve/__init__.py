@@ -32,7 +32,7 @@ from repro.serve.requests import (
     TrackStepReply,
     TrackStepRequest,
 )
-from repro.serve.scheduler import AdaptiveBatchController, MicroBatchScheduler
+from repro.serve.scheduler import MicroBatchScheduler
 from repro.serve.service import LocalizationService
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "LocalizeRequest",
     "TrackStepReply",
     "TrackStepRequest",
-    "AdaptiveBatchController",
     "MicroBatchScheduler",
     "LocalizationService",
 ]

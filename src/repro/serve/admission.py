@@ -26,14 +26,11 @@ makes the drain/dispatch race testable with a :class:`~repro.faults.
 FakeClock`; the condition-variable waits below deliberately stay on
 real ``time.monotonic`` so a fake clock can never hang a thread.
 
-The micro-batch linger inside :meth:`take` belongs to the
-:class:`~repro.serve.scheduler.AdaptiveBatchController` that the
-scheduler attaches to the queue: the controller sizes the window from
-its arrival-rate EWMA and the instantaneous queue depth (see its
-docstring for the policy). A bare queue, with no controller attached,
-drains at once. Every wait is a condition-variable wait: a
-non-positive ``wait_timeout`` is clamped to a small floor instead of
-degenerating into a hot poll of the scheduler loop.
+:meth:`take` waits only while the queue is empty; then it drains what
+is queued at once, up to its ``max_items``. The wait is a
+condition-variable wait: a non-positive ``wait_timeout`` is clamped to
+a small floor instead of degenerating into a hot poll of the scheduler
+loop.
 """
 
 from __future__ import annotations
@@ -153,10 +150,6 @@ class AdmissionQueue:
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        #: Optional AdaptiveBatchController that observes arrivals and
-        #: drains and sizes the linger; set by the scheduler that owns
-        #: this queue (duck-typed, no import).
-        self.controller = None
         self._lanes: "OrderedDict[str, Deque[PendingRequest]]" = OrderedDict()
         self._turns: Deque[str] = deque()  # round-robin client order
         self._depth = 0
@@ -202,9 +195,6 @@ class AdmissionQueue:
                 self._turns.append(client_id)
             lane.append(item)
             self._depth += 1
-            controller = self.controller
-            if controller is not None:
-                controller.observe_arrival(time.monotonic())
             self._cond.notify_all()
             return ADMITTED
 
@@ -219,11 +209,8 @@ class AdmissionQueue:
         Micro-batching trigger: block until the queue is non-empty (at
         most ``wait_timeout`` seconds — ``None`` waits indefinitely,
         non-positive values clamp to :data:`MIN_IDLE_WAIT_S` so the
-        caller's loop can never hot-poll), then, when a controller is
-        attached, linger for the batch to fill to ``max_items`` for as
-        long as the controller sizes the window from its arrival-rate
-        EWMA and the current depth (including a zero window: the
-        depth-k fusion bypass). Returns ``(batch, expired)``; expired
+        caller's loop can never hot-poll), then drain what is queued at
+        once, up to ``max_items``. Returns ``(batch, expired)``; expired
         envelopes (deadline lapsed while queued) are removed from the
         queue but *not* part of the batch.
 
@@ -240,31 +227,7 @@ class AdmissionQueue:
         with self._cond:
             if not self._wait_nonempty(wait_timeout):
                 return [], []
-            controller = self.controller
-            if controller is not None:
-                self._linger(max_items, controller)
-            batch, expired = self._drain_locked(max_items)
-            if controller is not None:
-                controller.observe_drain(len(batch) + len(expired))
-            return batch, expired
-
-    def _linger(self, max_items: int, controller) -> None:
-        """Batch-fill linger (lock held).
-
-        The controller picks a hard window from the depth and its
-        EWMAs; inside it we drain early as soon as the arrival flow
-        *pauses* for a settle gap — so a burst is collected whole
-        without ever paying dead linger time after it ends.
-        """
-        window = controller.linger_window_s(self._depth, max_items)
-        if window <= 0:
-            return
-        deadline = time.monotonic() + window
-        while self._depth < max_items and not self._closed:
-            remaining = min(deadline, controller.settle_at()) - time.monotonic()
-            if remaining <= 0:
-                break
-            self._cond.wait(remaining)
+            return self._drain_locked(max_items)
 
     def _wait_nonempty(self, timeout: Optional[float]) -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout

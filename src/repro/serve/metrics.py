@@ -64,25 +64,20 @@ class ServerMetrics:
         self._traces: deque = deque(maxlen=trace_capacity)
         self.traces_recorded = 0
         self.endpoint: Optional[Dict[str, object]] = None  # bound HTTP addr
-        self._probes: Dict[str, object] = {}  # live objects we snapshot
+        self._kernel_cache = None  # live KernelLRUCache we snapshot
 
-    def attach_probes(self, kernel_cache=None, controller=None) -> None:
+    def attach_probes(self, kernel_cache=None) -> None:
         """Register live scheduler internals for snapshot reporting.
 
         Probes are read (plain counter attributes, no locks) at
         :meth:`snapshot` time, which is what makes the kernel LRU
-        cache and the adaptive batch controller visible through
-        ``/metrics`` without threading every counter bump through this
-        object's lock. ``None`` values are skipped, so services attach
-        only what they have.
+        cache visible through ``/metrics`` without threading every
+        counter bump through this object's lock. ``None`` is skipped,
+        so a service without a map attaches nothing.
         """
         with self._lock:
-            for name, probe in (
-                ("kernel_cache", kernel_cache),
-                ("controller", controller),
-            ):
-                if probe is not None:
-                    self._probes[name] = probe
+            if kernel_cache is not None:
+                self._kernel_cache = kernel_cache
 
     # ------------------------------------------------------------------
     def record_submit(self) -> None:
@@ -244,6 +239,11 @@ class ServerMetrics:
                 "batch_size_histogram": {str(k): v for k, v in sizes.items()},
                 "batch_size_mean": mean_batch,
                 "fused_candidate_rows": self.fused_candidate_rows,
+                # Every drain dispatches at once, so each batch counts
+                # as a bypass and no linger window is ever sized. The
+                # section stays for the readers of the schema
+                # (benchmarks/e2e reads both keys).
+                "batch_controller": {"bypasses": self.batches, "windows": 0},
                 "retries": {str(k): v for k, v in sorted(self.retries.items())},
                 "retries_total": int(sum(self.retries.values())),
                 "internal_faults": {
@@ -260,7 +260,7 @@ class ServerMetrics:
             }
             if self.endpoint is not None:
                 snap["metrics_endpoint"] = dict(self.endpoint)
-            cache = self._probes.get("kernel_cache")
+            cache = self._kernel_cache
             if cache is not None:
                 snap["kernel_cache"] = {
                     "hits": cache.hits,
@@ -269,9 +269,6 @@ class ServerMetrics:
                     "size": len(cache),
                     "capacity": cache.capacity,
                 }
-            controller = self._probes.get("controller")
-            if controller is not None:
-                snap["batch_controller"] = controller.snapshot()
             return snap
 
     def to_json(self, indent: int = 2) -> str:
@@ -287,9 +284,10 @@ class MetricsServer:
 
     ``GET /metrics``
         Single-service mode: the flat :meth:`ServerMetrics.snapshot`
-        JSON (unchanged). Fleet mode: the merged fleet snapshot —
-        ``{"router": ..., "workers": {...}, "aggregate": ...}`` —
-        instead of one flat blob.
+        JSON (unchanged). Fleet mode: the fleet snapshot —
+        ``{"router": ..., "workers": {...}}``, the router's reconciling
+        counters and each live worker's own — instead of one flat
+        blob.
     ``GET /metrics?worker=<id>``
         Fleet mode: exactly one worker's snapshot (its flat service
         metrics plus pid and open sessions); 404 for an unknown or

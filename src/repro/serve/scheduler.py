@@ -1,9 +1,14 @@
 """Micro-batching scheduler: fused evaluation of coalesced requests.
 
-The scheduler thread drains the admission queue in micro-batches (the
-trigger is *max batch size or max wait, whichever first*) and answers
-every drained envelope exactly once. The point of batching on a
-localization service is not thread parallelism — it is **fusion**: the
+The scheduler thread drains the admission queue in micro-batches and
+answers every drained envelope exactly once. The one batching rule:
+wait until the queue is non-empty, then take what is queued, up to
+``max_batch``, with no linger. A closed loop refills the queue while a
+batch is solved, so the next drain finds that solve's arrivals, and
+tracking steps run one at a time in any batch.
+
+The point of batching on a localization service is not thread
+parallelism — it is **fusion**: the
 geometry-kernel evaluation that dominates a localization request is a
 row-local map over candidate positions, so the candidate pools of all
 requests in a batch can be concatenated and evaluated in *one*
@@ -11,15 +16,6 @@ kernels call, amortizing the per-call dispatch, validation, and
 scratch setup that a request paid on its own. Single-user solves fuse
 the same way: the per-candidate theta/objective math is one einsum row
 reduction, so a batch of K=1 requests becomes one stacked row sweep.
-
-:class:`AdaptiveBatchController` keeps batching from costing latency:
-it sizes the linger window from an EWMA of the inter-arrival gap and
-the instantaneous queue depth, bounded by ``max_wait_s``. Light traffic
-bypasses the linger entirely (the depth-k bypass), and a burst is
-collected until arrivals *settle* rather than for a fixed window. The
-controller only decides *when* to drain — batch composition never
-changes what a reply contains (see the determinism contract below), so
-the heuristic is free to be wrong without ever being incorrect.
 
 Determinism contract (the acceptance bar of this layer): a request's
 reply is bitwise-identical (float64) whether it was solved alone or
@@ -72,12 +68,6 @@ from repro.serve.requests import (
 
 _LOG = logging.getLogger(__name__)
 
-#: Inter-arrival gaps above this are idle time, not traffic, and are
-#: excluded from the controller's rate EWMA (a client coming back from
-#: a coffee break should not convince the controller traffic is slow
-#: forever — the EWMA resumes from live gaps).
-_GAP_CLAMP_S = 1.0
-
 #: glibc ``mallopt`` parameters (``<malloc.h>``) and the heap policy
 #: :func:`_steady_heap` sets: one arena, a fixed 32 MiB mmap threshold
 #: (glibc's ceiling) and no trimming below 512 MiB of free heap.
@@ -113,132 +103,6 @@ def _steady_heap() -> bool:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return all(mallopt(param, value) == 1 for param, value in _HEAP_POLICY)
-
-
-#: Smoothing factor of the controller's gap and batch-size EWMAs.
-EWMA_ALPHA = 0.25
-
-#: A linger ends early once arrivals pause for this multiple of the gap
-#: EWMA (the burst is over) ...
-SETTLE_MULT = 4.0
-
-#: ... but never for less than this.
-SETTLE_FLOOR_S = 1e-4
-
-
-class AdaptiveBatchController:
-    """Sizes the micro-batch linger window from observed traffic.
-
-    State (all updated under the admission queue's lock):
-
-    ``gap_ewma_s``
-        EWMA of the inter-arrival gap, fed by :meth:`observe_arrival`
-        from the queue's ``offer`` path. Gaps above ``1s`` are treated
-        as idle time and skipped. Seeded with ``max_wait_s`` — the
-        longest window is the prior, live traffic replaces it within a
-        few arrivals.
-    ``batch_ewma``
-        EWMA of the drained batch size, fed by :meth:`observe_drain`.
-        This is what makes the depth bypass safe against a closed-loop
-        trap: a lone client's service-time gap can look "fast enough to
-        linger for", but its drains keep coming back size 1, so the
-        batch EWMA keeps the bypass engaged; under real concurrency the
-        drains grow and the bypass releases itself.
-
-    Decision (:meth:`linger_window_s`): if both the current depth and
-    the batch EWMA sit below :attr:`FUSION_MIN_DEPTH`, bypass the
-    linger entirely (window 0 — dispatch now). Otherwise the hard
-    window is the smaller of ``max_wait_s`` and the EWMA-predicted time
-    for the batch to fill to ``max_items``. Inside that window the
-    queue drains early once arrivals pause until :meth:`settle_at`, so
-    a burst is collected whole without paying dead linger time after
-    it ends.
-
-    The controller picks *when* to drain, never *what* a reply
-    contains; every choice preserves the bitwise-identical-replies
-    guarantee by construction.
-    """
-
-    #: Depth (and batch EWMA) below which the linger is bypassed.
-    FUSION_MIN_DEPTH = 2
-
-    __slots__ = (
-        "max_wait_s", "gap_ewma_s", "batch_ewma", "_last_arrival_s",
-        "bypasses", "windows", "window_sum_s", "last_window_s",
-    )
-
-    def __init__(self, max_wait_s: float):
-        if max_wait_s < 0:
-            raise ConfigurationError(
-                f"max_wait_s must be >= 0, got {max_wait_s}"
-            )
-        self.max_wait_s = float(max_wait_s)
-        self.gap_ewma_s = self.max_wait_s
-        self.batch_ewma = 1.0
-        self._last_arrival_s = 0.0
-        self.bypasses = 0
-        self.windows = 0
-        self.window_sum_s = 0.0
-        self.last_window_s = 0.0
-
-    # -- observations (called under the queue lock) --------------------
-    def observe_arrival(self, now: float) -> None:
-        last = self._last_arrival_s
-        self._last_arrival_s = now
-        if last > 0.0:
-            gap = now - last
-            if 0.0 <= gap <= _GAP_CLAMP_S:
-                self.gap_ewma_s += EWMA_ALPHA * (gap - self.gap_ewma_s)
-
-    def observe_drain(self, drained: int) -> None:
-        if drained > 0:
-            self.batch_ewma += EWMA_ALPHA * (drained - self.batch_ewma)
-
-    # -- decisions ------------------------------------------------------
-    def settle_s(self) -> float:
-        """Arrival pause that ends the linger early (the burst is over)."""
-        settle = max(SETTLE_MULT * self.gap_ewma_s, SETTLE_FLOOR_S)
-        return min(self.max_wait_s, settle) if self.max_wait_s > 0 else settle
-
-    def settle_at(self) -> float:
-        """Monotonic instant at which the current burst counts as over."""
-        return self._last_arrival_s + self.settle_s()
-
-    def linger_window_s(self, depth: int, max_items: int) -> float:
-        """Hard linger bound for the current drain (0 = dispatch now).
-
-        Counts each drain once: a bypass in ``bypasses``, a sized
-        window in ``windows``; a full batch counts as neither.
-        """
-        if depth >= max_items:
-            return 0.0
-        if (
-            depth < self.FUSION_MIN_DEPTH
-            and self.batch_ewma < self.FUSION_MIN_DEPTH
-        ):
-            self.bypasses += 1
-            self.last_window_s = 0.0
-            return 0.0
-        window = max(0.0, min(
-            self.max_wait_s, (max_items - depth) * self.gap_ewma_s
-        ))
-        self.windows += 1
-        self.window_sum_s += window
-        self.last_window_s = window
-        return window
-
-    def snapshot(self) -> Dict[str, object]:
-        windows = self.windows
-        return {
-            "gap_ewma_s": self.gap_ewma_s,
-            "batch_ewma": self.batch_ewma,
-            "bypasses": self.bypasses,
-            "windows": windows,
-            "last_window_s": self.last_window_s,
-            "window_mean_s": (
-                self.window_sum_s / windows if windows else 0.0
-            ),
-        }
 
 
 def _row_budget_groups(pairs: Sequence[Tuple[PendingRequest, object]]):
@@ -278,12 +142,9 @@ class MicroBatchScheduler:
     session_lookup:
         ``session_id -> TrackingSession | None`` resolver for
         :class:`TrackStepRequest` work.
-    max_batch / max_wait_s:
-        The micro-batching trigger: drain when ``max_batch`` envelopes
-        are pending or the linger window elapsed, whichever comes
-        first. ``max_batch=1`` *is* per-request dispatch. The
-        scheduler's :class:`AdaptiveBatchController` sizes the window,
-        with ``max_wait_s`` as its ceiling.
+    max_batch:
+        Most envelopes one drain takes; each drain takes what is queued,
+        up to this. ``max_batch=1`` *is* per-request dispatch.
     retry_policy:
         Optional :class:`~repro.faults.RetryPolicy` for the fused
         kernel evaluation. Transient failures
@@ -301,7 +162,6 @@ class MicroBatchScheduler:
         fingerprint_map=None,
         session_lookup: Optional[Callable[[str], object]] = None,
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
         retry_policy=None,
     ):
         if max_batch < 1:
@@ -312,9 +172,6 @@ class MicroBatchScheduler:
         self.fingerprint_map = fingerprint_map
         self.session_lookup = session_lookup
         self.max_batch = int(max_batch)
-        self.controller = AdaptiveBatchController(max_wait_s=max_wait_s)
-        # The queue feeds the controller's EWMAs and lingers through it.
-        queue.controller = self.controller
         self.retry_policy = retry_policy
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None

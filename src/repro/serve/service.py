@@ -50,7 +50,11 @@ from repro.serve.requests import (
 )
 from repro.serve.scheduler import MicroBatchScheduler
 from repro.smc.tracker import SequentialMonteCarloTracker, TrackerConfig
-from repro.stream.checkpoint import load_checkpoint, save_checkpoint
+from repro.stream.checkpoint import (
+    checkpoint_path,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.stream.session import TrackingSession
 
 _OUTCOME_CODES = {
@@ -72,12 +76,10 @@ class LocalizationService:
     map_resolution:
         Without a prebuilt map, setting ``map_resolution`` builds the
         deployment's map here.
-    max_batch / max_wait_s:
-        Micro-batching trigger (``max_batch=1`` is per-request
-        dispatch; the benchmark's baseline). ``max_wait_s`` is the
-        ceiling of the linger window that the scheduler's
-        :class:`~repro.serve.scheduler.AdaptiveBatchController` sizes
-        from the arrival-rate EWMA and queue depth.
+    max_batch:
+        Most requests one scheduler drain takes; each drain takes what
+        is queued, up to this (``max_batch=1`` is per-request dispatch,
+        the parity oracle).
     queue_capacity:
         Admission bound: a request arriving at a full queue is answered
         ``admission_rejected`` (see :class:`~repro.serve.admission.
@@ -100,7 +102,6 @@ class LocalizationService:
         fingerprint_map=None,
         map_resolution: Optional[float] = None,
         max_batch: int = 32,
-        max_wait_s: float = 0.002,
         queue_capacity: int = 512,
         metrics: Optional[ServerMetrics] = None,
         retry_policy=DEFAULT_RETRY_POLICY,
@@ -130,14 +131,12 @@ class LocalizationService:
             fingerprint_map=fingerprint_map,
             session_lookup=self._session_for,
             max_batch=max_batch,
-            max_wait_s=max_wait_s,
             retry_policy=retry_policy,
         )
         self.metrics.attach_probes(
             kernel_cache=(
                 fingerprint_map.cache if fingerprint_map is not None else None
             ),
-            controller=self.scheduler.controller,
         )
         self._sessions: Dict[str, TrackingSession] = {}
         self._sessions_lock = threading.Lock()
@@ -168,10 +167,9 @@ class LocalizationService:
             scheduler exits; ``False`` flushes the queue with
             ``shutdown`` error replies instead.
         checkpoint_dir:
-            When set, every tracking session is saved there as
-            ``<session_id>.ckpt.npz`` (the streaming checkpoint format)
-            after the scheduler stops — the drain-and-checkpoint
-            contract.
+            When set, every tracking session is saved there, at its
+            :func:`~repro.stream.checkpoint.checkpoint_path`, after the
+            scheduler stops — the drain-and-checkpoint contract.
 
         Returns a summary dict: ``flushed`` (envelopes answered with
         shutdown errors) and ``checkpoints`` (paths written, by
@@ -195,12 +193,11 @@ class LocalizationService:
             flushed += 1
         checkpoints: Dict[str, str] = {}
         if checkpoint_dir is not None:
-            directory = Path(checkpoint_dir)
-            directory.mkdir(parents=True, exist_ok=True)
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             with self._sessions_lock:
                 sessions = dict(self._sessions)
             for session_id, session in sessions.items():
-                path = directory / f"{session_id}.ckpt.npz"
+                path = checkpoint_path(checkpoint_dir, session_id)
                 checkpoints[session_id] = str(
                     save_checkpoint(session, path,
                                     retry_policy=self.retry_policy)

@@ -123,10 +123,6 @@ class IdentityAwareTracker:
     def user_count(self) -> int:
         return self.base.user_count
 
-    @property
-    def history(self) -> List[TrackerStep]:
-        return self.base.history
-
     def estimates(self) -> np.ndarray:
         return self.base.estimates()
 

@@ -198,7 +198,6 @@ class SequentialMonteCarloTracker:
             )
             for _ in range(user_count)
         ]
-        self.history: List[TrackerStep] = []
         # Consecutive flux-bearing windows each user sat out; drives the
         # map-reseed trigger. Silent (zero-flux) windows don't count.
         self.miss_counts = np.zeros(user_count, dtype=np.int64)
@@ -230,9 +229,7 @@ class SequentialMonteCarloTracker:
 
         # Fast path: a silent window (zero flux) updates nobody.
         if float(np.nansum(np.abs(observation.values))) <= 0.0:
-            step = self._inactive_step(t)
-            self.history.append(step)
-            return step
+            return self._inactive_step(t)
 
         # Prediction phase.
         pools: List[np.ndarray] = []
@@ -347,7 +344,7 @@ class SequentialMonteCarloTracker:
                 self.miss_counts[user] = 0
 
         estimates = np.stack([s.estimate() for s in self.samples])
-        step = TrackerStep(
+        return TrackerStep(
             time=t,
             estimates=estimates,
             active=active,
@@ -355,8 +352,6 @@ class SequentialMonteCarloTracker:
             sample_sets=[s for s in self.samples],
             reseeded=reseeded,
         )
-        self.history.append(step)
-        return step
 
     def _reseed_from_map(self, values: np.ndarray, t: float) -> UserSamples:
         """Replace a degenerate sample set with top map matches.

@@ -33,6 +33,7 @@ from repro.stream.metrics import StreamMetrics
 from repro.stream.session import TrackingSession
 from repro.stream.checkpoint import (
     CHECKPOINT_FORMAT,
+    checkpoint_path,
     load_checkpoint,
     save_checkpoint,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "StreamMetrics",
     "TrackingSession",
     "CHECKPOINT_FORMAT",
+    "checkpoint_path",
     "save_checkpoint",
     "load_checkpoint",
     "resume_or_create",

@@ -54,6 +54,16 @@ _PathLike = Union[str, Path]
 #: Bumped on any incompatible layout change; loaders refuse mismatches.
 CHECKPOINT_FORMAT = 1
 
+
+def checkpoint_path(checkpoint_dir: _PathLike, session_id: str) -> str:
+    """Where a service keeps one session's checkpoint in ``checkpoint_dir``.
+
+    ``<checkpoint_dir>/<session_id>.ckpt.npz``: the file a service's
+    drain writes, a fleet worker rewrites before each tracking reply,
+    and a fleet router resumes a dead worker's session from.
+    """
+    return str(Path(checkpoint_dir) / f"{session_id}.ckpt.npz")
+
 _REQUIRED_KEYS = (
     "format",
     "session_id",

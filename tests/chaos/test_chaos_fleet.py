@@ -73,7 +73,7 @@ def _start_fleet(scenario, plan):
     net, sniffers, fmap, _, _ = scenario
     fleet = ServeFleet(
         net.field, net.positions[sniffers], workers=2,
-        fingerprint_map=fmap, max_batch=8, max_wait_s=0.001,
+        fingerprint_map=fmap, max_batch=8,
     )
     # Arm only across the fork: the initial workers inherit the armed
     # plan; by failover time the router is disarmed again, so the

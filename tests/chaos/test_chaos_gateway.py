@@ -65,7 +65,7 @@ def _service(scenario):
     net, sniffers, fmap, _, _ = scenario
     return LocalizationService(
         net.field, net.positions[sniffers], fingerprint_map=fmap,
-        max_batch=4, max_wait_s=0.002,
+        max_batch=4,
     )
 
 

@@ -62,6 +62,13 @@ class TestParser:
             build_parser().parse_args([*command, *flag])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["serve", "fleet", "gateway"])
+    def test_linger_flag_refused(self, command):
+        # A drain takes what is queued; --max-batch is the only knob.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--max-wait-ms", "2"])
+        assert exc.value.code == 2
+
 
 class TestExitCodes:
     def test_version_flag(self, capsys):

@@ -52,7 +52,7 @@ def _library(net, sniffers, fmap, requests):
 def _service(net, sniffers, fmap, max_batch):
     return LocalizationService(
         net.field, net.positions[sniffers], fingerprint_map=fmap,
-        max_batch=max_batch, max_wait_s=0.002,
+        max_batch=max_batch,
     )
 
 
@@ -69,7 +69,7 @@ def _served(service, requests):
 def _fleet(net, sniffers, fmap):
     return ServeFleet(
         net.field, net.positions[sniffers], workers=2, fingerprint_map=fmap,
-        max_batch=16, max_wait_s=0.002,
+        max_batch=16,
     )
 
 

@@ -141,10 +141,12 @@ class TestIdentityTracker:
         )
         truth = np.array([4.0, 11.0])
         mm = MeasurementModel(small_network, sn, smooth=True, rng=1)
+        steps = []
         for t in range(4):
             flux = simulate_flux(small_network, [truth], [2.0], rng=t)
-            step = tracker.step(mm.observe(flux, time=float(t)))
-        assert len(tracker.history) == 4
+            steps.append(tracker.step(mm.observe(flux, time=float(t))))
+        assert len(steps) == 4
+        np.testing.assert_array_equal(steps[-1].estimates, tracker.estimates())
         assert tracker.estimates().shape == (1, 2)
         assert np.linalg.norm(tracker.estimates()[0] - truth) < 4.0
 

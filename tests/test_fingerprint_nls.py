@@ -14,7 +14,6 @@ from repro.fingerprint.nls import (
     coordinate_descent,
     enumerate_compositions,
     forward_select_active,
-    prune_inactive_users,
 )
 from repro.fingerprint.objective import FluxObjective
 from repro.fluxmodel.discrete import DiscreteFluxModel
@@ -298,23 +297,6 @@ class TestEnumerate:
 
 
 class TestActivitySelection:
-    def test_prune_drops_redundant_user(self, synthetic_setup):
-        field, model, truth, thetas, objective = synthetic_setup
-        kernels = model.geometry_kernels(
-            np.vstack([truth, truth[0][None, :]])  # third user duplicates first
-        )
-        mask, out_thetas, _ = prune_inactive_users(objective, kernels)
-        assert mask.sum() == 2
-        assert np.all(out_thetas[~mask] == 0)
-
-    def test_prune_keeps_all_real_users(self, synthetic_setup):
-        field, model, truth, thetas, objective = synthetic_setup
-        kernels = model.geometry_kernels(truth)
-        mask, out_thetas, obj = prune_inactive_users(objective, kernels)
-        assert mask.all()
-        np.testing.assert_allclose(out_thetas, thetas, atol=1e-5)
-        assert obj < 1e-6
-
     def test_forward_select_exact_two_users(self, synthetic_setup):
         field, model, truth, thetas, objective = synthetic_setup
         extra = np.array([[5.0, 1.0], [1.0, 8.0]])
@@ -334,8 +316,6 @@ class TestActivitySelection:
     def test_bad_tolerances_raise(self, synthetic_setup):
         *_, objective = synthetic_setup
         kernels = np.ones((2, objective.sniffer_count))
-        with pytest.raises(ConfigurationError):
-            prune_inactive_users(objective, kernels, tolerance=-0.1)
         with pytest.raises(ConfigurationError):
             forward_select_active(objective, kernels, min_improvement=1.0)
 

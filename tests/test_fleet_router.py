@@ -1,5 +1,6 @@
 """Fleet router end-to-end: routing, parity, metrics, HTTP endpoint."""
 
+import dataclasses
 import json
 import urllib.error
 import urllib.request
@@ -67,7 +68,7 @@ def _fleet(scenario, workers=2, **kwargs):
     net, sniffers, fmap, _, _ = scenario
     return ServeFleet(
         net.field, net.positions[sniffers], workers=workers,
-        fingerprint_map=fmap, max_batch=8, max_wait_s=0.001, **kwargs
+        fingerprint_map=fmap, max_batch=8, **kwargs
     )
 
 
@@ -131,7 +132,7 @@ class TestSingleProcessParity:
             ]
         with LocalizationService(
             net.field, net.positions[sniffers], fingerprint_map=fmap,
-            max_batch=8, max_wait_s=0.001,
+            max_batch=8,
         ) as service:
             solo_replies = [
                 _fit_payload(service.call(r, timeout=120))
@@ -149,7 +150,7 @@ class TestSingleProcessParity:
             ]
         with LocalizationService(
             net.field, net.positions[sniffers], fingerprint_map=fmap,
-            max_batch=8, max_wait_s=0.001,
+            max_batch=8,
         ) as service:
             service.open_session("s0", USERS, rng=7)
             solo_estimates = [
@@ -248,15 +249,49 @@ class TestMetricsAggregation:
             # A worker counts each reply before it ships it, so the
             # counters are final as soon as the last call returns.
             snapshot = fleet.fleet_snapshot()
+        assert set(snapshot) == {"router", "workers"}
         workers = snapshot["workers"]
-        aggregate = snapshot["aggregate"]
-        assert aggregate["workers_reporting"] == 2
-        assert aggregate["workers_unreachable"] == 0
+        assert sorted(workers) == ["0", "1"]
+        assert all(w["pid"] > 0 for w in workers.values())
         summed = sum(
             w["metrics"]["replies_ok"] for w in workers.values()
         )
-        assert aggregate["replies_ok"] == summed == len(localizes)
+        # With no worker death the live processes saw every request.
+        assert summed == len(localizes)
         assert snapshot["router"]["replies_ok"] == len(localizes)
+
+    def test_router_reconciles_after_a_worker_death(self, scenario):
+        _, _, _, localizes, _ = scenario
+        requests = [
+            dataclasses.replace(localizes[i % len(localizes)],
+                                request_id=f"d{i}")
+            for i in range(8)
+        ]
+        plan = FaultPlan(
+            [FaultSpec("fleet.worker.exit", times=1, skip=4)], seed=0
+        )
+        fleet = _fleet(scenario, workers=1)
+        try:
+            # Armed across start() only: the first process dies on
+            # receipt of its fifth request, its replacement forks clean.
+            with injected(plan):
+                fleet.start()
+            first_pid = fleet.worker_snapshot(0)["pid"]
+            replies = [fleet.call(r, timeout=120) for r in requests]
+            snapshot = fleet.fleet_snapshot()
+        finally:
+            fleet.stop()
+        assert all(reply.ok for reply in replies)
+        assert set(snapshot) == {"router", "workers"}
+        router = snapshot["router"]
+        assert router["worker_deaths"] == 1
+        assert router["requests_submitted"] == 8
+        assert router["replies_ok"] == 8
+        # The replacement counts from zero: the dead process's four
+        # replies are in router only.
+        worker = snapshot["workers"]["0"]
+        assert worker["pid"] != first_pid
+        assert worker["metrics"]["replies_ok"] == 4
 
     def test_worker_snapshot_has_identity_and_sessions(self, scenario):
         with _fleet(scenario) as fleet:
@@ -290,8 +325,8 @@ class TestMetricsServerFleetMode:
                     self._get(server.port, "/metrics?worker=99")
                 with pytest.raises(urllib.error.HTTPError) as bad:
                     self._get(server.port, "/metrics?worker=abc")
-        assert set(merged) == {"router", "workers", "aggregate"}
-        assert merged["aggregate"]["workers_reporting"] == 2
+        assert set(merged) == {"router", "workers"}
+        assert sorted(merged["workers"]) == ["0", "1"]
         assert per_worker["worker_id"] == 0
         assert absent.value.code == 404
         assert bad.value.code == 400

@@ -43,7 +43,6 @@ def _service(scenario, **kwargs):
     net, sniffers, fmap = scenario
     kwargs.setdefault("fingerprint_map", fmap)
     kwargs.setdefault("max_batch", 8)
-    kwargs.setdefault("max_wait_s", 0.002)
     return LocalizationService(net.field, net.positions[sniffers], **kwargs)
 
 
@@ -478,7 +477,7 @@ class TestFleetBackend:
         obs = _observations(scenario, 2, seed=6)
         fleet = fleet_mod.ServeFleet(
             net.field, net.positions[sniffers], workers=2,
-            fingerprint_map=fmap, max_batch=8, max_wait_s=0.002,
+            fingerprint_map=fmap, max_batch=8,
         )
         with fleet, GatewayServer(fleet) as gateway:
             async def go():

@@ -26,7 +26,7 @@ def _run_crossing(tracker_cls, seed, stretches):
         TrackerConfig(prediction_count=300, keep_count=10, max_speed=5.0),
         rng=gen,
     )
-    perms = []
+    perms, steps = [], []
     for k, (t, events) in enumerate(schedule.windows(1.0)):
         step = tracker.step(
             measure.observe(sim.window_flux(events).total, time=t)
@@ -34,7 +34,8 @@ def _run_crossing(tracker_cls, seed, stretches):
         truth = np.stack([a.positions[k], b.positions[k]])
         _, p = assignment_errors(step.estimates, truth)
         perms.append(p)
-    return perms, tracker
+        steps.append(step)
+    return perms, tracker, steps
 
 
 @pytest.mark.slow
@@ -44,7 +45,7 @@ class TestIdentityAwareTracking:
         must suppress permutation attempts entirely."""
         swaps = 0
         for seed in (1, 2, 3):
-            _, tracker = _run_crossing(
+            _, tracker, _ = _run_crossing(
                 IdentityAwareTracker, seed, [2.0, 2.0]
             )
             swaps += tracker.swap_count
@@ -53,7 +54,7 @@ class TestIdentityAwareTracking:
     def test_swap_counter_increments_with_distinct_stretches(self):
         total_swaps = 0
         for seed in (1, 2, 3, 4):
-            _, tracker = _run_crossing(
+            _, tracker, _ = _run_crossing(
                 IdentityAwareTracker, seed, [3.0, 1.0]
             )
             total_swaps += tracker.swap_count
@@ -61,5 +62,12 @@ class TestIdentityAwareTracking:
         assert total_swaps >= 1
 
     def test_history_shared_with_base(self):
-        perms, tracker = _run_crossing(IdentityAwareTracker, 7, [3.0, 1.0])
-        assert len(tracker.history) == len(perms)
+        # Each step returned is the base tracker's, re-labelled in place
+        # when the identity correction swaps sample sets.
+        perms, tracker, steps = _run_crossing(
+            IdentityAwareTracker, 7, [3.0, 1.0]
+        )
+        assert len(steps) == len(perms)
+        np.testing.assert_array_equal(
+            steps[-1].estimates, tracker.estimates()
+        )

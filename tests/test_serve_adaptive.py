@@ -1,11 +1,8 @@
-"""Adaptive micro-batching: controller policy and the bitwise parity
-sweep.
+"""Micro-batching: the drain and the bitwise parity sweep.
 
-Three layers under test:
+Two layers under test:
 
-* :class:`~repro.serve.AdaptiveBatchController` policy unit tests —
-  depth-k bypass, EWMA window sizing, settle-early drain.
-* Admission-queue behavior the controller plugs into: the
+* Admission-queue behavior the scheduler's drain relies on: the
   ``wait_timeout=0`` busy-spin clamp (regression test) and the fair
   drain order, which deadlines never change.
 * End-to-end parity: sweeping client counts, the batching scheduler
@@ -20,102 +17,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.fpmap import build_fingerprint_map
 from repro.geometry import RectangularField
 from repro.network import build_network, sample_sniffers_percentage
 from repro.serve import (
-    AdaptiveBatchController,
     LocalizationService,
     LocalizeRequest,
     MetricsServer,
 )
 from repro.serve.admission import MIN_IDLE_WAIT_S, AdmissionQueue, PendingRequest
 from repro.traffic import FluxObservation, MeasurementModel, simulate_flux
-
-
-# ----------------------------------------------------------------------
-# Controller policy
-# ----------------------------------------------------------------------
-class TestAdaptiveBatchController:
-    def test_bypass_below_fusion_min_depth(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002)
-        assert ctl.FUSION_MIN_DEPTH == 2
-        # Fresh controller: batch EWMA is 1.0 < 2, depth 1 < 2 -> bypass.
-        assert ctl.linger_window_s(1, 16) == 0.0
-        assert ctl.bypasses == 1
-
-    def test_depth_at_threshold_lingers(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002)
-        window = ctl.linger_window_s(2, 16)
-        assert 0.0 < window <= 0.002
-        assert ctl.windows == 1
-
-    def test_full_batch_dispatches_immediately(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002)
-        assert ctl.linger_window_s(16, 16) == 0.0
-        # A full drain is neither a bypass nor a window.
-        assert ctl.bypasses == 0 and ctl.windows == 0
-
-    def test_batch_ewma_releases_bypass(self):
-        # Sustained large drains mean fusion is paying; even a
-        # momentarily shallow queue should linger for the batch.
-        ctl = AdaptiveBatchController(max_wait_s=0.002)
-        for _ in range(20):
-            ctl.observe_drain(8)
-        assert ctl.batch_ewma > ctl.FUSION_MIN_DEPTH
-        assert ctl.linger_window_s(1, 16) > 0.0
-
-    def test_lone_client_drains_keep_bypass_engaged(self):
-        # The closed-loop trap: a single client's drains are size 1
-        # forever, so the bypass must stay on no matter the gap EWMA.
-        ctl = AdaptiveBatchController(max_wait_s=0.002)
-        now = 100.0
-        for _ in range(50):
-            ctl.observe_arrival(now)
-            ctl.observe_drain(1)
-            now += 1e-4  # gaps far shorter than max_wait_s
-        assert ctl.linger_window_s(1, 16) == 0.0
-
-    def test_gap_ewma_tracks_arrivals_and_skips_idle(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.01)
-        now = 10.0
-        for _ in range(40):
-            ctl.observe_arrival(now)
-            now += 1e-3
-        assert ctl.gap_ewma_s == pytest.approx(1e-3, rel=0.1)
-        before = ctl.gap_ewma_s
-        ctl.observe_arrival(now + 60.0)  # coffee break: gap is idle time
-        assert ctl.gap_ewma_s == before
-
-    def test_window_predicts_fill_time(self):
-        ctl = AdaptiveBatchController(max_wait_s=1.0)
-        now = 10.0
-        for _ in range(40):
-            ctl.observe_arrival(now)
-            now += 1e-3
-        # 12 more arrivals expected to fill 16 from depth 4.
-        window = ctl.linger_window_s(4, 16)
-        assert window == pytest.approx(12 * ctl.gap_ewma_s)
-
-    def test_settle_bounded_by_max_wait(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002)
-        assert 0.0 < ctl.settle_s() <= 0.002
-        ctl.observe_arrival(50.0)
-        assert ctl.settle_at() == 50.0 + ctl.settle_s()
-
-    def test_snapshot_keys(self):
-        ctl = AdaptiveBatchController(max_wait_s=0.002)
-        ctl.linger_window_s(1, 16)
-        snap = ctl.snapshot()
-        for key in ("gap_ewma_s", "batch_ewma", "bypasses", "windows",
-                    "last_window_s", "window_mean_s"):
-            assert key in snap
-        assert snap["bypasses"] == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveBatchController(max_wait_s=-1.0)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +153,6 @@ def _replies_for(scenario, work, **service_kwargs):
     net, sniffers, fmap = scenario
     service_kwargs.setdefault("fingerprint_map", fmap)
     service_kwargs.setdefault("max_batch", 16)
-    service_kwargs.setdefault("max_wait_s", 0.002)
     service_kwargs.setdefault("queue_capacity", 1024)
     with LocalizationService(
         net.field, net.positions[sniffers], **service_kwargs
@@ -273,7 +183,7 @@ class TestMetricsExposure:
         net, sniffers, fmap = scenario
         with LocalizationService(
             net.field, net.positions[sniffers], fingerprint_map=fmap,
-            max_batch=8, max_wait_s=0.002,
+            max_batch=8,
         ) as service:
             for batch in work:
                 for request in batch:
@@ -283,8 +193,11 @@ class TestMetricsExposure:
         assert cache["hits"] + cache["misses"] > 0
         assert 0.0 <= cache["hit_rate"] <= 1.0
         assert cache["size"] <= cache["capacity"]
-        controller = snap["batch_controller"]
-        assert controller["bypasses"] + controller["windows"] > 0
+        # No linger: every drain dispatches at once.
+        assert snap["batches"] > 0
+        assert snap["batch_controller"] == {
+            "bypasses": snap["batches"], "windows": 0,
+        }
 
     def test_metrics_endpoint_serves_probes(self, scenario):
         import json
@@ -294,7 +207,7 @@ class TestMetricsExposure:
         net, sniffers, fmap = scenario
         with LocalizationService(
             net.field, net.positions[sniffers], fingerprint_map=fmap,
-            max_batch=8, max_wait_s=0.002,
+            max_batch=8,
         ) as service:
             for request in work[0]:
                 service.call(request)

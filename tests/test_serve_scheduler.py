@@ -88,7 +88,6 @@ def _service(net, sniffers, fmap, max_batch):
         net.positions[sniffers],
         fingerprint_map=fmap,
         max_batch=max_batch,
-        max_wait_s=0.002,
     )
 
 

@@ -7,6 +7,7 @@ loop, drain-and-checkpoint shutdown with resume, the blocking
 ``call`` API, and the metrics HTTP endpoint.
 """
 
+import gc
 import json
 import threading
 import urllib.request
@@ -27,7 +28,7 @@ from repro.serve import (
     MetricsServer,
     TrackStepRequest,
 )
-from repro.smc import SequentialMonteCarloTracker, TrackerConfig
+from repro.smc import SequentialMonteCarloTracker, TrackerConfig, TrackerStep
 from repro.stream import SyntheticLiveSource, TrackingSession
 from repro.traffic import MeasurementModel, simulate_flux
 from repro.traffic.measurement import FluxObservation
@@ -50,7 +51,6 @@ def _service(scenario, **kwargs):
     net, sniffers, fmap = scenario
     kwargs.setdefault("fingerprint_map", fmap)
     kwargs.setdefault("max_batch", 8)
-    kwargs.setdefault("max_wait_s", 0.002)
     return LocalizationService(net.field, net.positions[sniffers], **kwargs)
 
 
@@ -203,6 +203,30 @@ class TestTrackingSessions:
             session = service.close_session(sid)
             assert session.windows_consumed == local.windows_consumed == 5
             assert np.array_equal(session.estimates(), local.estimates())
+
+    def test_session_keeps_only_its_last_step(self, scenario):
+        # A session lives until it is closed, so stepping it must not
+        # pile up TrackerSteps (each holds every user's samples).
+        windows = self._windows(scenario, rounds=60)
+        cfg = TrackerConfig(prediction_count=100, keep_count=10)
+
+        def steps_alive():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, TrackerStep)]
+
+        before = len(steps_alive())
+        with _service(scenario) as service:
+            service.open_session("s", user_count=2, config=cfg, rng=11)
+            for r, obs in enumerate(windows):
+                assert service.submit(TrackStepRequest(
+                    request_id=f"r{r}", client_id="t", session_id="s",
+                    observation=obs,
+                )).result(timeout=30).ok  # the reply is dropped here
+            session = service.close_session("s")
+        assert session.windows_consumed == 60
+        alive = steps_alive()
+        assert len(alive) - before <= 1
+        assert any(step is session.last_step for step in alive)
 
     def test_unknown_session_is_a_typed_error(self, scenario):
         windows = self._windows(scenario, rounds=1)

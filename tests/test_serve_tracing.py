@@ -58,7 +58,7 @@ def served(scenario):
     net, sniffers, fmap = scenario
     with LocalizationService(
         net.field, net.positions[sniffers], fingerprint_map=fmap,
-        max_batch=8, max_wait_s=0.002,
+        max_batch=8,
     ) as service:
         requests = _requests(scenario, 6)
         requests[0] = LocalizeRequest(

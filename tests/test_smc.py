@@ -242,16 +242,6 @@ class TestTracker:
         with pytest.raises(TrackingError):
             tracker.run([])
 
-    def test_history_recorded(self, small_network):
-        from repro.traffic import MeasurementModel, simulate_flux
-
-        sniffers, tracker = self._setup(small_network)
-        mm = MeasurementModel(small_network, sniffers, rng=1)
-        for t in range(3):
-            flux = simulate_flux(small_network, [np.array([7.0, 7.0])], [2.0], rng=t)
-            tracker.step(mm.observe(flux, time=float(t)))
-        assert len(tracker.history) == 3
-
     def test_user_count_validated(self, small_network):
         with pytest.raises(ConfigurationError):
             SequentialMonteCarloTracker(

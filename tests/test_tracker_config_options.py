@@ -21,10 +21,11 @@ def _track_once(small_network, config, rounds=3, seed=0):
     )
     truth = np.array([5.0, 10.0])
     mm = MeasurementModel(small_network, sniffers, smooth=True, rng=gen)
+    steps = []
     for t in range(rounds):
         flux = simulate_flux(small_network, [truth], [2.0], rng=t)
-        tracker.step(mm.observe(flux, time=float(t)))
-    return tracker, truth
+        steps.append(tracker.step(mm.observe(flux, time=float(t))))
+    return tracker, truth, steps
 
 
 class TestResamplingOption:
@@ -34,7 +35,7 @@ class TestResamplingOption:
             prediction_count=200, keep_count=10, max_speed=3.0,
             resampling=scheme,
         )
-        tracker, truth = _track_once(small_network, cfg, rounds=4)
+        tracker, truth, _ = _track_once(small_network, cfg, rounds=4)
         err = np.linalg.norm(tracker.estimates()[0] - truth)
         assert err < 5.0
 
@@ -49,7 +50,7 @@ class TestAdaptiveOption:
             prediction_count=800, keep_count=10, max_speed=3.0,
             adaptive_predictions=True,
         )
-        tracker, truth = _track_once(small_network, cfg, rounds=5, seed=3)
+        tracker, truth, _ = _track_once(small_network, cfg, rounds=5, seed=3)
         # After convergence the posterior is tight; the adaptive budget
         # must be far below the 800 cap at least once.
         # (Indirect check: the tracker still works and estimates well.)
@@ -63,22 +64,22 @@ class TestAdaptiveOption:
 class TestTrackerStepContents:
     def test_sample_sets_snapshot(self, small_network):
         cfg = TrackerConfig(prediction_count=150, keep_count=10, max_speed=3.0)
-        tracker, _ = _track_once(small_network, cfg, rounds=2)
-        step = tracker.history[-1]
+        _, _, steps = _track_once(small_network, cfg, rounds=2)
+        step = steps[-1]
         assert len(step.sample_sets) == 1
         assert step.sample_sets[0].count == 10
 
     def test_estimates_match_samples(self, small_network):
         cfg = TrackerConfig(prediction_count=150, keep_count=10, max_speed=3.0)
-        tracker, _ = _track_once(small_network, cfg, rounds=2)
-        step = tracker.history[-1]
+        _, _, steps = _track_once(small_network, cfg, rounds=2)
+        step = steps[-1]
         np.testing.assert_allclose(
             step.estimates[0], step.sample_sets[0].estimate()
         )
 
     def test_objective_finite_when_active(self, small_network):
         cfg = TrackerConfig(prediction_count=150, keep_count=10, max_speed=3.0)
-        tracker, _ = _track_once(small_network, cfg, rounds=2)
-        actives = [s for s in tracker.history if s.active.any()]
+        _, _, steps = _track_once(small_network, cfg, rounds=2)
+        actives = [s for s in steps if s.active.any()]
         assert actives
         assert all(np.isfinite(s.objective) for s in actives)
