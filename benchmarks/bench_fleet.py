@@ -177,7 +177,7 @@ def _run_workers(net, sniffers, fmap, work, workers):
                 timeout=300,
             )
         replies, elapsed = _drive(fleet, work)
-        snapshot = fleet.fleet_snapshot()
+        snapshot = fleet.snapshot()
     bad = [r for r in replies if not r.ok]
     total = sum(len(requests) for requests in work)
     if bad or len(replies) != total:
@@ -236,7 +236,7 @@ def _run_session(net, sniffers, fmap, stream, kill_after=None):
     """
     estimates = []
     with _fleet(net, sniffers, fmap, workers=2, max_batch=8) as fleet:
-        fleet.open_session("s0", user_count=SESSION_USERS, seed=7)
+        fleet.open_session("s0", user_count=SESSION_USERS, rng=7)
         owner = fleet.session_owner("s0")
         i = 0
         while i < len(stream):
@@ -259,7 +259,7 @@ def _run_session(net, sniffers, fmap, stream, kill_after=None):
             reply = fleet.call(_step(i, stream[i]), timeout=300)
             estimates.append(reply.estimates.tobytes())
             i += 1
-        snapshot = fleet.fleet_snapshot()
+        snapshot = fleet.snapshot()
     return estimates, snapshot
 
 

@@ -45,11 +45,14 @@ def main() -> None:
 
     # One service per deployment: the map build below is the expensive
     # shared asset every request reuses (map-seeded candidate pools).
+    # stop() checkpoints every tracking session into checkpoint_dir.
+    workdir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
     service = LocalizationService(
         network.field,
         network.positions[sniffers],
         fingerprint_map=None,
         map_resolution=2.0,
+        checkpoint_dir=workdir,
         max_batch=16,
         queue_capacity=256,
     )
@@ -129,15 +132,14 @@ def main() -> None:
         print(f"unknown session       -> ok={lost.ok} code={lost.code}")
 
         # --- drain-and-checkpoint shutdown ------------------------------
-        workdir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
-        summary = service.stop(checkpoint_dir=workdir)
+        summary = service.stop()
     print(f"checkpointed on shutdown: {summary['checkpoints']}")
 
     print(
         f"\n{CLIENTS} clients x {REQUESTS} requests: mean localization "
         f"error {np.mean(errors):.2f}"
     )
-    snapshot = service.metrics.snapshot()
+    snapshot = service.snapshot()
     print(f"batch size histogram: {snapshot['batch_size_histogram']}")
     print(f"p50/p95/p99 latency:  {snapshot['latency_p50_s'] * 1e3:.1f} / "
           f"{snapshot['latency_p95_s'] * 1e3:.1f} / "

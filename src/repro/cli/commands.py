@@ -4,12 +4,13 @@ Each handler takes the parsed argparse namespace and returns a process
 exit code. Output is plain text on stdout so the commands compose with
 shell pipelines; ``--output FILE`` writes machine-readable artifacts.
 
-The serving commands ``serve``, ``fleet`` and ``gateway`` share one
-load: :func:`_sniffers_from` picks the deployment's sniffers,
-:class:`_Workload` draws the synthetic requests, :func:`_drive` submits
-them to a :class:`~repro.serve.LocalizationService` or
-:class:`~repro.fleet.ServeFleet` from client threads, and
-:func:`_drive_gateway` sends the same requests over sockets.
+The serving commands ``serve`` and ``gateway`` share one load and one
+lifecycle: :class:`_Workload` draws the deployment and the synthetic
+requests, :func:`_serve_load` runs them on the backend of
+``--fleet-workers`` (a :class:`~repro.serve.LocalizationService` or a
+:class:`~repro.fleet.ServeFleet`, which answer the same calls), where
+:func:`_drive` submits them from client threads and
+:func:`_drive_gateway` sends them over sockets.
 """
 
 from __future__ import annotations
@@ -535,24 +536,33 @@ def cmd_experiment(args) -> int:
 
 
 class _Workload:
-    """The synthetic load of ``serve``, ``fleet`` and ``gateway``.
+    """The deployment and synthetic load of ``serve`` and ``gateway``.
 
-    Everything is drawn from ``gen`` here, on the main thread, in one
-    fixed order, so the load follows from ``--seed``. ``clients`` holds
-    each client's ``(client_id, [(LocalizeRequest, truth), ...])``;
-    ``sessions`` holds each tracking session's ``(session_id, seed,
-    [TrackStepRequest, ...])``. Every session owns an integer seed for
-    its tracker, so its trajectory does not depend on which thread
-    steps it or when.
+    Everything is drawn from ``--seed`` here, on the main thread, in one
+    fixed order: ``net``, then ``fmap`` (the ``--map``, ``None``
+    without one) and ``sniffers`` (see :func:`_sniffers_from`), then
+    the requests. ``clients`` holds each client's ``(client_id,
+    [(LocalizeRequest, truth), ...])``; ``sessions`` holds each
+    tracking session's ``(session_id, seed, [TrackStepRequest, ...])``.
+    Every session owns an integer seed for its tracker, so its
+    trajectory does not depend on which thread steps it or when, nor on
+    the backend. Raises :class:`~repro.errors.ConfigurationError` for an
+    unusable ``--map``.
     """
 
-    def __init__(self, args, net, sniffers, gen, deadline_ms=None):
+    def __init__(self, args):
         from repro.serve import LocalizeRequest, TrackStepRequest
         from repro.stream import SyntheticLiveSource
 
-        deadline_s = deadline_ms / 1000.0 if deadline_ms is not None else None
+        gen = as_generator(args.seed)
+        self.net = net = _network_from(args)
+        self.fmap, self.sniffers = _sniffers_from(args, net, gen, args.map)
+        deadline_s = (
+            args.deadline_ms / 1000.0 if args.deadline_ms is not None
+            else None
+        )
         self.users = args.users
-        measure = MeasurementModel(net, sniffers, smooth=True, rng=gen)
+        measure = MeasurementModel(net, self.sniffers, smooth=True, rng=gen)
         self.clients = []
         for c in range(args.clients):
             pairs = []
@@ -575,8 +585,8 @@ class _Workload:
         for t in range(args.track_sessions):
             session_id = f"track-{t}"
             live = SyntheticLiveSource(
-                net, sniffers, user_count=args.users, rounds=args.requests,
-                rng=gen,
+                net, self.sniffers, user_count=args.users,
+                rounds=args.requests, rng=gen,
             )
             seed = int(gen.integers(2**31))
             steps = [
@@ -635,60 +645,64 @@ class _Tally:
             print(f"mean localization error {np.mean(self.errors):.2f}")
 
 
-def _backend_args(args, fmap) -> dict:
-    """The deployment map and batching knobs that ``LocalizationService``
-    and ``ServeFleet`` both take: ``fmap`` as given, or without it one
-    built at ``--map-resolution``."""
-    return dict(
+def _backend_from(args, work):
+    """The backend ``--fleet-workers`` asks for: ``0`` builds one
+    in-process ``LocalizationService``, ``N`` a ``ServeFleet`` of N
+    worker processes. Both take the deployment, ``work.fmap`` as given
+    (or, without it, one built at ``--map-resolution``),
+    ``--checkpoint-dir`` and the batching knobs."""
+    fmap = work.fmap
+    knobs = dict(
         d_floor=fmap.d_floor if fmap is not None else 1.0,
         fingerprint_map=fmap,
         map_resolution=args.map_resolution,
+        checkpoint_dir=args.checkpoint_dir,
         max_batch=args.max_batch,
         queue_capacity=args.queue_capacity,
     )
+    positions = work.net.positions[work.sniffers]
+    if args.fleet_workers:
+        from repro.fleet import ServeFleet
 
-
-def _service_from(args, net, sniffers, fmap):
+        return ServeFleet(
+            work.net.field, positions, workers=args.fleet_workers, **knobs
+        )
     from repro.serve import LocalizationService
 
-    return LocalizationService(
-        net.field, net.positions[sniffers], **_backend_args(args, fmap)
+    return LocalizationService(work.net.field, positions, **knobs)
+
+
+def _print_header(what: str, args, work, backend) -> None:
+    map_tag = " (map-seeded)" if backend.fingerprint_map is not None else ""
+    kind = (
+        f"a {args.fleet_workers}-worker fleet" if args.fleet_workers
+        else "one service"
     )
-
-
-def _print_header(what: str, args, work, net, sniffers, fmap) -> None:
-    map_tag = " (map-seeded)" if fmap is not None else ""
     print(
         f"{what}serving {len(work.clients)} localize clients x "
         f"{args.requests} requests + {len(work.sessions)} tracking sessions "
-        f"on {len(sniffers)}/{net.node_count} sniffed nodes{map_tag}; "
-        f"max_batch={args.max_batch} queue_capacity={args.queue_capacity}"
+        f"on {len(work.sniffers)}/{work.net.node_count} sniffed "
+        f"nodes{map_tag} from {kind}; max_batch={args.max_batch} "
+        f"queue_capacity={args.queue_capacity}"
     )
 
 
-def _metrics_endpoint(args, **source):
-    """Start ``GET /metrics`` on ``--metrics-port`` (``None`` without
-    it); ``source`` is ``metrics=`` or ``fleet=`` of ``MetricsServer``."""
+def _metrics_endpoint(args, backend):
+    """Start ``GET /metrics`` for ``backend`` on ``--metrics-port``
+    (``None`` without it)."""
     if args.metrics_port is None:
         return None
     from repro.serve import MetricsServer
 
-    endpoint = MetricsServer(port=args.metrics_port, **source)
+    endpoint = MetricsServer(backend, port=args.metrics_port)
     print(f"metrics on http://127.0.0.1:{endpoint.start()}/metrics")
     return endpoint
 
 
-def _print_shutdown(guard, plan) -> None:
-    if guard.triggered:
-        print("drained after shutdown signal")
-    if plan is not None:
-        print(f"fault plan: {plan.summary()}")
-
-
 def _drive(backend, work, guard) -> _Tally:
-    """Submit ``work`` to ``backend`` (a ``LocalizationService`` or a
-    ``ServeFleet``) from one thread per client and tracking session,
-    each waiting for a reply before its next request."""
+    """Submit ``work`` to ``backend`` from one thread per client and
+    tracking session, each waiting for a reply before its next
+    request."""
     tally = _Tally()
 
     def run(pairs):
@@ -716,111 +730,84 @@ def _drive(backend, work, guard) -> _Tally:
     return tally
 
 
-def cmd_serve(args) -> int:
-    from repro.faults import injected
+def _serve_load(args, work, drive, sessions=()) -> int:
+    """Serve ``work`` from the ``--fleet-workers`` backend: the
+    lifecycle ``serve`` and ``gateway`` share.
 
-    gen = as_generator(args.seed)
-    net = _network_from(args)
-    try:
-        fmap, sniffers = _sniffers_from(args, net, gen, args.map)
-    except ConfigurationError as exc:
-        return _refuse(f"cannot use map {args.map}", exc)
-    try:
-        service = _service_from(args, net, sniffers, fmap)
-    except ConfigurationError as exc:
-        return _refuse("cannot build service", exc)
+    Builds and starts the backend, opens ``sessions`` (``work``'s
+    tracking sessions when the clients are in-process; gateway clients
+    open theirs over the wire) and the ``--metrics-port`` endpoint,
+    runs ``drive(backend, guard)``, then reads ``backend.snapshot()``
+    (the metrics output) and stops everything. A step that fails is
+    refused with one stderr line once everything started has stopped.
+
+    ``--fault-plan``: a fleet arms it only across ``start()``. Its forked
+    workers inherit the armed plan, so worker-side sites
+    (``fleet.worker.exit``) fire in the children; replacements forked
+    at failover must start clean, or each re-fires the fault and dies
+    again until the redelivery limit gives up. One service keeps the
+    plan armed across the run, its drain and checkpoints included.
+    """
+    from repro.faults import injected
+    from repro.serve.metrics import snapshot_json
+
     try:
         plan = _load_fault_plan(args)
     except ConfigurationError as exc:
         return _refuse(f"cannot load fault plan {args.fault_plan}", exc)
-    work = _Workload(args, net, sniffers, gen, args.deadline_ms)
     try:
-        for session_id, seed, _ in work.sessions:
-            service.open_session(session_id, work.users, rng=seed)
+        backend = _backend_from(args, work)
     except ConfigurationError as exc:
-        return _refuse("cannot open tracking session", exc)
-
-    endpoint = _metrics_endpoint(args, metrics=service.metrics)
-    _print_header("", args, work, net, sniffers, service.fingerprint_map)
-    with injected(plan), _ShutdownGuard() as guard:
-        service.start()
-        tally = _drive(service, work, guard)
-        summary = service.stop(checkpoint_dir=args.checkpoint_dir)
-    if endpoint is not None:
-        endpoint.stop()
+        return _refuse("cannot build backend", exc)
+    refused = None
+    what = "cannot open tracking session"
+    with injected(plan):
+        backend.start()
+    try:
+        with injected(None if args.fleet_workers else plan), \
+                _ShutdownGuard() as guard:
+            for session_id, seed, _ in sessions:
+                backend.open_session(session_id, work.users, rng=seed)
+            what = "cannot serve"
+            endpoint = _metrics_endpoint(args, backend)
+            try:
+                drive(backend, guard)
+            finally:
+                if endpoint is not None:
+                    endpoint.stop()
+            snapshot = backend.snapshot()
+            summary = backend.stop()
+    except ConfigurationError as exc:
+        refused = exc
+    finally:
+        backend.stop()
+    if refused is not None:
+        return _refuse(what, refused)
     _print_shutdown(guard, plan)
-    tally.print()
     for session_id, path in sorted(summary["checkpoints"].items()):
         print(f"checkpointed {session_id} -> {path}")
-    _emit_metrics(args.metrics_out, service.metrics.to_json())
+    _emit_metrics(args.metrics_out, snapshot_json(snapshot))
     return 0
 
 
-def cmd_fleet(args) -> int:
-    import json
+def _print_shutdown(guard, plan) -> None:
+    if guard.triggered:
+        print("drained after shutdown signal")
+    if plan is not None:
+        print(f"fault plan: {plan.summary()}")
 
-    from repro.faults import injected
-    from repro.fleet import ServeFleet
-    from repro.serve.metrics import _nan_safe_deep
 
-    gen = as_generator(args.seed)
-    net = _network_from(args)
+def cmd_serve(args) -> int:
     try:
-        fmap, sniffers = _sniffers_from(args, net, gen, args.map)
+        work = _Workload(args)
     except ConfigurationError as exc:
         return _refuse(f"cannot use map {args.map}", exc)
-    try:
-        fleet = ServeFleet(
-            net.field,
-            net.positions[sniffers],
-            workers=args.fleet_workers,
-            checkpoint_dir=args.checkpoint_dir,
-            **_backend_args(args, fmap),
-        )
-    except ConfigurationError as exc:
-        return _refuse("cannot build fleet", exc)
-    try:
-        plan = _load_fault_plan(args)
-    except ConfigurationError as exc:
-        return _refuse(f"cannot load fault plan {args.fault_plan}", exc)
-    work = _Workload(args, net, sniffers, gen)
 
-    _print_header(
-        f"fleet of {args.fleet_workers} workers ", args, work, net, sniffers,
-        fleet.fingerprint_map,
-    )
-    # Arm only across start(): forked workers inherit the armed plan,
-    # so worker-side sites (fleet.worker.exit) fire in the children.
-    # Disarm before driving traffic — replacements forked at failover
-    # must start clean, or each one re-fires the fault and dies again
-    # until the redelivery limit gives up.
-    with injected(plan):
-        fleet.start()
-    try:
-        try:
-            for session_id, seed, _ in work.sessions:
-                fleet.open_session(session_id, work.users, seed=seed)
-        except ConfigurationError as exc:
-            return _refuse("cannot open tracking session", exc)
-        with _ShutdownGuard() as guard:
-            endpoint = _metrics_endpoint(args, fleet=fleet)
-            tally = _drive(fleet, work, guard)
-            snapshot = fleet.fleet_snapshot()
-            if endpoint is not None:
-                endpoint.stop()
-    finally:
-        fleet.stop()
-    _print_shutdown(guard, plan)
-    router = snapshot["router"]
-    tally.print(
-        f"; {router['worker_deaths']} worker deaths, "
-        f"{router['redeliveries']} redeliveries"
-    )
-    _emit_metrics(
-        args.metrics_out,
-        json.dumps(_nan_safe_deep(snapshot), indent=2, sort_keys=True),
-    )
-    return 0
+    def drive(backend, guard):
+        _print_header("", args, work, backend)
+        _drive(backend, work, guard).print()
+
+    return _serve_load(args, work, drive, work.sessions)
 
 
 #: Stage order of the printed latency-decomposition table.
@@ -917,7 +904,6 @@ def _drive_gateway(host, port, work, guard) -> int:
 
 
 def cmd_gateway(args) -> int:
-    from repro.faults import injected
     from repro.gateway import GatewayServer
 
     remote = None
@@ -931,38 +917,23 @@ def cmd_gateway(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    gen = as_generator(args.seed)
-    net = _network_from(args)
-    _, sniffers = _sniffers_from(args, net, gen)
     # Both modes draw the load: --connect drives a remote gateway built
     # from the same network args, so the observations match the remote
     # deployment when the seeds match.
-    work = _Workload(args, net, sniffers, gen, args.deadline_ms)
+    try:
+        work = _Workload(args)
+    except ConfigurationError as exc:
+        return _refuse(f"cannot use map {args.map}", exc)
     if remote is not None:
         with _ShutdownGuard() as guard:
             connected = _drive_gateway(*remote, work, guard)
         return 0 if connected else 1
 
-    try:
-        service = _service_from(args, net, sniffers, None)
-    except ConfigurationError as exc:
-        return _refuse("cannot build service", exc)
-    try:
-        plan = _load_fault_plan(args)
-    except ConfigurationError as exc:
-        return _refuse(f"cannot load fault plan {args.fault_plan}", exc)
-    service.start()
-    gateway = GatewayServer(service, host="127.0.0.1", port=args.port)
-    guard = _ShutdownGuard()
-    endpoint = None
-    try:
+    def drive(backend, guard):
+        gateway = GatewayServer(backend, host="127.0.0.1", port=args.port)
         port = gateway.start()
-        _print_header(
-            f"gateway on 127.0.0.1:{port} ", args, work, net, sniffers,
-            service.fingerprint_map,
-        )
-        endpoint = _metrics_endpoint(args, metrics=service.metrics)
-        with injected(plan), guard:
+        try:
+            _print_header(f"gateway on 127.0.0.1:{port} ", args, work, backend)
             if work.clients or work.sessions:
                 _drive_gateway("127.0.0.1", port, work, guard)
             else:
@@ -974,21 +945,17 @@ def cmd_gateway(args) -> int:
                     if stop_at is not None and time.monotonic() >= stop_at:
                         break
                     guard.event.wait(0.2)
-    finally:
-        gateway.stop()
-        service.stop(checkpoint_dir=args.checkpoint_dir)
-        if endpoint is not None:
-            endpoint.stop()
-    _print_shutdown(guard, plan)
-    snap = gateway.snapshot()
-    print(
-        f"gateway: {snap['connections_opened']} connections, "
-        f"{snap['frames_received']} frames in / {snap['frames_sent']} out, "
-        f"{snap['replies_dropped']} replies dropped, "
-        f"{snap['protocol_errors']} protocol errors"
-    )
-    _emit_metrics(args.metrics_out, service.metrics.to_json())
-    return 0
+        finally:
+            gateway.stop()
+        snap = gateway.snapshot()
+        print(
+            f"gateway: {snap['connections_opened']} connections, "
+            f"{snap['frames_received']} frames in / {snap['frames_sent']} "
+            f"out, {snap['replies_dropped']} replies dropped, "
+            f"{snap['protocol_errors']} protocol errors"
+        )
+
+    return _serve_load(args, work, drive)
 
 
 def cmd_defend(args) -> int:

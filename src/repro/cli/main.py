@@ -203,49 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="run the micro-batched localization service under a "
-        "synthetic multi-client load",
+        help="run the micro-batched localization service (or a fleet of "
+        "them) under a synthetic multi-client load",
     )
     _load_args(p)
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request deadline (expired work gets typed error replies)",
-    )
-    p.add_argument(
-        "--map",
-        default=None,
-        help="seed candidate pools from this fingerprint map "
-        "(repro build-map output; its sniffer set replaces --percentage)",
-    )
     p.set_defaults(handler=commands.cmd_serve)
-
-    p = sub.add_parser(
-        "fleet",
-        help="run a fixed-size multi-process serving fleet under a "
-        "synthetic multi-client load",
-    )
-    _load_args(p)
-    p.add_argument(
-        "--fleet-workers",
-        type=int,
-        default=2,
-        help="worker processes (each its own admission queue and "
-        "scheduler)",
-    )
-    p.add_argument(
-        "--map",
-        default=None,
-        help="seed candidate pools from this fingerprint map "
-        "(repro build-map output; its sniffer set replaces --percentage)",
-    )
-    p.set_defaults(handler=commands.cmd_fleet)
 
     p = sub.add_parser(
         "gateway",
         help="run the asyncio TCP gateway in front of a localization "
-        "service (or drive a remote one with --connect)",
+        "service or fleet (or drive a remote one with --connect)",
     )
     _load_args(p)
     p.add_argument(
@@ -270,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --clients 0 --track-sessions 0, serve idle for this "
         "many seconds (default: until SIGINT/SIGTERM)",
     )
-    p.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-request deadline carried in the request frames",
-    )
     p.set_defaults(handler=commands.cmd_gateway)
 
     p = sub.add_parser(
@@ -290,15 +251,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_args(p: argparse.ArgumentParser) -> None:
-    """The deployment, load and serving flags shared by ``serve``,
-    ``fleet`` and ``gateway``."""
+    """The deployment, load and serving flags shared by ``serve`` and
+    ``gateway``."""
     _network_args(p)
     group = p.add_argument_group(
         "load", "synthetic load and serving knobs (a fleet applies the "
         "batching and queue knobs per worker)"
     )
     group.add_argument(
+        "--fleet-workers",
+        type=int,
+        default=0,
+        help="serve from a fleet of this many worker processes, each its "
+        "own admission queue and scheduler (0 = one in-process service)",
+    )
+    group.add_argument(
         "--percentage", type=float, default=20.0, help="%% of nodes sniffed"
+    )
+    group.add_argument(
+        "--map",
+        default=None,
+        help="seed candidate pools from this fingerprint map "
+        "(repro build-map output; its sniffer set replaces --percentage)",
     )
     group.add_argument(
         "--clients",
@@ -317,6 +291,12 @@ def _load_args(p: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--candidates", type=int, default=128)
     group.add_argument("--restarts", type=int, default=1)
+    group.add_argument(
+        "--deadline-ms",
+        type=float,
+        default=None,
+        help="per-request deadline (expired work gets typed error replies)",
+    )
     group.add_argument(
         "--max-batch",
         type=int,
@@ -355,8 +335,7 @@ def _load_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="expose GET /metrics on this port while serving (0 = "
-        "ephemeral); one service also answers GET /trace, a fleet "
-        "GET /metrics?worker=<id>",
+        "ephemeral); one service also answers GET /trace",
     )
     group.add_argument(
         "--metrics-out",

@@ -7,7 +7,7 @@ exactly-one-reply guard — and every reply it hands back, so its
 ``requests_submitted`` across worker deaths. Each worker's
 :class:`~repro.serve.metrics.ServerMetrics` keeps counting its own
 admission, batching and latency story in its own process and dies with
-it; :meth:`~repro.fleet.ServeFleet.fleet_snapshot` reports them side
+it; :meth:`~repro.fleet.ServeFleet.snapshot` reports them side
 by side, ``router`` and ``workers``, with no sum across processes.
 """
 

@@ -58,22 +58,14 @@ class SessionSpec:
     """Everything needed to (re)create a tracking session bitwise.
 
     ``seed`` feeds the tracker's RNG, so reopening from the spec
-    reproduces the prior-draw exactly; ``config`` is the
-    :class:`~repro.smc.tracker.TrackerConfig` as a plain dict (or
-    ``None`` for defaults).
+    reproduces the prior-draw exactly; ``config`` is the session's
+    :class:`~repro.smc.tracker.TrackerConfig` (``None`` for defaults).
     """
 
     session_id: str
     user_count: int
     seed: int = 0
-    config: Optional[dict] = None
-
-    def tracker_config(self) -> TrackerConfig:
-        """The session's tracker knobs (the defaults without ``config``)."""
-        return (
-            TrackerConfig(**self.config) if self.config is not None
-            else TrackerConfig()
-        )
+    config: Optional[TrackerConfig] = None
 
 
 @dataclass
@@ -100,6 +92,7 @@ class WorkerSpec:
             self.sniffer_positions,
             d_floor=self.d_floor,
             fingerprint_map=self.fingerprint_map,
+            checkpoint_dir=self.checkpoint_dir,
             max_batch=self.max_batch,
             queue_capacity=self.queue_capacity,
         )
@@ -107,8 +100,7 @@ class WorkerSpec:
 
 def _open_session(service: LocalizationService, spec: SessionSpec):
     return service.open_session(
-        spec.session_id, spec.user_count, config=spec.tracker_config(),
-        rng=spec.seed,
+        spec.session_id, spec.user_count, config=spec.config, rng=spec.seed,
     )
 
 
@@ -187,14 +179,11 @@ def worker_main(worker_id: int, spec: WorkerSpec, conn) -> None:
                     "worker_id": worker_id,
                     "pid": os.getpid(),
                     "sessions": service.session_ids,
-                    "metrics": service.metrics.snapshot(),
+                    "metrics": service.snapshot(),
                 }
                 send(("control", worker_id, seq, True, payload))
             elif kind == "stop":
-                summary = service.stop(
-                    drain=True, checkpoint_dir=spec.checkpoint_dir
-                )
-                send(("control", worker_id, seq, True, summary))
+                send(("control", worker_id, seq, True, service.stop()))
                 running = False
             else:
                 send(("control", worker_id, seq, False,

@@ -5,9 +5,9 @@ daemon thread and speaks the newline-delimited JSON protocol of
 :mod:`repro.gateway.protocol` to any number of concurrent connections,
 multiplexing them into the admission queue of one backend — a
 :class:`~repro.serve.LocalizationService` or a
-:class:`~repro.fleet.ServeFleet` (anything with ``submit`` returning a
-resolving future). Connections are event-loop state, not threads, so
-connection count is bounded by file descriptors, not by stacks.
+:class:`~repro.fleet.ServeFleet`, which answer the same calls.
+Connections are event-loop state, not threads, so connection count is
+bounded by file descriptors, not by stacks.
 
 The serve layer's exactly-one-typed-reply invariant extends end to end:
 
@@ -46,14 +46,12 @@ import logging
 import threading
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ProtocolError
 from repro.faults import clock as _clock
 from repro.faults.plan import should_fire
 from repro.gateway import protocol
 from repro.metrics import LatencyReservoir
-from repro.serve.metrics import ServerMetrics, _nan_safe_deep
+from repro.serve.metrics import _nan_safe_deep, server_metrics_of
 from repro.util.validation import check_integer
 
 _LOG = logging.getLogger(__name__)
@@ -182,12 +180,7 @@ class GatewayServer:
         self._requested_port = int(port)
         self.name = str(name)
         self.metrics = GatewayMetrics()
-        backend_metrics = getattr(backend, "metrics", None)
-        self._server_metrics = (
-            backend_metrics
-            if isinstance(backend_metrics, ServerMetrics)
-            else None
-        )
+        self._server_metrics = server_metrics_of(backend)
         self._conn_ids = itertools.count(1)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -512,13 +505,7 @@ class GatewayServer:
                 raise ConfigurationError("open_session needs a session_id")
             check_integer("user_count", user_count, 1)
             check_integer("seed", seed, 0)
-            if hasattr(self.backend, "fleet_snapshot"):
-                self.backend.open_session(session_id, user_count, seed=seed)
-            else:
-                self.backend.open_session(
-                    session_id, user_count,
-                    rng=np.random.default_rng(seed),
-                )
+            self.backend.open_session(session_id, user_count, rng=seed)
         except Exception as exc:
             await self._write(conn, protocol.error_frame(
                 frame_id, protocol.ERROR_BAD_REQUEST,
@@ -559,9 +546,7 @@ class GatewayServer:
         }))
 
     def _metrics_payload(self) -> Dict:
-        payload = {"gateway": self.metrics.snapshot()}
-        if self._server_metrics is not None:
-            payload["service"] = self._server_metrics.snapshot()
-        elif hasattr(self.backend, "fleet_snapshot"):
-            payload["fleet"] = self.backend.fleet_snapshot()
-        return _nan_safe_deep(payload)
+        return _nan_safe_deep({
+            "gateway": self.metrics.snapshot(),
+            "service": self.backend.snapshot(),
+        })

@@ -3,7 +3,7 @@
 One :class:`ServerMetrics` per service, updated from the submission
 path and the scheduler thread (all mutation under one lock), read by
 anyone: :meth:`snapshot` is the JSON-ready dict behind
-:meth:`to_json` and the :class:`MetricsServer` HTTP endpoint.
+:class:`MetricsServer`'s HTTP endpoint.
 
 The latency machinery is the shared :class:`repro.metrics.
 LatencyReservoir` — the same ring buffer the streaming layer uses —
@@ -271,56 +271,53 @@ class ServerMetrics:
                 }
             return snap
 
-    def to_json(self, indent: int = 2) -> str:
-        payload = _nan_safe_deep(self.snapshot())
-        return json.dumps(payload, indent=indent, sort_keys=True)
+
+def snapshot_json(snapshot) -> str:
+    """A metrics snapshot as indented JSON, non-finite floats as ``null``."""
+    return json.dumps(_nan_safe_deep(snapshot), indent=2, sort_keys=True)
+
+
+def server_metrics_of(backend) -> Optional[ServerMetrics]:
+    """``backend``'s in-process :class:`ServerMetrics`, or ``None``.
+
+    A :class:`~repro.serve.service.LocalizationService` has one; a
+    :class:`~repro.fleet.ServeFleet` does not, since each of its
+    workers keeps its own in its own process.
+    """
+    metrics = getattr(backend, "metrics", None)
+    return metrics if isinstance(metrics, ServerMetrics) else None
 
 
 class MetricsServer:
-    """Minimal HTTP JSON endpoint for service or fleet metrics.
+    """Minimal HTTP JSON endpoint for a serving backend's metrics.
 
     Serves from a daemon thread — enough for a scrape target or a curl
     during a load test, with zero dependencies:
 
     ``GET /metrics``
-        Single-service mode: the flat :meth:`ServerMetrics.snapshot`
-        JSON (unchanged). Fleet mode: the fleet snapshot —
-        ``{"router": ..., "workers": {...}}``, the router's reconciling
-        counters and each live worker's own — instead of one flat
-        blob.
-    ``GET /metrics?worker=<id>``
-        Fleet mode: exactly one worker's snapshot (its flat service
-        metrics plus pid and open sessions); 404 for an unknown or
-        unreachable worker, and in single-service mode.
+        The backend's :meth:`snapshot`: one service's flat
+        :meth:`ServerMetrics.snapshot`, or a fleet's ``{"router": ...,
+        "workers": {...}}``, the router's reconciling counters and each
+        live worker's own.
     ``GET /trace``
-        Single-service mode: the recent trace ring plus the per-stage
-        latency decomposition (``?limit=N`` caps the trace count); 404
-        in fleet mode.
+        The recent trace ring plus the per-stage latency decomposition
+        of the backend's in-process :class:`ServerMetrics`
+        (``?limit=N`` caps the trace count); 404 for a fleet.
     ``GET /healthz``
         ``{"status": "ok"}``.
 
     Parameters
     ----------
-    metrics:
-        A :class:`ServerMetrics` to expose (single-service mode).
-    fleet:
-        A :class:`repro.fleet.ServeFleet` (or anything with
-        ``fleet_snapshot()`` / ``worker_snapshot(id)``) to expose
-        instead. Exactly one of ``metrics`` / ``fleet`` must be given.
+    backend:
+        A :class:`~repro.serve.service.LocalizationService` or a
+        :class:`~repro.fleet.ServeFleet` (anything with ``snapshot()``).
     host / port:
         Bind address; ``port=0`` picks a free port (see :attr:`port`
         after :meth:`start`).
     """
 
-    def __init__(self, metrics: Optional[ServerMetrics] = None,
-                 host: str = "127.0.0.1", port: int = 0, fleet=None):
-        if (metrics is None) == (fleet is None):
-            raise ConfigurationError(
-                "pass exactly one of metrics= (a ServerMetrics) or "
-                "fleet= (a ServeFleet)"
-            )
-        self.metrics = metrics
-        self.fleet = fleet
+    def __init__(self, backend, host: str = "127.0.0.1", port: int = 0):
+        self.backend = backend
         self.host = host
         self._requested_port = int(port)
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -334,49 +331,23 @@ class MetricsServer:
         return int(self._httpd.server_address[1])
 
     def start(self) -> int:
-        """Bind, spawn the serving thread, return the bound port."""
-        metrics = self.metrics
-        fleet = self.fleet
+        """Bind, spawn the serving thread, return the bound port.
 
-        def _dump(payload) -> bytes:
-            return json.dumps(
-                _nan_safe_deep(payload), indent=2, sort_keys=True
-            ).encode()
+        Raises :class:`~repro.errors.ConfigurationError` when the
+        address cannot be bound (a busy port, say).
+        """
+        backend = self.backend
+        metrics = server_metrics_of(backend)
 
         class _Handler(BaseHTTPRequestHandler):
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 parsed = urlparse(self.path)
                 if parsed.path in ("/metrics", "/"):
-                    query = parse_qs(parsed.query)
-                    worker = query.get("worker")
-                    if worker is not None:
-                        if fleet is None:
-                            self.send_error(
-                                404, "no fleet behind this endpoint"
-                            )
-                            return
-                        try:
-                            worker_id = int(worker[0])
-                        except ValueError:
-                            self.send_error(
-                                400, f"worker must be an id, got {worker[0]!r}"
-                            )
-                            return
-                        snap = fleet.worker_snapshot(worker_id)
-                        if snap is None:
-                            self.send_error(
-                                404, f"no reachable worker {worker_id}"
-                            )
-                            return
-                        body = _dump(snap)
-                    elif fleet is not None:
-                        body = _dump(fleet.fleet_snapshot())
-                    else:
-                        body = metrics.to_json().encode()
+                    body = snapshot_json(backend.snapshot()).encode()
                 elif parsed.path == "/trace":
                     if metrics is None:
                         self.send_error(
-                            404, "trace dump needs single-service mode"
+                            404, "no in-process service behind this endpoint"
                         )
                         return
                     query = parse_qs(parsed.query)
@@ -391,10 +362,10 @@ class MetricsServer:
                                 f"got {query['limit'][0]!r}",
                             )
                             return
-                    body = _dump({
+                    body = snapshot_json({
                         "traces": metrics.recent_traces(limit),
                         "stages": metrics.stage_quantiles(),
-                    })
+                    }).encode()
                 elif parsed.path == "/healthz":
                     body = b'{"status": "ok"}'
                 else:
@@ -409,9 +380,15 @@ class MetricsServer:
             def log_message(self, *args) -> None:  # silence stderr chatter
                 pass
 
-        self._httpd = ThreadingHTTPServer(
-            (self.host, self._requested_port), _Handler
-        )
+        try:
+            self._httpd = ThreadingHTTPServer(
+                (self.host, self._requested_port), _Handler
+            )
+        except OSError as exc:
+            raise ConfigurationError(
+                f"metrics endpoint failed to bind "
+                f"{self.host}:{self._requested_port} ({exc})"
+            ) from exc
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-serve-metrics",

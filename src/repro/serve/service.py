@@ -15,9 +15,16 @@ never a silent drop.
 
 Shutdown is *drain-and-checkpoint*: :meth:`stop` closes admission
 (late offers answer ``shutdown``), lets the scheduler drain what was
-already admitted, then snapshots every tracking session with the
-streaming layer's checkpoint format so a restarted service can
-:meth:`resume_session` exactly where each trajectory left off.
+already admitted, then saves every tracking session to the service's
+``checkpoint_dir`` in the streaming layer's checkpoint format, so a
+restarted service can :meth:`resume_session` exactly where each
+trajectory left off.
+
+The service and the multi-process :class:`~repro.fleet.ServeFleet`
+answer the same calls — ``start``, ``submit``/``call``,
+``open_session``/``close_session``, ``snapshot`` and ``stop`` — so a
+caller such as :class:`~repro.gateway.GatewayServer` or
+:class:`~repro.serve.metrics.MetricsServer` runs either one.
 """
 
 from __future__ import annotations
@@ -84,8 +91,10 @@ class LocalizationService:
         Admission bound: a request arriving at a full queue is answered
         ``admission_rejected`` (see :class:`~repro.serve.admission.
         AdmissionQueue`).
-    metrics:
-        Optional externally owned :class:`ServerMetrics`.
+    checkpoint_dir:
+        When set, :meth:`stop` saves every tracking session there, at
+        its :func:`~repro.stream.checkpoint.checkpoint_path`, after the
+        scheduler stops — the drain-and-checkpoint contract.
     retry_policy:
         :class:`~repro.faults.RetryPolicy` for the scheduler's fused
         kernel pass and the drain checkpoint writes. The default is
@@ -101,11 +110,12 @@ class LocalizationService:
         d_floor: float = 1.0,
         fingerprint_map=None,
         map_resolution: Optional[float] = None,
+        checkpoint_dir: Optional[str] = None,
         max_batch: int = 32,
         queue_capacity: int = 512,
-        metrics: Optional[ServerMetrics] = None,
         retry_policy=DEFAULT_RETRY_POLICY,
     ):
+        self.checkpoint_dir = checkpoint_dir
         self.retry_policy = retry_policy
         self.localizer = NLSLocalizer(field, sniffer_positions, d_floor=d_floor)
         if fingerprint_map is None and map_resolution is not None:
@@ -122,7 +132,7 @@ class LocalizationService:
                 field, self.localizer.model.node_positions, d_floor
             )
         self.fingerprint_map = fingerprint_map
-        self.metrics = metrics if metrics is not None else ServerMetrics()
+        self.metrics = ServerMetrics()
         self.queue = AdmissionQueue(capacity=queue_capacity)
         self.scheduler = MicroBatchScheduler(
             localizer=self.localizer,
@@ -153,56 +163,44 @@ class LocalizationService:
         self.scheduler.start()
         return self
 
-    def stop(
-        self,
-        drain: bool = True,
-        checkpoint_dir: Optional[str] = None,
-    ) -> Dict[str, object]:
-        """Shut down: close admission, drain (or flush), checkpoint.
+    def stop(self) -> Dict[str, object]:
+        """Shut down: close admission, drain, checkpoint.
 
-        Parameters
-        ----------
-        drain:
-            ``True`` answers everything already admitted before the
-            scheduler exits; ``False`` flushes the queue with
-            ``shutdown`` error replies instead.
-        checkpoint_dir:
-            When set, every tracking session is saved there, at its
-            :func:`~repro.stream.checkpoint.checkpoint_path`, after the
-            scheduler stops — the drain-and-checkpoint contract.
-
-        Returns a summary dict: ``flushed`` (envelopes answered with
-        shutdown errors) and ``checkpoints`` (paths written, by
-        session id).
+        Everything already admitted is answered before the scheduler
+        exits; with ``checkpoint_dir`` every tracking session is then
+        saved there. Returns a summary dict: ``flushed`` (envelopes
+        answered with shutdown errors) and ``checkpoints`` (paths
+        written, by session id).
         """
         if self._stopped:
             return {"flushed": 0, "checkpoints": {}}
         self._stopped = True
         self.queue.close()
-        flushed = 0
-        if not drain:
-            for item in self.queue.drain_all():
-                self._complete_shutdown(item)
-                flushed += 1
         if self._started:
             self.scheduler.stop()
         # Anything that raced admission after close() was answered by
-        # submit(); anything still queued (scheduler died) flushes here.
+        # submit(); anything still queued (never started, or the
+        # scheduler died) flushes here.
+        flushed = 0
         for item in self.queue.drain_all():
             self._complete_shutdown(item)
             flushed += 1
         checkpoints: Dict[str, str] = {}
-        if checkpoint_dir is not None:
-            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        if self.checkpoint_dir is not None:
+            Path(self.checkpoint_dir).mkdir(parents=True, exist_ok=True)
             with self._sessions_lock:
                 sessions = dict(self._sessions)
             for session_id, session in sessions.items():
-                path = checkpoint_path(checkpoint_dir, session_id)
+                path = checkpoint_path(self.checkpoint_dir, session_id)
                 checkpoints[session_id] = str(
                     save_checkpoint(session, path,
                                     retry_policy=self.retry_policy)
                 )
         return {"flushed": flushed, "checkpoints": checkpoints}
+
+    def snapshot(self) -> Dict[str, object]:
+        """The service's metrics, JSON-ready (:meth:`ServerMetrics.snapshot`)."""
+        return self.metrics.snapshot()
 
     def __enter__(self) -> "LocalizationService":
         return self.start()
@@ -223,10 +221,12 @@ class LocalizationService:
     ) -> TrackingSession:
         """Create and register a tracking session on this deployment.
 
-        The tracker shares the service's fingerprint map; its steps run
-        on the scheduler thread. A session over the row budget of
-        :func:`~repro.serve.requests.require_session_rows` raises
-        :class:`~repro.errors.ConfigurationError`.
+        ``config`` is a :class:`~repro.smc.tracker.TrackerConfig`
+        (defaults without one) and ``rng`` the tracker's generator or
+        integer seed. The tracker shares the service's fingerprint map;
+        its steps run on the scheduler thread. A session over the row
+        budget of :func:`~repro.serve.requests.require_session_rows`
+        raises :class:`~repro.errors.ConfigurationError`.
         """
         if config is None:
             config = TrackerConfig()

@@ -87,7 +87,7 @@ def _run_tracked(scenario, plan=None):
     _, _, _, stream, _ = scenario
     fleet = _start_fleet(scenario, plan)
     try:
-        fleet.open_session("s0", USERS, seed=7)
+        fleet.open_session("s0", USERS, rng=7)
         estimates = []
         for i, obs in enumerate(stream):
             reply = fleet.call(
@@ -98,7 +98,7 @@ def _run_tracked(scenario, plan=None):
                 timeout=300,
             )
             estimates.append(reply.estimates.tobytes())
-        snapshot = fleet.fleet_snapshot()
+        snapshot = fleet.snapshot()
     finally:
         fleet.stop()
     return estimates, snapshot
@@ -109,7 +109,7 @@ def _run_localizes(scenario, plan=None):
     fleet = _start_fleet(scenario, plan)
     try:
         replies = [fleet.call(r, timeout=300) for r in localizes]
-        snapshot = fleet.fleet_snapshot()
+        snapshot = fleet.snapshot()
     finally:
         fleet.stop()
     payload = [

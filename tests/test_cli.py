@@ -6,11 +6,17 @@ import pytest
 from repro.cli import build_parser, main
 
 
-#: The commands that evaluate kernels.
+#: The commands that evaluate kernels; ``serve --fleet-workers 2`` is
+#: the fleet.
 _KERNEL_COMMANDS = [
     ["localize"], ["build-map", "--output", "map.npz"], ["track"],
-    ["track-stream"], ["serve"], ["fleet"], ["gateway"],
+    ["track-stream"], ["serve"], ["serve", "--fleet-workers", "2"],
+    ["gateway"],
 ]
+
+
+def _command_id(command):
+    return "fleet" if "--fleet-workers" in command else command[0]
 
 
 class TestParser:
@@ -53,21 +59,36 @@ class TestParser:
 
     @pytest.mark.parametrize("flag", [["--workers", "2"], ["--chunk-size", "64"]],
                              ids=lambda flag: flag[0])
-    @pytest.mark.parametrize("command", _KERNEL_COMMANDS,
-                             ids=lambda command: command[0])
+    @pytest.mark.parametrize("command", _KERNEL_COMMANDS, ids=_command_id)
     def test_thread_pool_flags_refused(self, command, flag):
         # Kernels and solves run on the calling thread; a second core is
-        # the fleet's worker processes (repro fleet --fleet-workers).
+        # the fleet's worker processes (repro serve --fleet-workers).
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args([*command, *flag])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("command", ["serve", "fleet", "gateway"])
+    @pytest.mark.parametrize(
+        "command", [["serve"], ["serve", "--fleet-workers", "2"], ["gateway"]],
+        ids=_command_id,
+    )
     def test_linger_flag_refused(self, command):
         # A drain takes what is queued; --max-batch is the only knob.
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([command, "--max-wait-ms", "2"])
+            build_parser().parse_args([*command, "--max-wait-ms", "2"])
         assert exc.value.code == 2
+
+    def test_fleet_command_is_gone(self):
+        # A fleet is `serve --fleet-workers N` (or `gateway ...`).
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fleet"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["serve", "gateway"])
+    def test_serving_flags_are_one_group(self, command):
+        args = build_parser().parse_args([command])
+        assert args.fleet_workers == 0
+        assert args.map is None
+        assert args.deadline_ms is None
 
 
 class TestExitCodes:
@@ -498,14 +519,15 @@ class TestServe:
 
 
 class TestFleet:
+    _NET = ["--nodes", "100", "--field", "10", "--radius", "2.0"]
+    _FLEET = [*_NET, "--fleet-workers", "2"]
+
     def test_fleet_load_run(self, capsys):
         rc = main(
             [
-                "--seed", "3", "fleet", "--nodes", "100", "--field", "10",
-                "--radius", "2.0", "--percentage", "20",
-                "--fleet-workers", "2", "--clients", "4", "--requests", "6",
-                "--candidates", "24", "--map-resolution", "2.0",
-                "--track-sessions", "2",
+                "--seed", "3", "serve", *self._FLEET, "--percentage", "20",
+                "--clients", "4", "--requests", "6", "--candidates", "24",
+                "--map-resolution", "2.0", "--track-sessions", "2",
             ]
         )
         assert rc == 0
@@ -514,13 +536,48 @@ class TestFleet:
     def test_fleet_refuses_an_oversized_session(self, capsys):
         # 132 users x 1000 predictions passes MAX_CANDIDATE_ROWS; the
         # router refuses it before any worker sees it.
+        import multiprocessing
+
         rc = main([
-            "--seed", "1", "fleet", "--nodes", "100", "--field", "10",
-            "--radius", "2.0", "--users", "132", "--track-sessions", "1",
-            "--clients", "1", "--requests", "1",
+            "--seed", "1", "serve", *self._FLEET, "--users", "132",
+            "--track-sessions", "1", "--clients", "1", "--requests", "1",
         ])
         assert rc == 1
         assert "cannot open tracking session" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_both_backends_checkpoint_the_same_bits(self, tmp_path, capsys):
+        """At one --seed, one service and a 2-worker fleet step every
+        session to the same state."""
+        runs = []
+        for workers in ("0", "2"):
+            directory = tmp_path / f"workers-{workers}"
+            rc = main(
+                [
+                    "--seed", "3", "serve", *self._NET,
+                    "--fleet-workers", workers,
+                    "--clients", "2", "--requests", "6", "--candidates", "24",
+                    "--map-resolution", "2.0", "--track-sessions", "2",
+                    "--checkpoint-dir", str(directory),
+                ]
+            )
+            assert rc == 0
+            out = capsys.readouterr().out
+            for t in range(2):
+                assert out.count(f"checkpointed track-{t} -> ") == 1, out
+            runs.append({
+                path.name: dict(np.load(path))
+                for path in sorted(directory.glob("*.ckpt.npz"))
+            })
+        service, fleet = runs
+        assert sorted(service) == [f"track-{t}.ckpt.npz" for t in range(2)]
+        assert sorted(fleet) == sorted(service)
+        for name, arrays in service.items():
+            assert sorted(fleet[name]) == sorted(arrays)
+            for key, value in arrays.items():
+                assert fleet[name][key].tobytes() == value.tobytes(), (
+                    f"{name}:{key}"
+                )
 
 
 class TestGateway:
@@ -547,6 +604,21 @@ class TestGateway:
         assert snap["replies_ok"] == 9
         assert snap["replies_error_total"] == 0
         assert {"gateway_in", "gateway_out"} <= set(snap["stages"])
+
+    def test_gateway_fronts_a_fleet(self, tmp_path, capsys):
+        import json as _json
+
+        metrics = tmp_path / "fleet-metrics.json"
+        rc = main(
+            [
+                "--seed", "3", "gateway", *self._LOAD, "--fleet-workers", "2",
+                "--metrics-out", str(metrics),
+            ]
+        )
+        assert rc == 0
+        assert "9 ok, 0 errors, 0 dead connections" in capsys.readouterr().out
+        router = _json.loads(metrics.read_text())["router"]
+        assert router["requests_submitted"] == router["replies_ok"] == 9
 
     def test_gateway_connect_drives_a_serving_gateway(self, capsys):
         from repro.gateway import GatewayServer
@@ -592,3 +664,38 @@ class TestGateway:
         rc = main(["gateway", *_SMALL, "--connect", "nonsense"])
         assert rc == 1
         assert "--connect needs HOST:PORT" in capsys.readouterr().err
+
+
+class TestBusyPorts:
+    """A port another socket holds is refused in one stderr line, with
+    everything the command started stopped."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["serve"], "--metrics-port"),
+            (["serve", "--fleet-workers", "1"], "--metrics-port"),
+            (["gateway"], "--port"),
+            (["gateway"], "--metrics-port"),
+        ],
+        ids=["serve-metrics", "fleet-metrics", "gateway", "gateway-metrics"],
+    )
+    def test_busy_port_is_refused(self, command, flag, capsys):
+        import multiprocessing
+        import socket
+
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = held.getsockname()[1]
+            rc = main([
+                "--seed", "3", *command, *_SMALL, "--clients", "1",
+                "--requests", "1", "--candidates", "24", flag, str(port),
+            ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"failed to bind 127.0.0.1:{port}" in err
+        assert err.startswith("cannot serve: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []

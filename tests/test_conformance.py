@@ -2,13 +2,14 @@
 
 The library (``NLSLocalizer.localize(rng=seed)``), a
 ``LocalizationService`` at ``max_batch`` 1 and 16, a 2-worker
-``ServeFleet`` and a ``GatewayServer`` round trip must agree bitwise on
-a mixed corpus: K=1 and K=2, a map-seeded deployment and one without a
-map, ``use_map=False`` and NaN dropout. A K=2 tracking session opened
-with one seed must likewise step to the same estimates in the library
-``SequentialMonteCarloTracker``, the service, the fleet and over the
-gateway. The stacks are compared with each other, not with a pinned
-digest, so the test holds on any Python and numpy.
+``ServeFleet`` and a ``GatewayServer`` round trip in front of either
+backend must agree bitwise on a mixed corpus: K=1 and K=2, a map-seeded
+deployment and one without a map, ``use_map=False`` and NaN dropout. A
+K=2 tracking session opened with one seed must likewise step to the
+same estimates in the library ``SequentialMonteCarloTracker``, the
+service, the fleet and over the gateway in front of each. The stacks
+are compared with each other, not with a pinned digest, so the test
+holds on any Python and numpy.
 """
 
 import asyncio
@@ -81,7 +82,7 @@ def _fleet_served(fleet, requests):
     return {reply.request_id: reply.result for reply in replies}
 
 
-def _over_the_wire(service, requests):
+def _over_the_wire(backend, requests):
     async def drive(port):
         async with GatewayClient("127.0.0.1", port, "conformance") as client:
             return await asyncio.gather(*[
@@ -92,7 +93,7 @@ def _over_the_wire(service, requests):
                 for r in requests
             ])
 
-    with service, GatewayServer(service, port=0) as gateway:
+    with backend, GatewayServer(backend, port=0) as gateway:
         frames = asyncio.run(drive(gateway.port))
     assert all(frame["ok"] for frame in frames), frames
     return {frame["id"]: frame for frame in frames}
@@ -107,18 +108,23 @@ def test_every_stack_gives_the_same_bits(scenario, with_map):
     alone = _served(_service(net, sniffers, fmap, 1), requests)
     fused = _served(_service(net, sniffers, fmap, 16), requests)
     fleet = _fleet_served(_fleet(net, sniffers, fmap), requests)
-    wire = _over_the_wire(_service(net, sniffers, fmap, 16), requests)
-    assert set(library) == set(alone) == set(fused) == set(fleet) == set(wire)
+    wires = [
+        _over_the_wire(_service(net, sniffers, fmap, 16), requests),
+        _over_the_wire(_fleet(net, sniffers, fmap), requests),
+    ]
+    assert set(library) == set(alone) == set(fused) == set(fleet)
+    assert all(set(wire) == set(library) for wire in wires)
     for r in requests:
         want = library[r.request_id]
         assert _payload(alone[r.request_id]) == _payload(want), r.request_id
         assert _payload(fused[r.request_id]) == _payload(want), r.request_id
         assert _payload(fleet[r.request_id]) == _payload(want), r.request_id
-        frame = wire[r.request_id]
-        assert frame["estimates"] == want.position_estimates().tolist()
-        assert frame["best_objective"] == want.best.objective
-        assert frame["best_thetas"] == want.best.thetas.tolist()
-        assert frame["fit_count"] == len(want.fits)
+        for wire in wires:
+            frame = wire[r.request_id]
+            assert frame["estimates"] == want.position_estimates().tolist()
+            assert frame["best_objective"] == want.best.objective
+            assert frame["best_thetas"] == want.best.thetas.tolist()
+            assert frame["fit_count"] == len(want.fits)
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +156,7 @@ def _steps(stream):
     ]
 
 
-def _tracked_over_the_wire(service, stream):
+def _tracked_over_the_wire(backend, stream):
     async def drive(port):
         async with GatewayClient("127.0.0.1", port, "conformance") as client:
             opened = await client.open_session("s", _USERS, seed=_SEED)
@@ -160,7 +166,7 @@ def _tracked_over_the_wire(service, stream):
                 for i, obs in enumerate(stream)
             ]
 
-    with service, GatewayServer(service, port=0) as gateway:
+    with backend, GatewayServer(backend, port=0) as gateway:
         frames = asyncio.run(drive(gateway.port))
     assert all(frame["ok"] and frame["stepped"] for frame in frames), frames
     return [frame["estimates"] for frame in frames]
@@ -183,12 +189,17 @@ def test_every_stack_tracks_with_the_same_bits(scenario, with_map):
         service.open_session("s", _USERS, rng=_SEED)
         served = [service.call(r, timeout=60) for r in _steps(stream)]
     with _fleet(net, sniffers, fmap) as fleet:
-        fleet.open_session("s", _USERS, seed=_SEED)
+        fleet.open_session("s", _USERS, rng=_SEED)
         fleet_served = [fleet.call(r, timeout=120) for r in _steps(stream)]
-    wire = _tracked_over_the_wire(_service(net, sniffers, fmap, 16), stream)
-    assert len(served) == len(fleet_served) == len(wire) == len(library)
+    wires = [
+        _tracked_over_the_wire(_service(net, sniffers, fmap, 16), stream),
+        _tracked_over_the_wire(_fleet(net, sniffers, fmap), stream),
+    ]
+    assert len(served) == len(fleet_served) == len(library)
+    assert all(len(wire) == len(library) for wire in wires)
     for i, want in enumerate(library):
         assert served[i].step is not None, i
         assert served[i].estimates.tobytes() == want.tobytes(), i
         assert fleet_served[i].estimates.tobytes() == want.tobytes(), i
-        assert wire[i] == want.tolist(), i
+        for wire in wires:
+            assert wire[i] == want.tolist(), i

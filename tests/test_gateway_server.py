@@ -497,4 +497,6 @@ class TestFleetBackend:
         for frame in replies:
             assert frame["ok"] is True
         assert opened["type"] == "session_opened"
-        assert "fleet" in snap["snapshot"]
+        assert set(snap["snapshot"]) == {"gateway", "service"}
+        router = snap["snapshot"]["service"]["router"]
+        assert router["requests_submitted"] == router["replies_ok"] == 2

@@ -211,7 +211,7 @@ class TestMetricsExposure:
         ) as service:
             for request in work[0]:
                 service.call(request)
-            with MetricsServer(service.metrics, port=0) as endpoint:
+            with MetricsServer(service, port=0) as endpoint:
                 url = f"http://127.0.0.1:{endpoint.port}/metrics"
                 payload = json.loads(urllib.request.urlopen(url).read())
         for section in ("kernel_cache", "batch_controller"):

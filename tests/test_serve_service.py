@@ -240,14 +240,14 @@ class TestTrackingSessions:
 
     def test_drain_and_checkpoint_then_resume(self, scenario, tmp_path):
         windows = self._windows(scenario)
-        service = _service(scenario).start()
+        service = _service(scenario, checkpoint_dir=tmp_path).start()
         service.open_session("patrol", user_count=2, config=_CFG, rng=11)
         for r, obs in enumerate(windows[:3]):
             service.submit(TrackStepRequest(
                 request_id=f"r{r}", client_id="t", session_id="patrol",
                 observation=obs,
             )).result(timeout=30)
-        summary = service.stop(checkpoint_dir=tmp_path)
+        summary = service.stop()
         path = summary["checkpoints"]["patrol"]
         assert path.endswith("patrol.ckpt.npz")
 
@@ -282,7 +282,7 @@ class TestLifecycle:
         batch = _requests(scenario, 1, 4)[0]
         service = _service(scenario)  # never started: nothing drains
         futures = [service.submit(r) for r in batch]
-        summary = service.stop(drain=False)
+        summary = service.stop()
         assert summary["flushed"] == 4
         for future in futures:
             reply = future.result(timeout=5)
@@ -446,7 +446,7 @@ class TestMetricsEndpoint:
         with _service(scenario) as service:
             for request in batch:
                 service.call(request, timeout=30)
-            with MetricsServer(service.metrics, port=0) as endpoint:
+            with MetricsServer(service, port=0) as endpoint:
                 url = f"http://127.0.0.1:{endpoint.port}"
                 payload = json.loads(
                     urllib.request.urlopen(f"{url}/metrics").read()

@@ -148,7 +148,7 @@ class TestTraceRing:
 class TestTraceEndpoint:
     def test_http_trace_dump(self, served):
         service, requests, _ = served
-        with MetricsServer(metrics=service.metrics, port=0) as endpoint:
+        with MetricsServer(service, port=0) as endpoint:
             url = f"http://127.0.0.1:{endpoint.port}/trace?limit=3"
             payload = json.loads(
                 urllib.request.urlopen(url, timeout=10).read()
@@ -164,13 +164,16 @@ class TestTraceEndpoint:
 
     def test_trace_404_in_fleet_mode(self, scenario):
         class _FakeFleet:
-            def fleet_snapshot(self):
-                return {"workers": {}}
+            # No in-process ServerMetrics: each worker keeps its own.
+            def snapshot(self):
+                return {"router": {}, "workers": {}}
 
-            def worker_snapshot(self, worker_id):
-                return None
-
-        with MetricsServer(fleet=_FakeFleet(), port=0) as endpoint:
-            url = f"http://127.0.0.1:{endpoint.port}/trace"
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(url, timeout=10)
+        with MetricsServer(_FakeFleet(), port=0) as endpoint:
+            base = f"http://127.0.0.1:{endpoint.port}"
+            snapshot = json.loads(
+                urllib.request.urlopen(f"{base}/metrics", timeout=10).read()
+            )
+            with pytest.raises(urllib.error.HTTPError) as trace:
+                urllib.request.urlopen(f"{base}/trace", timeout=10)
+        assert snapshot == {"router": {}, "workers": {}}
+        assert trace.value.code == 404
