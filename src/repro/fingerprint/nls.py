@@ -29,6 +29,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, FittingError
 from repro.fingerprint.objective import (
+    CandidatePool,
+    CandidateRanking,
     EvalWorkspace,
     FluxObjective,
     solve_thetas_batched,
@@ -57,20 +59,29 @@ class SweepOutcome:
         ``(K,)`` fitted stretch factors at the incumbent composition.
     best_objective:
         Objective at the incumbent composition.
-    per_user_objectives:
-        For each user, the ``(N_j,)`` objectives of all its candidates
-        evaluated against the final incumbents of the other users —
-        exactly the ranking the SMC filtering phase needs.
-    per_user_thetas:
-        For each user, the ``(N_j,)`` fitted theta of the swept user in
-        each of those evaluations.
+    rankings:
+        For each user, the :class:`CandidateRanking` of all its
+        candidates evaluated against the final incumbents of the other
+        users — the ranking the SMC filtering phase needs. Read it
+        through :meth:`ranked`.
     """
 
     best_indices: np.ndarray
     best_thetas: np.ndarray
     best_objective: float
-    per_user_objectives: List[np.ndarray]
-    per_user_thetas: List[np.ndarray]
+    rankings: List[CandidateRanking]
+
+    def ranked(self, j: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """User ``j``'s ``k`` best candidates against the final incumbents.
+
+        Returns ``(indices, objectives, thetas)``: pool indices ordered
+        by exact objective, then by index (at most ``k``; fewer when the
+        pool is smaller), their residual-norm objectives, and the swept
+        user's fitted theta in each of those fits.
+        """
+        ranking = self.rankings[j]
+        indices, objectives = ranking.top(k)
+        return indices, objectives, ranking.thetas[indices, 0]
 
 
 def coordinate_descent(
@@ -110,11 +121,11 @@ def coordinate_descent(
         raise ConfigurationError(
             f"pool_kernels has {len(pool_kernels)} entries for {K} pools"
         )
-    # Weight each pool's kernels once up front; every sweep below then
-    # evaluates preweighted (no per-call reweighting churn), with one
-    # scratch workspace per pool so stacked-kernel and solver buffers
-    # are reused across sweeps.
-    kernels = []
+    # Weight each pool's kernels once up front and bind them to the
+    # target: every sweep below then solves a pool whose ``c·c`` and
+    # ``c·F`` are already computed, with one scratch workspace per pool
+    # so the solver buffers are reused across sweeps.
+    candidates: List[CandidatePool] = []
     for p, pre in zip(pools, pool_kernels):
         raw = (
             objective.model.geometry_kernels(np.asarray(p, float))
@@ -126,11 +137,15 @@ def coordinate_descent(
                 f"pool kernels {raw.shape} do not match pool size "
                 f"{np.asarray(p).shape[0]} x {objective.sniffer_count} sniffers"
             )
-        kernels.append(objective._weight_kernels(raw))
+        if raw.shape[0] == 0:
+            raise ConfigurationError(
+                f"user {len(candidates)} has an empty candidate pool"
+            )
+        candidates.append(CandidatePool(
+            objective._weight_kernels(raw), objective._weighted_target
+        ))
     workspaces = [EvalWorkspace() for _ in range(K)]
-    for j, kern in enumerate(kernels):
-        if kern.shape[0] == 0:
-            raise ConfigurationError(f"user {j} has an empty candidate pool")
+    kernels = [pool.kernels for pool in candidates]
 
     # ------------------------------------------------------------------
     # Initialization: greedy residual peeling in random user order.
@@ -146,16 +161,12 @@ def coordinate_descent(
             )
         incumbents = init_indices.copy()
     else:
-        chosen: List[int] = []
         fixed_stack: List[np.ndarray] = []
         for j in order:
             fixed = np.asarray(fixed_stack) if fixed_stack else None
-            _, objs = objective.evaluate_batch(
-                kernels[j], fixed, workspace=workspaces[j], preweighted=True
-            )
-            best = int(np.argmin(objs))
+            ranking = candidates[j].solve(fixed, workspace=workspaces[j])
+            best = int(ranking.top(1)[0][0])
             incumbents[j] = best
-            chosen.append(best)
             fixed_stack.append(kernels[j][best])
 
     # ------------------------------------------------------------------
@@ -166,11 +177,19 @@ def coordinate_descent(
     # objectives, and ``best_objective`` has only fallen since they were
     # computed, so their best cannot beat ``best_objective - _TOL``.
     # ------------------------------------------------------------------
-    per_user_objectives: List[Optional[np.ndarray]] = [None] * K
-    per_user_thetas: List[Optional[np.ndarray]] = [None] * K
+    rankings: List[Optional[CandidateRanking]] = [None] * K
     evals_valid = [False] * K
     best_objective = np.inf
     best_thetas = np.zeros(K)
+
+    def solve(j: int) -> Tuple[List[int], CandidateRanking]:
+        others = [k for k in range(K) if k != j]
+        fixed = (
+            np.stack([kernels[k][incumbents[k]] for k in others])
+            if others
+            else None
+        )
+        return others, candidates[j].solve(fixed, workspace=workspaces[j])
 
     for _ in range(max(1, sweeps)):
         improved = False
@@ -178,22 +197,14 @@ def coordinate_descent(
         for j in order:
             if evals_valid[j]:
                 continue
-            others = [k for k in range(K) if k != j]
-            fixed = (
-                np.stack([kernels[k][incumbents[k]] for k in others])
-                if others
-                else None
-            )
-            thetas, objs = objective.evaluate_batch(
-                kernels[j], fixed, workspace=workspaces[j], preweighted=True
-            )
-            per_user_objectives[j] = objs
-            per_user_thetas[j] = thetas[:, 0]
+            others, ranking = solve(j)
+            rankings[j] = ranking
             evals_valid[j] = True
-            best = int(np.argmin(objs))
-            if objs[best] < best_objective - _TOL:
+            (best,), (best_obj,) = ranking.top(1)
+            best = int(best)
+            if best_obj < best_objective - _TOL:
                 improved = True
-                best_objective = float(objs[best])
+                best_objective = float(best_obj)
                 if best != incumbents[j]:
                     incumbents[j] = best
                     for k in range(K):
@@ -201,9 +212,9 @@ def coordinate_descent(
                             evals_valid[k] = False
                 # Reorder thetas back to user order (swept user first).
                 reordered = np.empty(K)
-                reordered[j] = thetas[best, 0]
+                reordered[j] = ranking.thetas[best, 0]
                 for pos, k in enumerate(others):
-                    reordered[k] = thetas[best, 1 + pos]
+                    reordered[k] = ranking.thetas[best, 1 + pos]
                 best_thetas = reordered
         if not improved:
             break
@@ -213,24 +224,14 @@ def coordinate_descent(
     # unimproved-sweep break, every ranking already reflects the final
     # incumbents and this costs nothing.
     for j in range(K):
-        if evals_valid[j]:
-            continue
-        others = [k for k in range(K) if k != j]
-        fixed = (
-            np.stack([kernels[k][incumbents[k]] for k in others]) if others else None
-        )
-        thetas, objs = objective.evaluate_batch(
-            kernels[j], fixed, workspace=workspaces[j], preweighted=True
-        )
-        per_user_objectives[j] = objs
-        per_user_thetas[j] = thetas[:, 0]
+        if not evals_valid[j]:
+            rankings[j] = solve(j)[1]
 
     return SweepOutcome(
         best_indices=incumbents,
         best_thetas=best_thetas,
         best_objective=best_objective,
-        per_user_objectives=[np.asarray(o) for o in per_user_objectives],
-        per_user_thetas=[np.asarray(t) for t in per_user_thetas],
+        rankings=rankings,
     )
 
 

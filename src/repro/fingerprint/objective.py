@@ -10,10 +10,18 @@ squares problem; we solve the unconstrained normal equations for whole
 batches of candidate compositions at once and fall back to an
 active-set NNLS only for the (rare) candidates whose unconstrained
 solution goes negative.
+
+Candidates are ranked without forming their residuals: at the fitted
+thetas, ``||r||^2 - ||F||^2 = theta.(A - ridge I).theta - 2 theta.b``
+follows from the normal equations just solved. The residual norm
+itself — the objective every caller reports, compares or weights — is
+computed only for the rows that can be among the ones asked for
+(:class:`CandidateRanking`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -27,17 +35,16 @@ _RIDGE = 1e-10
 
 
 class EvalWorkspace:
-    """Reusable scratch buffers for repeated batched evaluations.
+    """Reusable scratch buffers for repeated batched solves.
 
-    The coordinate-descent search calls :meth:`FluxObjective.
-    evaluate_batch` with the same ``(N, K, n)`` shape every sweep;
-    without reuse each call allocates the stacked-kernel tensor, the
-    normal-equation matrices, and the prediction buffer anew
-    (profile-visible churn). A workspace keyed by (name, shape) keeps
-    one buffer per role alive across calls. Output arrays handed back
-    to the caller (thetas, objectives) are always freshly allocated —
-    only internal scratch is reused, so returned arrays stay valid
-    across subsequent calls.
+    The coordinate-descent search solves each user's candidate pool
+    (:meth:`CandidatePool.solve`) with the same ``(N, K)`` shape every
+    sweep; without reuse each call allocates its normal-equation
+    matrices and right-hand sides anew (profile-visible churn). A
+    workspace keyed by (name, shape) keeps one buffer per role alive
+    across calls. Arrays handed back to the caller (thetas, keys,
+    objectives) are always freshly allocated — only internal scratch
+    is reused, so returned arrays stay valid across subsequent calls.
     """
 
     def __init__(self) -> None:
@@ -99,8 +106,7 @@ def solve_thetas_batched(
         ``(n,)`` observed flux.
     workspace:
         Optional scratch-buffer pool; pass one per repeated call site
-        to avoid reallocating the normal-equation and prediction
-        buffers every sweep.
+        to avoid reallocating the normal-equation buffers every sweep.
     nnls_mode:
         ``"auto"`` (default) — negative-theta compositions are re-solved
         by exact batched support enumeration for ``K <= 8`` (one tiny
@@ -137,7 +143,6 @@ def solve_thetas_batched(
     # Normal equations: A = G G^T (B, K, K), b = G F' (B, K).
     A = np.matmul(G, G.transpose(0, 2, 1), out=ws.buffer("normal", (B, K, K)))
     b = np.matmul(G, target, out=ws.buffer("rhs", (B, K)))
-    predicted = ws.buffer("predicted", (B, n))
     diag = np.arange(K)
     A[:, diag, diag] += _RIDGE
     th = _solve_normal(A, b)
@@ -153,7 +158,7 @@ def solve_thetas_batched(
             for idx in bad:
                 th[idx], _ = nnls(G[idx].T, target)
 
-    np.einsum("bk,bkn->bn", th, G, out=predicted)
+    predicted = np.einsum("bk,bkn->bn", th, G)
     predicted -= target[None, :]
     return th, np.linalg.norm(predicted, axis=1)
 
@@ -164,101 +169,247 @@ def solve_thetas_candidates(
     target: np.ndarray,
     workspace: Optional[EvalWorkspace] = None,
     nnls_mode: str = "auto",
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> "CandidateRanking":
     """Factored NNLS for sweep-shaped batches (one varying user).
 
-    Equivalent to :func:`solve_thetas_batched` over stacks whose rows
-    all share the same ``fixed_kernels``, exploiting that structure:
-    the fixed-fixed normal block and right-hand side are computed once
-    per call instead of per candidate, the candidate block is one
-    rank-1 border, and the ``(N, K, n)`` stacked tensor is never
-    materialized. This is the coordinate-descent hot path — every sweep
-    evaluates thousands of candidates against a handful of incumbents.
-
-    Parameters
-    ----------
-    candidate_kernels:
-        ``(N, n)`` (already weighted) kernels of the swept user.
-    fixed_kernels:
-        ``(F, n)`` (already weighted) incumbent kernels of the other
-        users, or ``None``.
-    target / workspace / nnls_mode:
-        As in :func:`solve_thetas_batched`.
-
-    Returns ``(thetas, objectives)`` of shapes ``(N, 1 + F)`` and
-    ``(N,)``; theta column 0 is the swept user.
+    One-shot form of :meth:`CandidatePool.solve`: equivalent to
+    :func:`solve_thetas_batched` over stacks whose rows all share the
+    same ``fixed_kernels``, without materializing the ``(N, K, n)``
+    stack. Returns the :class:`CandidateRanking`; theta column 0 is
+    the swept user.
     """
-    candidate_kernels = np.asarray(candidate_kernels, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if candidate_kernels.ndim != 2:
-        raise ConfigurationError(
-            f"candidate_kernels must be (N, n), got {candidate_kernels.shape}"
-        )
-    N, n = candidate_kernels.shape
-    if target.shape != (n,):
-        raise ConfigurationError(
-            f"target must have shape ({n},), got {target.shape}"
-        )
-    if fixed_kernels is None:
-        fixed = None
-        Aff = bf = None
-        K = 1
-    else:
-        fixed = np.asarray(fixed_kernels, dtype=float)
-        if fixed.ndim != 2 or fixed.shape[1] != n:
+    return CandidatePool(candidate_kernels, target).solve(
+        fixed_kernels, workspace=workspace, nnls_mode=nnls_mode
+    )
+
+
+class CandidatePool:
+    """One swept user's candidates against one target, ready to solve.
+
+    Holds the ``(N, n)`` (already weighted) candidate kernels ``c`` and
+    the ``(n,)`` target ``F`` with the per-row products every solve
+    against them shares: ``c·c`` and ``c·F``. They do not
+    depend on the other users' incumbents, so coordinate descent builds
+    one pool per user and solves it against each new set of incumbents
+    (:meth:`solve`) instead of recomputing them every sweep.
+    """
+
+    __slots__ = ("kernels", "target", "sq_norms", "rhs", "key_scale",
+                 "target_norm")
+
+    def __init__(self, kernels: np.ndarray, target: np.ndarray) -> None:
+        kernels = np.asarray(kernels, dtype=float)
+        target = np.asarray(target, dtype=float)
+        if kernels.ndim != 2:
             raise ConfigurationError(
-                f"fixed_kernels must be (F, {n}), got {fixed.shape}"
+                f"candidate_kernels must be (N, n), got {kernels.shape}"
             )
-        Aff = fixed @ fixed.T
-        bf = fixed @ target
+        n = kernels.shape[1]
+        if target.shape != (n,):
+            raise ConfigurationError(
+                f"target must have shape ({n},), got {target.shape}"
+            )
+        self.kernels = kernels
+        self.target = target
+        # All row products go through einsum rather than BLAS ``@``: gemm
+        # picks blocking by matrix shape, so a block of rows can round
+        # differently than the full batch — einsum's per-output-element
+        # loops make every row's value independent of its batch mates,
+        # which keeps a candidate's fit the same alone or in a fused batch.
+        self.sq_norms = np.einsum("ij,ij->i", kernels, kernels)
+        self.rhs = np.einsum("ij,j->i", kernels, target)
+        # Keys are computed on thetas and right-hand sides scaled by an
+        # exact power of two that brings max|F| into [0.5, 1): a key is
+        # then at most a few times n, so near-bound readings (whose
+        # squares sum just below the float64 maximum) cannot overflow.
+        peak = float(np.max(np.abs(target))) if n else 0.0
+        self.key_scale = (
+            math.ldexp(1.0, -math.frexp(peak)[1]) if math.isfinite(peak)
+            else 1.0
+        )
+        scaled = target * self.key_scale
+        self.target_norm = float(np.sqrt(np.dot(scaled, scaled)))
+
+    def solve(
+        self,
+        fixed_kernels: Optional[np.ndarray] = None,
+        workspace: Optional[EvalWorkspace] = None,
+        nnls_mode: str = "auto",
+    ) -> "CandidateRanking":
+        """Fit every candidate alongside ``fixed_kernels``.
+
+        Parameters
+        ----------
+        fixed_kernels:
+            ``(F, n)`` (already weighted) incumbent kernels of the other
+            users, or ``None``.
+        workspace / nnls_mode:
+            As in :func:`solve_thetas_batched`.
+
+        The fixed-fixed normal block and right-hand side are computed
+        once per call, the candidate block is one rank-1 border, and
+        the ``(N, K, n)`` stacked tensor is never materialized. No
+        residual is formed here: the ranking computes it only for the
+        rows it reports.
+        """
+        if nnls_mode not in ("auto", "scipy"):
+            raise ConfigurationError(
+                f"nnls_mode must be 'auto' or 'scipy', got {nnls_mode!r}"
+            )
+        c = self.kernels
+        N, n = c.shape
+        fixed = None
+        if fixed_kernels is not None:
+            fixed = np.asarray(fixed_kernels, dtype=float)
+            if fixed.ndim != 2 or fixed.shape[1] != n:
+                raise ConfigurationError(
+                    f"fixed_kernels must be (F, {n}), got {fixed.shape}"
+                )
+            if fixed.shape[0] == 0:
+                fixed = None
+        if fixed is None:
+            # The scalar normal equation; its exact NNLS clamps at zero.
+            th = (self.rhs / (self.sq_norms + _RIDGE))[:, None]
+            th[th < 0.0] = 0.0
+            t0 = th[:, 0] * self.key_scale
+            keys = t0 * (t0 * self.sq_norms - 2.0 * self.key_scale * self.rhs)
+            # |theta| ||c|| <= |c.F| / ||c|| <= ||F|| (Cauchy-Schwarz), so
+            # one margin bounds every row.
+            slack = (2 * n + 19) * _EPS * 4.0 * self.target_norm**2
+            return CandidateRanking(self, None, th, keys, slack)
+
         K = 1 + fixed.shape[0]
-    F = K - 1
-    ws = workspace if workspace is not None else EvalWorkspace()
-    c = candidate_kernels
-    A = ws.buffer("normal", (N, K, K))
-    b = ws.buffer("rhs", (N, K))
-    predicted = ws.buffer("predicted", (N, n))
-    # All row products go through einsum rather than BLAS ``@``: gemm
-    # picks blocking by matrix shape, so a block of rows can round
-    # differently than the full batch — einsum's per-output-element
-    # loops make every row's value independent of its batch mates,
-    # which keeps a candidate's fit the same alone or in a fused batch.
-    np.einsum("ij,ij->i", c, c, out=A[:, 0, 0])
-    A[:, 0, 0] += _RIDGE
-    np.einsum("ij,j->i", c, target, out=b[:, 0])
-    if F:
-        border = np.einsum("ij,kj->ik", c, fixed)  # (N, F)
+        ws = workspace if workspace is not None else EvalWorkspace()
+        A = ws.buffer("normal", (N, K, K))
+        b = ws.buffer("rhs", (N, K))
+        Aff = fixed @ fixed.T
+        bf = fixed @ self.target
+        border = np.einsum("ij,kj->ik", c, fixed)  # (N, K - 1)
+        np.add(self.sq_norms, _RIDGE, out=A[:, 0, 0])
         A[:, 0, 1:] = border
         A[:, 1:, 0] = border
         A[:, 1:, 1:] = Aff
         diag = np.arange(1, K)
         A[:, diag, diag] += _RIDGE
+        b[:, 0] = self.rhs
         b[:, 1:] = bf
         th = _solve_normal(A, b)
-    else:
-        th = b / A[:, :, 0]  # (N, 1) — scalar normal equation
 
-    negative = np.any(th < 0, axis=1)
-    if np.any(negative):
-        bad = np.flatnonzero(negative)
-        if nnls_mode == "auto" and K <= _NNLS_ENUM_MAX_K:
-            th[bad] = _nnls_enumerate(A[bad], b[bad], skip_full=True)
-        else:
-            from scipy.optimize import nnls
+        negative = np.any(th < 0, axis=1)
+        if np.any(negative):
+            bad = np.flatnonzero(negative)
+            if nnls_mode == "auto" and K <= _NNLS_ENUM_MAX_K:
+                th[bad] = _nnls_enumerate(A[bad], b[bad], skip_full=True)
+            else:
+                from scipy.optimize import nnls
 
-            for idx in bad:
-                stack = (
-                    np.concatenate([c[idx : idx + 1], fixed], axis=0)
-                    if F
-                    else c[idx : idx + 1]
-                )
-                th[idx], _ = nnls(stack.T, target)
+                for idx in bad:
+                    stack = np.concatenate([c[idx : idx + 1], fixed], axis=0)
+                    th[idx], _ = nnls(stack.T, self.target)
 
-    np.multiply(c, th[:, 0:1], out=predicted)
-    if F:
-        predicted += np.einsum("ik,kn->in", th[:, 1:], fixed)
-    predicted -= target[None, :]
-    return th, np.linalg.norm(predicted, axis=1)
+        # The closed form ||r||^2 - ||F||^2 = theta.(A - ridge I).theta
+        # - 2 theta.b, on the scaled thetas and right-hand sides.
+        t = th * self.key_scale
+        t0 = t[:, 0]
+        tf = t[:, 1:]
+        cross = np.einsum("ij,ij->i", border, tf)
+        keys = t0 * (t0 * self.sq_norms + 2.0 * (cross - self.key_scale * self.rhs))
+        keys += np.einsum("ij,ij->i", tf, tf @ Aff - 2.0 * self.key_scale * bf)
+        tau = (
+            np.abs(t0) * np.sqrt(self.sq_norms)
+            + np.abs(tf) @ np.sqrt(np.diag(Aff))
+            + self.target_norm
+        )
+        slack = (2 * n + K * K + 2 * K + 16) * _EPS * tau * tau
+        return CandidateRanking(self, fixed, th, keys, slack)
+
+
+#: Machine epsilon of float64 (twice the unit roundoff).
+_EPS = float(np.finfo(float).eps)
+
+
+class CandidateRanking:
+    """Every candidate's fit against one set of incumbents, ranked.
+
+    Attributes
+    ----------
+    thetas:
+        ``(N, K)`` fitted stretch factors, swept user in column 0.
+    keys:
+        ``(N,)`` closed-form objective keys,
+        ``(||r||^2 - ||F||^2) * key_scale^2``.
+    slack:
+        Bound on each key's distance from the exact objective squared
+        (same units): ``(N,)``, or one scalar when no user is fixed.
+
+    The exact objective of a row is its residual norm
+    ``||G^T theta - F||``, formed and reduced row by row; :meth:`top`
+    evaluates it only on the rows that can be among the k best.
+
+    **The selection rule.** Let ``v`` be a row's computed residual
+    norm and ``q`` its computed key. With unit roundoff ``u = eps/2``,
+    ``tau = sum_k |theta_k| ||c_k||`` and ``n`` sniffers, standard
+    floating-point bounds on the key's dot products and on the
+    residual's sums give ``|q - (v^2 - ||F||^2)| <=
+    (n + K^2/2 + K + 4) * eps * (tau + ||F||)^2`` (in scaled units) for
+    any kernels and thetas; ``slack`` is twice that, which also covers
+    the rounding of the bound itself. With no user fixed, ``tau =
+    |theta| ||c|| <= |c.F| / ||c|| <= ||F||`` bounds every row at once.
+    If ``t`` is the k-th smallest ``q + slack``, the k rows it counts
+    have ``v^2 - ||F||^2 <= t``, so every row of the exact top k has
+    ``q - slack <= t``: those rows, and only those, get their residual.
+    For non-negative kernels at a
+    ridge or NNLS optimum ``||r|| <= ||F||`` and ``tau <= sqrt(K)
+    ||G^T theta|| <= 2 sqrt(K) ||F||``, so the margin is
+    ``O((n + K^2) K eps ||F||^2)``: a few rows beyond the k-th.
+    A non-finite key or bound selects every row.
+    """
+
+    __slots__ = ("pool", "fixed", "thetas", "keys", "slack")
+
+    def __init__(self, pool: CandidatePool, fixed: Optional[np.ndarray],
+                 thetas: np.ndarray, keys: np.ndarray,
+                 slack: np.ndarray) -> None:
+        self.pool = pool
+        self.fixed = fixed
+        self.thetas = thetas
+        self.keys = keys
+        self.slack = slack
+
+    def exact_objectives(self, rows: np.ndarray) -> np.ndarray:
+        """The residual norms ``||G^T theta - F||`` of ``rows``.
+
+        Each row is formed and reduced on its own, so a row's value is
+        the same whichever rows are evaluated with it.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        th = self.thetas[rows]
+        predicted = self.pool.kernels[rows] * th[:, 0:1]
+        if self.fixed is not None:
+            predicted += np.einsum("ik,kn->in", th[:, 1:], self.fixed)
+        predicted -= self.pool.target[None, :]
+        return np.linalg.norm(predicted, axis=1)
+
+    def candidate_rows(self, k: int) -> np.ndarray:
+        """The ascending rows that can be among the ``k`` best."""
+        N = self.keys.shape[0]
+        if k >= N:
+            return np.arange(N)
+        bound = np.partition(self.keys + self.slack, k - 1)[k - 1]
+        return np.flatnonzero(~(self.keys - self.slack > bound))
+
+    def top(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, objectives)`` of the ``min(k, N)`` best candidates.
+
+        Ordered by exact objective, then by row (NaN last) — the first
+        ``k`` of ``np.argsort(all_objectives, kind="stable")``.
+        """
+        if k < 1:
+            raise ConfigurationError(f"k must be >= 1, got {k}")
+        rows = self.candidate_rows(k)
+        objectives = self.exact_objectives(rows)
+        order = np.argsort(objectives, kind="stable")[:k]
+        return rows[order], objectives[order]
 
 
 def _nnls_enumerate(
@@ -292,8 +443,16 @@ def _nnls_enumerate(
     Returns ``(V, K)`` thetas (zero on non-support coordinates).
     Minimizes the residual proxy ``theta.A.theta - 2 theta.b`` (equal
     to ``||G^T theta - F||^2`` up to the constant ``||F||^2``).
+
+    Each row is solved on its right-hand side scaled by an exact power
+    of two that brings its largest entry into [0.5, 1): every support's
+    thetas and proxy scale exactly with it, so the choice and the
+    thetas are those of the unscaled arithmetic, but the proxy of
+    near-bound readings cannot overflow.
     """
     V, K = b.shape
+    exponent = np.frexp(np.max(np.abs(b), axis=1))[1][:, None]
+    b = np.ldexp(b, -exponent)
     best_q = np.zeros(V)  # empty support: theta = 0, proxy 0
     best_theta = np.zeros((V, K))
     full = (1 << K) - 1
@@ -338,7 +497,7 @@ def _nnls_enumerate(
                 best_q[rows] = q[rows]
                 best_theta[rows] = 0.0
                 best_theta[np.ix_(rows, support)] = th[rows]
-    return best_theta
+    return np.ldexp(best_theta, exponent)
 
 
 def _solve_normal(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -457,63 +616,3 @@ class FluxObjective:
         """Best thetas and objective for one composition of sink positions."""
         kernels = self.model.geometry_kernels(np.asarray(sinks, dtype=float))
         return solve_thetas(self._weight_kernels(kernels), self._weighted_target)
-
-    def evaluate_batch(
-        self,
-        candidate_kernels: np.ndarray,
-        fixed_kernels: Optional[np.ndarray] = None,
-        workspace: Optional[EvalWorkspace] = None,
-        preweighted: bool = False,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate many single-user candidates against fixed co-users.
-
-        Parameters
-        ----------
-        candidate_kernels:
-            ``(N, n)`` kernels of N candidate positions for the user
-            being swept.
-        fixed_kernels:
-            ``(K-1, n)`` kernels of the other users' incumbent
-            positions, or ``None`` for the single-user case.
-        workspace:
-            Optional scratch-buffer pool reused across sweeps; callers
-            evaluating the same pool repeatedly (coordinate descent)
-            pass one per pool so the stacked-kernel tensor and solver
-            scratch are allocated once instead of per call.
-        preweighted:
-            The kernels were already passed through per-sniffer
-            weighting (:meth:`_weight_kernels`); skip re-weighting.
-            Lets sweep loops weight each candidate pool once up front.
-
-        Returns
-        -------
-        ``(thetas, objectives)`` of shapes ``(N, K)`` and ``(N,)``
-        where the *first* theta column corresponds to the swept user.
-        Both are freshly allocated on every call.
-        """
-        candidate_kernels = np.asarray(candidate_kernels, dtype=float)
-        if candidate_kernels.ndim != 2:
-            raise ConfigurationError(
-                f"candidate_kernels must be (N, n), got {candidate_kernels.shape}"
-            )
-        ws = workspace if workspace is not None else EvalWorkspace()
-        N, n = candidate_kernels.shape
-        # Both the single- and multi-user paths go through the factored
-        # solver on workspace-pooled buffers: no ``(N, K, n)`` stack is
-        # materialized, and when weighting applies it is written
-        # straight into the pooled candidate buffer (no weighted temp).
-        if preweighted or self.weights is None:
-            cand = candidate_kernels
-        else:
-            cand = np.multiply(
-                candidate_kernels, self.weights, out=ws.buffer("cand", (N, n))
-            )
-        if fixed_kernels is None:
-            fixed = None
-        else:
-            fixed = np.asarray(fixed_kernels, dtype=float)
-            if not preweighted:
-                fixed = self._weight_kernels(fixed)
-        return solve_thetas_candidates(
-            cand, fixed, self._weighted_target, workspace=ws
-        )

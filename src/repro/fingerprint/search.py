@@ -21,6 +21,10 @@ batch, because
   never from a generator shared by the batch;
 * every fused operation is **row-local** — geometry kernels are
   per-(sink, sniffer) pairs, and the K=1 solve reduces per row;
+* the closed-form keys only choose which rows get their exact
+  residual (:class:`repro.fingerprint.objective.CandidateRanking`);
+  the rows a request reports are ordered and valued by that residual
+  alone, which each row forms and reduces on its own;
 * sniffer dropout (NaN readings) restricts a request to a column
   subset, and the kernel of a (sink, sniffer) pair does not depend on
   the other sniffers, so slicing the full-set kernels equals computing
@@ -39,13 +43,9 @@ import numpy as np
 
 from repro.fingerprint.candidates import MapSeededCandidates, UniformCandidates
 from repro.fingerprint.nls import SweepOutcome, coordinate_descent
-from repro.fingerprint.objective import _RIDGE
+from repro.fingerprint.objective import CandidatePool
 from repro.fingerprint.results import CompositionFit, LocalizationResult
 from repro.traffic.measurement import FluxObservation
-
-#: Row block of the fused single-user solve: bounds the ``(block, n)``
-#: residual temporary while staying large enough to amortize dispatch.
-_SOLVE_BLOCK_ROWS = 8192
 
 
 class SearchKnobs(NamedTuple):
@@ -266,68 +266,51 @@ def fuse_pool_kernels(model, plans: Sequence[LocalizePlan]) -> int:
 def solve_single_user_fused(
     plans: Sequence[LocalizePlan],
 ) -> List[LocalizationResult]:
-    """Solve a group of K=1 plans (equal sniffer arity) in one call.
+    """Solve a group of K=1 plans in one call.
 
-    The single-user candidate solve is the scalar normal equation
-    ``theta = <k, t> / (<k, k> + ridge)`` clamped at zero, with the
-    residual norm as objective — per-row math identical to
-    :func:`repro.fingerprint.objective.solve_thetas_candidates` with no
-    fixed users; the objective is bound with the default
-    ``"absolute"`` weighting, so the kernels need no sniffer weights.
-    Each plan's pools (every restart) are swept in row blocks of at
-    most ``_SOLVE_BLOCK_ROWS`` against that plan's own target, on
-    scratch shared by the group; every value is row-local, so the
-    grouping is value-neutral. The result is the exact top-``top_m``
-    ranking of every candidate over all restarts.
+    Each restart's pool is one :class:`repro.fingerprint.objective.
+    CandidatePool` solved with no fixed users — the scalar normal
+    equation ``theta = <k, t> / (<k, k> + ridge)`` clamped at zero,
+    ranked by its closed-form key; the objective is bound with the
+    default ``"absolute"`` weighting, so the kernels need no sniffer
+    weights. Every value is row-local, so the grouping is
+    value-neutral. The result is the exact top-``top_m`` ranking of
+    every candidate over all restarts, by objective, then by row in
+    restart order: each pool's own top ``top_m`` holds every row of
+    the plan's that can make the cut.
     """
-    n = plans[0].objective._weighted_target.shape[0]
-    block = min(_SOLVE_BLOCK_ROWS, max(
-        row[0].shape[0] for plan in plans for row in plan.pool_kernels
-    ))
-    resid_buf = np.empty((block, n))
-    num_buf = np.empty(block)
-    den_buf = np.empty(block)
-
     results: List[LocalizationResult] = []
     for plan in plans:
         target = plan.objective._weighted_target
-        pools = [row[0] for row in plan.pool_kernels]
-        count = sum(kern.shape[0] for kern in pools)
-        thetas = np.empty(count)
-        objectives = np.empty(count)
+        top_m = plan.request.top_m
+        rows, objectives, thetas, positions = [], [], [], []
         offset = 0
-        for kern in pools:
-            # Row-contiguous like the solver's: a Fortran-ordered block
+        for kern, pool in zip(
+            (row[0] for row in plan.pool_kernels),
+            (row[0] for row in plan.pools),
+        ):
+            # Row-contiguous like the descent's: a Fortran-ordered block
             # (a column-sliced map seed) would sum in another order.
-            kern = np.ascontiguousarray(kern)
-            for start in range(0, kern.shape[0], _SOLVE_BLOCK_ROWS):
-                k_blk = kern[start:start + _SOLVE_BLOCK_ROWS]
-                rows = k_blk.shape[0]
-                num = num_buf[:rows]
-                den = den_buf[:rows]
-                np.einsum("ij,j->i", k_blk, target, out=num)
-                np.einsum("ij,ij->i", k_blk, k_blk, out=den)
-                den += _RIDGE
-                th = thetas[offset:offset + rows]
-                np.divide(num, den, out=th)
-                th[th < 0.0] = 0.0  # exact K=1 NNLS: infeasible => empty support
-                resid = resid_buf[:rows]
-                np.multiply(k_blk, th[:, None], out=resid)
-                resid -= target
-                objectives[offset:offset + rows] = np.linalg.norm(resid, axis=1)
-                offset += rows
-
-        positions = np.concatenate([row[0] for row in plan.pools], axis=0)
-        order = np.argsort(objectives, kind="stable")[: plan.request.top_m]
-        fits = [
+            ranking = CandidatePool(np.ascontiguousarray(kern), target).solve()
+            best, objs = ranking.top(top_m)
+            rows.append(best + offset)
+            objectives.append(objs)
+            thetas.append(ranking.thetas[best, 0])
+            positions.append(pool[best])
+            offset += kern.shape[0]
+        rows = np.concatenate(rows)
+        objectives = np.concatenate(objectives)
+        thetas = np.concatenate(thetas)
+        positions = np.concatenate(positions, axis=0)
+        order = np.lexsort((rows, objectives))[:top_m]
+        results.append(LocalizationResult(fits=[
             CompositionFit(
                 positions=positions[i].reshape(1, 2).copy(),
                 thetas=np.array([thetas[i]]),
                 objective=float(objectives[i]),
             )
             for i in order
-        ]
-        results.append(LocalizationResult(fits=fits))
+        ]))
     return results
 
 
@@ -374,13 +357,12 @@ def _harvest(heap, outcome: SweepOutcome, pools: Sequence[np.ndarray],
         outcome.best_thetas,
     ))
     for j in range(K):
-        objs = outcome.per_user_objectives[j]
-        order = np.argsort(objs)[: top_m + 1]
-        for idx in order:
+        indices, objectives, swept = outcome.ranked(j, top_m + 1)
+        for idx, obj, theta in zip(indices, objectives, swept):
             if idx == outcome.best_indices[j]:
                 continue
             pos = incumbent_pos.copy()
             pos[j] = pools[j][idx]
             thetas = outcome.best_thetas.copy()
-            thetas[j] = outcome.per_user_thetas[j][idx]
-            heapq.heappush(heap, (float(objs[idx]), len(heap), pos, thetas))
+            thetas[j] = theta
+            heapq.heappush(heap, (float(obj), len(heap), pos, thetas))

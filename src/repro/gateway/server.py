@@ -20,6 +20,11 @@ The serve layer's exactly-one-typed-reply invariant extends end to end:
 * control frames get exactly one answer too, and the gateway sends
   nothing unasked: metrics are read with the one-shot ``metrics``
   frame;
+* a backend call that may block — ``open_session`` and ``snapshot()``,
+  each a pipe round trip to a worker behind a fleet — runs on the
+  loop's executor, so other connections keep being answered; frames
+  of one connection are still handled in order, since each is awaited
+  before the next is read;
 * a connection that dies before its reply is written has that reply
   *discarded and counted* (``replies_dropped``), never blocking the
   scheduler, never resurrected.
@@ -41,6 +46,7 @@ torn`` writes half a reply frame and tears the connection down.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import logging
 import threading
@@ -371,7 +377,7 @@ class GatewayServer:
             await self._write(conn, {
                 "type": "metrics",
                 "id": frame_id,
-                "snapshot": self._metrics_payload(),
+                "snapshot": await self._metrics_payload(),
             })
         elif kind == "trace_dump":
             await self._trace_dump(conn, frame, frame_id)
@@ -505,7 +511,12 @@ class GatewayServer:
                 raise ConfigurationError("open_session needs a session_id")
             check_integer("user_count", user_count, 1)
             check_integer("seed", seed, 0)
-            self.backend.open_session(session_id, user_count, rng=seed)
+            await asyncio.get_running_loop().run_in_executor(
+                None, functools.partial(
+                    self.backend.open_session, session_id, user_count,
+                    rng=seed,
+                )
+            )
         except Exception as exc:
             await self._write(conn, protocol.error_frame(
                 frame_id, protocol.ERROR_BAD_REQUEST,
@@ -545,8 +556,11 @@ class GatewayServer:
             "gateway": self.metrics.snapshot(),
         }))
 
-    def _metrics_payload(self) -> Dict:
+    async def _metrics_payload(self) -> Dict:
+        service = await asyncio.get_running_loop().run_in_executor(
+            None, self.backend.snapshot
+        )
         return _nan_safe_deep({
             "gateway": self.metrics.snapshot(),
-            "service": self.backend.snapshot(),
+            "service": service,
         })

@@ -7,7 +7,8 @@ Per observation window:
    samples (Formula 4.2).
 2. **Filtering** — rank the candidates by NLS objective against the
    flux observation (coordinate-descent composition search; see
-   :mod:`repro.fingerprint.nls`) and keep the top M per user.
+   :mod:`repro.fingerprint.nls`) and keep the top M per user, by
+   objective, then by candidate index.
 3. **Asynchronous updating** — a user whose best-fit ``s/r``
    vanishes did not collect in this window: its samples and
    ``t_last`` stay untouched, so its next prediction radius grows.
@@ -287,15 +288,14 @@ class SequentialMonteCarloTracker:
             if not active_mask[user] or pruned_thetas[user] <= cfg.theta_floor:
                 continue  # user silent this round
             active[user] = True
-            objs = outcome.per_user_objectives[user]
-            keep = np.argsort(objs)[: cfg.keep_count]
+            keep, objs, _ = outcome.ranked(user, cfg.keep_count)
             if self.fingerprint_map is not None:
                 # Recovery trigger (a): the raw importance mass
                 # underflowed — every surviving sample descends from
                 # zero-weight parents or has an unusable likelihood, so
                 # Formula 4.3 would renormalize noise. Restart the
                 # user's posterior from the map instead.
-                likelihood = 1.0 / (objs[keep] + cfg.likelihood_epsilon)
+                likelihood = 1.0 / (objs + cfg.likelihood_epsilon)
                 raw_mass = float(
                     np.sum(
                         self.samples[user].weights[parent_idx[user][keep]]
@@ -312,7 +312,7 @@ class SequentialMonteCarloTracker:
             weights = importance_weights(
                 self.samples[user].weights,
                 parent_idx[user][keep],
-                objs[keep],
+                objs,
                 epsilon=cfg.likelihood_epsilon,
             )
             self.samples[user] = UserSamples(

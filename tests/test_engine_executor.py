@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.fingerprint.objective import (
+    CandidatePool,
     EvalWorkspace,
     FluxObjective,
     _pinv_solve,
@@ -74,7 +75,9 @@ def test_solve_thetas_candidates_matches_batched(F):
     cand = gen.uniform(0.0, 3.0, (N, n))
     fixed = gen.uniform(0.0, 3.0, (F, n)) if F else None
     target = gen.uniform(0.0, 5.0, n)
-    th_fac, obj_fac = solve_thetas_candidates(cand, fixed, target)
+    ranking = solve_thetas_candidates(cand, fixed, target)
+    th_fac = ranking.thetas
+    obj_fac = ranking.exact_objectives(np.arange(N))
     if F:
         stacks = np.concatenate(
             [cand[:, None, :], np.broadcast_to(fixed, (N, F, n))], axis=1
@@ -136,17 +139,28 @@ def _objective(net, sniffers, users, seed=42, weighting="absolute"):
     return FluxObjective.from_observation(model, obs, weighting=weighting)
 
 
-def test_evaluate_batch_single_user_uses_workspace_buffer(deployment):
+def test_candidate_solve_reuses_workspace_buffers(deployment):
     net, sniffers = deployment
-    objective = _objective(net, sniffers, 1, weighting="relative")
+    objective = _objective(net, sniffers, 2, weighting="relative")
     gen = np.random.default_rng(0)
-    cand = objective.model.geometry_kernels(net.field.sample_uniform(50, gen))
+    cand, fixed = (
+        objective._weight_kernels(objective.model.geometry_kernels(
+            net.field.sample_uniform(count, gen)
+        ))
+        for count in (50, 1)
+    )
+    pool = CandidatePool(cand, objective._weighted_target)
     ws = EvalWorkspace()
-    th1, obj1 = objective.evaluate_batch(cand, workspace=ws)
-    weighted_buf = ws._buffers.get("cand")
-    assert weighted_buf is not None  # weighting routed through the pool
-    th2, obj2 = objective.evaluate_batch(cand, workspace=ws)
-    assert ws._buffers["cand"] is weighted_buf  # reused, not reallocated
-    assert np.array_equal(th1, th2) and np.array_equal(obj1, obj2)
-    th3, obj3 = objective.evaluate_batch(cand)  # no workspace
-    assert np.array_equal(th1, th3) and np.array_equal(obj1, obj3)
+    first = pool.solve(fixed, workspace=ws)
+    normal = ws._buffers["normal"]
+    second = pool.solve(fixed, workspace=ws)
+    assert ws._buffers["normal"] is normal  # reused, not reallocated
+    assert sorted(ws._buffers) == ["normal", "rhs"]  # no residual buffer
+    third = pool.solve(fixed)  # no workspace
+    rows = np.arange(50)
+    for other in (second, third):
+        assert np.array_equal(first.thetas, other.thetas)
+        assert np.array_equal(first.keys, other.keys)
+        assert np.array_equal(
+            first.exact_objectives(rows), other.exact_objectives(rows)
+        )

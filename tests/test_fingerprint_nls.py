@@ -10,12 +10,15 @@ from repro.fingerprint import (
     UniformCandidates,
 )
 from repro.fingerprint.nls import (
-    SweepOutcome,
     coordinate_descent,
     enumerate_compositions,
     forward_select_active,
 )
-from repro.fingerprint.objective import FluxObjective
+from repro.fingerprint.objective import (
+    CandidatePool,
+    FluxObjective,
+    solve_thetas_candidates,
+)
 from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.geometry import RectangularField
 from repro.traffic.measurement import FluxObservation
@@ -100,8 +103,10 @@ class TestCoordinateDescent:
         pools = [field.sample_uniform(30, gen) for _ in range(2)]
         outcome = coordinate_descent(objective, pools, rng=gen)
         for j in range(2):
-            assert outcome.per_user_objectives[j].shape == (30,)
-            assert outcome.per_user_thetas[j].shape == (30,)
+            for k in (30, 35):
+                indices, objs, thetas = outcome.ranked(j, k)
+                assert sorted(indices) == list(range(30))
+                assert objs.shape == thetas.shape == (30,)
 
     def test_objective_decreases_with_more_candidates(self, synthetic_setup):
         field, model, truth, thetas, objective = synthetic_setup
@@ -129,11 +134,25 @@ class TestCoordinateDescent:
             coordinate_descent(objective, [], rng=0)
 
 
+def _full_fit(objective, kernels, fixed):
+    """Every candidate's thetas and exact objective, all rows at once."""
+    ranking = solve_thetas_candidates(
+        kernels, fixed, objective._weighted_target
+    )
+    return ranking.thetas, ranking.exact_objectives(
+        np.arange(kernels.shape[0])
+    )
+
+
 def _reference_descent(objective, pools, rng, sweeps=4, init_indices=None):
     """Coordinate descent that re-evaluates every user in every sweep.
 
-    The search as it was before valid rankings were reused: the oracle
+    The search as it was before valid rankings were reused, with the
+    exact residual of every candidate in every evaluation: the oracle
     the ranking-reusing :func:`coordinate_descent` must match bitwise.
+    Returns ``(best_indices, best_thetas, best_objective, finals)``
+    where ``finals[j]`` is user j's ``(swept thetas, objectives)``
+    against the final incumbents.
     """
     K = len(pools)
     kernels = [
@@ -149,9 +168,7 @@ def _reference_descent(objective, pools, rng, sweeps=4, init_indices=None):
         fixed_stack = []
         for j in order:
             fixed = np.asarray(fixed_stack) if fixed_stack else None
-            _, objs = objective.evaluate_batch(
-                kernels[j], fixed, preweighted=True
-            )
+            _, objs = _full_fit(objective, kernels[j], fixed)
             incumbents[j] = int(np.argmin(objs))
             fixed_stack.append(kernels[j][incumbents[j]])
 
@@ -161,13 +178,10 @@ def _reference_descent(objective, pools, rng, sweeps=4, init_indices=None):
             np.stack([kernels[k][incumbents[k]] for k in others])
             if others else None
         )
-        thetas, objs = objective.evaluate_batch(
-            kernels[j], fixed, preweighted=True
-        )
+        thetas, objs = _full_fit(objective, kernels[j], fixed)
         return others, thetas, objs
 
-    per_user_objectives = [None] * K
-    per_user_thetas = [None] * K
+    finals = [None] * K
     valid = [False] * K
     best_objective = np.inf
     best_thetas = np.zeros(K)
@@ -176,8 +190,7 @@ def _reference_descent(objective, pools, rng, sweeps=4, init_indices=None):
         rng.shuffle(order)
         for j in order:
             others, thetas, objs = evaluate(j)
-            per_user_objectives[j] = objs
-            per_user_thetas[j] = thetas[:, 0]
+            finals[j] = (thetas[:, 0], objs)
             valid[j] = True
             best = int(np.argmin(objs))
             if objs[best] < best_objective - 1e-9:
@@ -195,15 +208,8 @@ def _reference_descent(objective, pools, rng, sweeps=4, init_indices=None):
     for j in range(K):
         if not valid[j]:
             _, thetas, objs = evaluate(j)
-            per_user_objectives[j] = objs
-            per_user_thetas[j] = thetas[:, 0]
-    return SweepOutcome(
-        best_indices=incumbents,
-        best_thetas=best_thetas,
-        best_objective=best_objective,
-        per_user_objectives=per_user_objectives,
-        per_user_thetas=per_user_thetas,
-    )
+            finals[j] = (thetas[:, 0], objs)
+    return incumbents, best_thetas, best_objective, finals
 
 
 def _noisy_objective(user_count, seed):
@@ -218,14 +224,15 @@ def _noisy_objective(user_count, seed):
     return field, FluxObjective.from_observation(model, obs)
 
 
-def _outcome_bytes(outcome):
-    return (
-        outcome.best_indices.tobytes(),
-        outcome.best_thetas.tobytes(),
-        np.float64(outcome.best_objective).tobytes(),
-        [o.tobytes() for o in outcome.per_user_objectives],
-        [t.tobytes() for t in outcome.per_user_thetas],
-    )
+def _ranked_bytes(outcome, j, k):
+    return [a.tobytes() for a in outcome.ranked(j, k)]
+
+
+def _reference_ranked_bytes(finals, j, k):
+    thetas, objs = finals[j]
+    indices = np.argsort(objs, kind="stable")[:k]
+    return [indices.tobytes(), objs[indices].tobytes(),
+            thetas[indices].tobytes()]
 
 
 class TestDescentReference:
@@ -247,10 +254,18 @@ class TestDescentReference:
             objective, pools, rng=np.random.default_rng(seed),
             init_indices=init_indices,
         )
-        assert _outcome_bytes(got) == _outcome_bytes(want)
+        best_indices, best_thetas, best_objective, finals = want
+        assert got.best_indices.tobytes() == best_indices.tobytes()
+        assert got.best_thetas.tobytes() == best_thetas.tobytes()
+        assert (np.float64(got.best_objective).tobytes()
+                == np.float64(best_objective).tobytes())
+        for j in range(user_count):
+            for k in (1, 2, 10, 29, 30, 31):
+                assert (_ranked_bytes(got, j, k)
+                        == _reference_ranked_bytes(finals, j, k)), (j, k)
 
     def test_converged_descent_evaluates_nothing_in_the_next_sweep(
-        self, synthetic_setup
+        self, synthetic_setup, monkeypatch
     ):
         # Greedy peeling already lands on the truth: sweep 1 moves no
         # incumbent, so sweep 2 would only repeat valid rankings.
@@ -261,13 +276,13 @@ class TestDescentReference:
             for j in range(2)
         ]
         calls = []
-        evaluate_batch = objective.evaluate_batch
+        solve = CandidatePool.solve
 
-        def spy(*args, **kwargs):
-            calls.append(args[0].shape[0])
-            return evaluate_batch(*args, **kwargs)
+        def spy(pool, *args, **kwargs):
+            calls.append(pool.kernels.shape[0])
+            return solve(pool, *args, **kwargs)
 
-        objective.evaluate_batch = spy
+        monkeypatch.setattr(CandidatePool, "solve", spy)
         outcome = coordinate_descent(objective, pools, rng=gen)
         assert list(outcome.best_indices) == [0, 0]
         assert outcome.best_objective < 1e-6

@@ -8,6 +8,7 @@ from repro.fingerprint.objective import (
     FluxObjective,
     solve_thetas,
     solve_thetas_batched,
+    solve_thetas_candidates,
 )
 from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.geometry import RectangularField
@@ -151,7 +152,7 @@ class TestFluxObjective:
         with pytest.raises(ConfigurationError):
             FluxObjective.from_observation(model, obs, weighting="exotic")
 
-    def test_evaluate_batch_single_user(self):
+    def test_candidate_solve_single_user(self):
         _, _, model = _model()
         true_pos = np.array([3.0, 6.0])
         g = model.geometry_kernel(true_pos)
@@ -159,11 +160,16 @@ class TestFluxObjective:
         objective = FluxObjective.from_observation(model, obs)
         candidates = np.array([[3.0, 6.0], [8.0, 1.0], [1.0, 9.0]])
         kernels = model.geometry_kernels(candidates)
-        thetas, objs = objective.evaluate_batch(kernels)
-        assert int(np.argmin(objs)) == 0
-        assert thetas[0, 0] == pytest.approx(1.7, rel=1e-5)
+        ranking = solve_thetas_candidates(
+            kernels, None, objective._weighted_target
+        )
+        rows, objs = ranking.top(3)
+        assert rows[0] == 0 and sorted(rows) == [0, 1, 2]
+        assert list(objs) == sorted(objs)
+        assert objs[0] == pytest.approx(0.0, abs=1e-8)
+        assert ranking.thetas[0, 0] == pytest.approx(1.7, rel=1e-5)
 
-    def test_evaluate_batch_with_fixed(self):
+    def test_candidate_solve_with_fixed(self):
         _, _, model = _model()
         p1, p2 = np.array([2.0, 2.0]), np.array([8.0, 7.0])
         g1, g2 = model.geometry_kernel(p1), model.geometry_kernel(p2)
@@ -171,10 +177,12 @@ class TestFluxObjective:
         objective = FluxObjective.from_observation(model, obs)
         candidates = np.array([[2.0, 2.0], [5.0, 9.0]])
         kernels = model.geometry_kernels(candidates)
-        thetas, objs = objective.evaluate_batch(kernels, fixed_kernels=g2[None, :])
-        assert int(np.argmin(objs)) == 0
+        ranking = solve_thetas_candidates(
+            kernels, g2[None, :], objective._weighted_target
+        )
+        assert int(ranking.top(1)[0][0]) == 0
         # Swept user first, fixed second.
-        np.testing.assert_allclose(thetas[0], [1.0, 2.0], atol=1e-5)
+        np.testing.assert_allclose(ranking.thetas[0], [1.0, 2.0], atol=1e-5)
 
     def test_weights_must_be_positive(self):
         _, _, model = _model()

@@ -12,6 +12,7 @@ local tracking loop.
 
 import asyncio
 import json
+import threading
 import time
 
 import numpy as np
@@ -468,6 +469,62 @@ class TestObservability:
                 _run(go())
             finally:
                 gateway.stop()
+
+
+class _BlockingBackend:
+    """A backend whose control calls block until released (a fleet whose
+    worker is slow to answer its pipe)."""
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def submit(self, request):
+        raise AssertionError("no request is sent")
+
+    def _block(self):
+        self.entered.set()
+        assert self.release.wait(10.0)
+
+    def open_session(self, session_id, user_count, config=None, rng=None):
+        self._block()
+
+    def snapshot(self):
+        self._block()
+        return {"blocked": True}
+
+
+class TestBlockingBackendCalls:
+    @pytest.mark.parametrize("kind", ["open_session", "metrics"])
+    def test_other_connections_are_answered_meanwhile(self, kind):
+        backend = _BlockingBackend()
+        with GatewayServer(backend) as gateway:
+            async def go():
+                loop = asyncio.get_running_loop()
+                async with GatewayClient(
+                    "127.0.0.1", gateway.port, "slow"
+                ) as slow, GatewayClient(
+                    "127.0.0.1", gateway.port, "fast"
+                ) as fast:
+                    call = asyncio.ensure_future(
+                        slow.open_session("s", 2, seed=1)
+                        if kind == "open_session" else slow.metrics()
+                    )
+                    assert await loop.run_in_executor(
+                        None, backend.entered.wait, 10.0
+                    )
+                    pong = await fast.ping()
+                    answered_first = not call.done()
+                    backend.release.set()
+                    return pong, answered_first, await call
+
+            pong, answered_first, answer = _run(go())
+        assert pong["type"] == "pong"
+        assert answered_first
+        if kind == "open_session":
+            assert answer["type"] == "session_opened"
+        else:
+            assert answer["snapshot"]["service"] == {"blocked": True}
 
 
 class TestFleetBackend:

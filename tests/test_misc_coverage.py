@@ -146,7 +146,7 @@ class TestSweepOutcomeInternals:
         assert out.best_indices.shape == (1,)
         assert out.best_thetas.shape == (1,)
         assert np.isfinite(out.best_objective)
-        # Best index is the argmin of the final per-user ranking.
-        assert out.best_indices[0] == int(
-            np.argmin(out.per_user_objectives[0])
-        )
+        # Best index heads the final per-user ranking.
+        indices, objectives, _ = out.ranked(0, 1)
+        assert out.best_indices[0] == int(indices[0])
+        assert objectives[0] == out.best_objective

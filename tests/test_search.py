@@ -66,9 +66,11 @@ class TestFusedSingleUserSolve:
                 positions = np.concatenate(
                     [row[0] for row in plan.pools], axis=0
                 )
-                thetas, objs = solve_thetas_candidates(
+                ranking = solve_thetas_candidates(
                     kernels, None, plan.objective._weighted_target
                 )
+                thetas = ranking.thetas
+                objs = ranking.exact_objectives(np.arange(len(kernels)))
                 order = np.argsort(objs, kind="stable")[: plan.request.top_m]
                 want = [
                     (positions[i].tobytes(), thetas[i].tobytes(),

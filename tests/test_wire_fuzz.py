@@ -19,7 +19,7 @@ import socket
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -213,12 +213,27 @@ def _assert_typed(service, observation, frame):
     assert mate_reply.ok, getattr(mate_reply, "message", None)
 
 
+def _near_bound_k2_frame(observation):
+    """Two users, every reading's square just under the overflow bound.
+
+    Found against an unscaled closed-form objective key, whose squares
+    overflowed (``internal: RuntimeWarning: overflow encountered in
+    multiply``).
+    """
+    record = protocol.observation_to_wire(observation)
+    record.pop("raw_values", None)
+    record["values"] = [2.9e153] * len(record["values"])
+    return {"type": "localize", "id": "fz", "user_count": 2,
+            "observation": record}
+
+
 def test_hostile_localize_frames_get_typed_answers(deployment):
     make_service, observation = deployment
     service = make_service()  # driven by run_once, never started
 
     @_FUZZ
     @given(frame=_localize_frames(observation))
+    @example(frame=_near_bound_k2_frame(observation))
     def check(frame):
         _assert_typed(service, observation, frame)
 
