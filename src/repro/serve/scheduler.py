@@ -34,7 +34,7 @@ import ctypes
 import logging
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, FaultInjected
 from repro.faults import clock as _clock
@@ -308,24 +308,25 @@ class MicroBatchScheduler:
         for item, _ in planned:
             item.stamp("fuse", fuse_done)
 
-        # K=1: fuse across requests of equal sniffer arity (dropout
-        # gives different column counts; grouping keeps rows rectangular).
-        arities: Dict[int, List[Tuple[PendingRequest, LocalizePlan]]] = {}
-        for item, plan in planned:
-            if plan.request.user_count == 1:
-                arities.setdefault(plan.objective.sniffer_count, []).append(
-                    (item, plan)
-                )
-        for pairs in arities.values():
+        # K=1: one solve call for every single-user request.
+        singles = [
+            (item, plan) for item, plan in planned
+            if plan.request.user_count == 1
+        ]
+        if singles:
             try:
-                results = solve_single_user_fused([plan for _, plan in pairs])
+                results = solve_single_user_fused(
+                    [plan for _, plan in singles]
+                )
             except Exception as exc:
-                self._fail([item for item, _ in pairs], exc)
-                continue
-            solve_done = _clock.monotonic()
-            for (item, _), result in zip(pairs, results):
-                item.stamp("solve", solve_done)
-                self._complete_localize(item, result, batch_size, taken_at)
+                self._fail([item for item, _ in singles], exc)
+            else:
+                solve_done = _clock.monotonic()
+                for (item, _), result in zip(singles, results):
+                    item.stamp("solve", solve_done)
+                    self._complete_localize(
+                        item, result, batch_size, taken_at
+                    )
 
         for item, plan in planned:
             if plan.request.user_count == 1:
