@@ -32,6 +32,8 @@ from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.traffic.measurement import FluxObservation
 
 _RIDGE = 1e-10
+#: Machine epsilon of float64 (twice the unit roundoff).
+_EPS = float(np.finfo(float).eps)
 
 
 class EvalWorkspace:
@@ -324,10 +326,6 @@ class CandidatePool:
         return CandidateRanking(self, fixed, th, keys, slack)
 
 
-#: Machine epsilon of float64 (twice the unit roundoff).
-_EPS = float(np.finfo(float).eps)
-
-
 class CandidateRanking:
     """Every candidate's fit against one set of incumbents, ranked.
 
@@ -358,11 +356,10 @@ class CandidateRanking:
     If ``t`` is the k-th smallest ``q + slack``, the k rows it counts
     have ``v^2 - ||F||^2 <= t``, so every row of the exact top k has
     ``q - slack <= t``: those rows, and only those, get their residual.
-    For non-negative kernels at a
-    ridge or NNLS optimum ``||r|| <= ||F||`` and ``tau <= sqrt(K)
-    ||G^T theta|| <= 2 sqrt(K) ||F||``, so the margin is
-    ``O((n + K^2) K eps ||F||^2)``: a few rows beyond the k-th.
-    A non-finite key or bound selects every row.
+    For non-negative kernels at a ridge or NNLS optimum ``||r|| <=
+    ||F||`` and ``tau <= sqrt(K) ||G^T theta|| <= 2 sqrt(K) ||F||``, so
+    the margin is ``O((n + K^2) K eps ||F||^2)``: in practice the k rows
+    and their near-ties. A non-finite key or bound selects every row.
     """
 
     __slots__ = ("pool", "fixed", "thetas", "keys", "slack")
