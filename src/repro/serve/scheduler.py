@@ -308,7 +308,6 @@ class MicroBatchScheduler:
         for item, _ in planned:
             item.stamp("fuse", fuse_done)
 
-        # K=1: one solve call for every single-user request.
         singles = [
             (item, plan) for item, plan in planned
             if plan.request.user_count == 1
