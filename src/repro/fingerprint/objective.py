@@ -34,6 +34,11 @@ from repro.traffic.measurement import FluxObservation
 _RIDGE = 1e-10
 #: Machine epsilon of float64 (twice the unit roundoff).
 _EPS = float(np.finfo(float).eps)
+#: The ranking margin's underflow unit over eps: eight times the most a
+#: product can lose to gradual underflow (half the smallest subnormal,
+#: 2^-1075), divided by eps so that the margin is formed on normal
+#: numbers (subnormal arithmetic is slow).
+_UNDERFLOW = math.ldexp(1.0, -1020)
 
 
 class EvalWorkspace:
@@ -165,39 +170,20 @@ def solve_thetas_batched(
     return th, np.linalg.norm(predicted, axis=1)
 
 
-def solve_thetas_candidates(
-    candidate_kernels: np.ndarray,
-    fixed_kernels: Optional[np.ndarray],
-    target: np.ndarray,
-    workspace: Optional[EvalWorkspace] = None,
-    nnls_mode: str = "auto",
-) -> "CandidateRanking":
-    """Factored NNLS for sweep-shaped batches (one varying user).
-
-    One-shot form of :meth:`CandidatePool.solve`: equivalent to
-    :func:`solve_thetas_batched` over stacks whose rows all share the
-    same ``fixed_kernels``, without materializing the ``(N, K, n)``
-    stack. Returns the :class:`CandidateRanking`; theta column 0 is
-    the swept user.
-    """
-    return CandidatePool(candidate_kernels, target).solve(
-        fixed_kernels, workspace=workspace, nnls_mode=nnls_mode
-    )
-
-
 class CandidatePool:
     """One swept user's candidates against one target, ready to solve.
 
     Holds the ``(N, n)`` (already weighted) candidate kernels ``c`` and
-    the ``(n,)`` target ``F`` with the per-row products every solve
-    against them shares: ``c·c`` and ``c·F``. They do not
-    depend on the other users' incumbents, so coordinate descent builds
-    one pool per user and solves it against each new set of incumbents
-    (:meth:`solve`) instead of recomputing them every sweep.
+    the ``(n,)`` target ``F`` with the per-row values every solve
+    against them shares: ``c·c``, ``||c||`` (and its maximum) and
+    ``c·F``. They do not depend on the other users' incumbents, so
+    coordinate descent builds one pool per user and solves it against
+    each new set of incumbents (:meth:`solve`) instead of recomputing
+    them every sweep.
     """
 
-    __slots__ = ("kernels", "target", "sq_norms", "rhs", "key_scale",
-                 "target_norm")
+    __slots__ = ("kernels", "target", "sq_norms", "norms", "max_norm",
+                 "rhs", "key_scale", "target_norm", "key_limit")
 
     def __init__(self, kernels: np.ndarray, target: np.ndarray) -> None:
         kernels = np.asarray(kernels, dtype=float)
@@ -219,18 +205,27 @@ class CandidatePool:
         # loops make every row's value independent of its batch mates,
         # which keeps a candidate's fit the same alone or in a fused batch.
         self.sq_norms = np.einsum("ij,ij->i", kernels, kernels)
+        self.norms = np.sqrt(self.sq_norms)
+        self.max_norm = float(self.norms.max(initial=0.0))
         self.rhs = np.einsum("ij,j->i", kernels, target)
-        # Keys are computed on thetas and right-hand sides scaled by an
-        # exact power of two that brings max|F| into [0.5, 1): a key is
-        # then at most a few times n, so near-bound readings (whose
-        # squares sum just below the float64 maximum) cannot overflow.
+        # Keys are computed on thetas and right-hand sides scaled down by
+        # the exact power of two that brings max|F| into [0.5, 1), so
+        # near-bound readings (whose squares sum just below the float64
+        # maximum) cannot overflow a key. A smaller target keeps its
+        # scale: the residual norms are formed unscaled, so scaling up
+        # would make no comparison finer, and the power of two a
+        # subnormal target needs is not a float64.
         peak = float(np.max(np.abs(target))) if n else 0.0
-        self.key_scale = (
-            math.ldexp(1.0, -math.frexp(peak)[1]) if math.isfinite(peak)
-            else 1.0
-        )
+        exponent = max(math.frexp(peak)[1], 0) if math.isfinite(peak) else 0
+        self.key_scale = math.ldexp(1.0, -exponent)
         scaled = target * self.key_scale
         self.target_norm = float(np.sqrt(np.dot(scaled, scaled)))
+        # The largest key whose residual norm is surely finite: ||r||^2
+        # below the float64 maximum, with room for rounding.
+        self.key_limit = (
+            math.ldexp(1.0 - 2.0**-20, 1024 - 2 * exponent)
+            - self.target_norm**2
+        )
 
     def solve(
         self,
@@ -248,11 +243,13 @@ class CandidatePool:
         workspace / nnls_mode:
             As in :func:`solve_thetas_batched`.
 
-        The fixed-fixed normal block and right-hand side are computed
-        once per call, the candidate block is one rank-1 border, and
-        the ``(N, K, n)`` stacked tensor is never materialized. No
-        residual is formed here: the ranking computes it only for the
-        rows it reports.
+        Returns the :class:`CandidateRanking`; theta column 0 is the
+        swept user. Equivalent to :func:`solve_thetas_batched` over
+        stacks whose rows all share ``fixed_kernels``: the fixed-fixed
+        normal block and right-hand side are computed once per call,
+        the candidate block is one rank-1 border, and the ``(N, K, n)``
+        stacked tensor is never materialized. No residual is formed
+        here: the ranking computes it only for the rows it reports.
         """
         if nnls_mode not in ("auto", "scipy"):
             raise ConfigurationError(
@@ -260,6 +257,7 @@ class CandidatePool:
             )
         c = self.kernels
         N, n = c.shape
+        s = self.key_scale
         fixed = None
         if fixed_kernels is not None:
             fixed = np.asarray(fixed_kernels, dtype=float)
@@ -273,11 +271,19 @@ class CandidatePool:
             # The scalar normal equation; its exact NNLS clamps at zero.
             th = (self.rhs / (self.sq_norms + _RIDGE))[:, None]
             th[th < 0.0] = 0.0
-            t0 = th[:, 0] * self.key_scale
-            keys = t0 * (t0 * self.sq_norms - 2.0 * self.key_scale * self.rhs)
-            # |theta| ||c|| <= |c.F| / ||c|| <= ||F|| (Cauchy-Schwarz), so
-            # one margin bounds every row.
-            slack = (2 * n + 19) * _EPS * 4.0 * self.target_norm**2
+            t0 = th[:, 0] * s
+            keys = t0 * (t0 * self.sq_norms - 2.0 * s * self.rhs)
+            # One margin bounds every row: theta >= 0 and |theta| ||c|| <=
+            # |c.F| / ||c|| <= ||F|| (Cauchy-Schwarz). Every key is <= 0
+            # (t0 >= 0 and t0 c.c <= 2 s c.F keep their signs through
+            # rounding), so a row can only reach key_limit if the margin
+            # alone does.
+            reach = (1.0 + s + 2.0 * self.target_norm + self.max_norm) + float(
+                t0.max(initial=0.0)
+            )
+            slack = _margin(n, 1, 2.0 * self.target_norm, reach)
+            if not slack < self.key_limit:
+                slack = np.inf
             return CandidateRanking(self, None, th, keys, slack)
 
         K = 1 + fixed.shape[0]
@@ -311,19 +317,38 @@ class CandidatePool:
 
         # The closed form ||r||^2 - ||F||^2 = theta.(A - ridge I).theta
         # - 2 theta.b, on the scaled thetas and right-hand sides.
-        t = th * self.key_scale
-        t0 = t[:, 0]
-        tf = t[:, 1:]
-        cross = np.einsum("ij,ij->i", border, tf)
-        keys = t0 * (t0 * self.sq_norms + 2.0 * (cross - self.key_scale * self.rhs))
-        keys += np.einsum("ij,ij->i", tf, tf @ Aff - 2.0 * self.key_scale * bf)
-        tau = (
-            np.abs(t0) * np.sqrt(self.sq_norms)
-            + np.abs(tf) @ np.sqrt(np.diag(Aff))
-            + self.target_norm
-        )
-        slack = (2 * n + K * K + 2 * K + 16) * _EPS * tau * tau
+        fixed_norms = np.sqrt(np.diag(Aff))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = th * s
+            t0 = t[:, 0]
+            tf = t[:, 1:]
+            cross = np.einsum("ij,ij->i", border, tf)
+            keys = t0 * (t0 * self.sq_norms + 2.0 * (cross - s * self.rhs))
+            keys += np.einsum("ij,ij->i", tf, tf @ Aff - 2.0 * s * bf)
+            size = np.abs(t)
+            tau = (
+                size[:, 0] * self.norms + size[:, 1:] @ fixed_norms
+                + self.target_norm
+            )
+            reach = (  # row sums by matmul: sum(axis=1) is slow at K=2
+                (1.0 + s + self.max_norm + float(fixed_norms.sum()))
+                + size @ np.ones(K) + tau
+            )
+            slack = _margin(n, K, tau, reach)
+            # A row whose residual norm could overflow is always formed.
+            slack[keys + slack >= self.key_limit] = np.inf
         return CandidateRanking(self, fixed, th, keys, slack)
+
+
+def _margin(n: int, K: int, tau, reach):
+    """The selection margin of :class:`CandidateRanking` (scaled units).
+
+    ``tau`` bounds the rounding term, ``reach`` the underflow term;
+    scalars or ``(N,)`` arrays.
+    """
+    return ((2 * n + K * K + 2 * K + 16) * _EPS) * (
+        tau * tau + _UNDERFLOW * (reach * reach)
+    )
 
 
 class CandidateRanking:
@@ -338,28 +363,47 @@ class CandidateRanking:
         ``(||r||^2 - ||F||^2) * key_scale^2``.
     slack:
         Bound on each key's distance from the exact objective squared
-        (same units): ``(N,)``, or one scalar when no user is fixed.
+        (same units), ``inf`` where no key can stand in for it:
+        ``(N,)``, or one scalar when no user is fixed.
 
     The exact objective of a row is its residual norm
     ``||G^T theta - F||``, formed and reduced row by row; :meth:`top`
     evaluates it only on the rows that can be among the k best.
 
     **The selection rule.** Let ``v`` be a row's computed residual
-    norm and ``q`` its computed key. With unit roundoff ``u = eps/2``,
-    ``tau = sum_k |theta_k| ||c_k||`` and ``n`` sniffers, standard
+    norm and ``q`` its computed key, both in units scaled by
+    ``s = key_scale``. With unit roundoff ``u = eps/2``, ``tau = sum_k
+    |theta_k| ||c_k|| + ||F||`` and ``n`` sniffers, standard
     floating-point bounds on the key's dot products and on the
-    residual's sums give ``|q - (v^2 - ||F||^2)| <=
-    (n + K^2/2 + K + 4) * eps * (tau + ||F||)^2`` (in scaled units) for
-    any kernels and thetas; ``slack`` is twice that, which also covers
-    the rounding of the bound itself. With no user fixed, ``tau =
-    |theta| ||c|| <= |c.F| / ||c|| <= ||F||`` bounds every row at once.
+    residual's sums give ``|q - (v^2 - ||F||^2)| <= (n + K^2/2 + K +
+    4) * eps * tau^2`` for any kernels and thetas, as long as nothing
+    underflows. Gradual underflow adds at most ``eta = 2^-1075`` to
+    each product; over the ``O(n + K^2)`` products of both sides that
+    is at most ``(3n + 2K^2 + 3K + 6) * eta * reach^2``, for any
+    ``reach >= 1 + s + sum_k |theta_k| + sum_k ||c_k|| + tau`` (the
+    swept user's ``||c||`` is taken as the pool's largest). ``slack``
+    is ``(2n + K^2 + 2K + 16) * eps * (tau^2 + 2^-1020 reach^2)``, at
+    least twice the sum, which also covers the rounding of the bound
+    itself; ``reach >= 1`` keeps every term of it normal.
+
     If ``t`` is the k-th smallest ``q + slack``, the k rows it counts
     have ``v^2 - ||F||^2 <= t``, so every row of the exact top k has
-    ``q - slack <= t``: those rows, and only those, get their residual.
+    ``q - slack <= t``: those rows, and only those, get their
+    residual. A row whose ``q + slack`` reaches ``key_limit`` (an
+    infinite key included) could have an infinite residual norm,
+    which no key bounds; its slack is ``inf``, so it is always formed
+    and never counted toward ``t``. A NaN key or margin fails every
+    comparison, so its row is formed too and sorts after every
+    number; ``t`` is not finite, and every row is formed, when fewer
+    than k rows are left. With no user fixed, ``tau <= 2 ||F||`` and
+    one scalar margin covers every row.
+
     For non-negative kernels at a ridge or NNLS optimum ``||r|| <=
-    ||F||`` and ``tau <= sqrt(K) ||G^T theta|| <= 2 sqrt(K) ||F||``, so
-    the margin is ``O((n + K^2) K eps ||F||^2)``: in practice the k rows
-    and their near-ties. A non-finite key or bound selects every row.
+    ||F||`` and ``tau <= (1 + 2 sqrt(K)) ||F||``, so the margin is
+    ``O((n + K^2) K eps ||F||^2)``: in practice the k rows and their
+    near-ties. The underflow term only counts where the data or the
+    thetas near the subnormal range: for a target whose squares
+    underflow, or kernels that small, every row is formed.
     """
 
     __slots__ = ("pool", "fixed", "thetas", "keys", "slack")
@@ -392,8 +436,9 @@ class CandidateRanking:
         N = self.keys.shape[0]
         if k >= N:
             return np.arange(N)
-        bound = np.partition(self.keys + self.slack, k - 1)[k - 1]
-        return np.flatnonzero(~(self.keys - self.slack > bound))
+        with np.errstate(invalid="ignore"):  # inf - inf: always formed
+            bound = np.partition(self.keys + self.slack, k - 1)[k - 1]
+            return np.flatnonzero(~(self.keys - self.slack > bound))
 
     def top(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, objectives)`` of the ``min(k, N)`` best candidates.

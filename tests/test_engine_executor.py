@@ -17,7 +17,6 @@ from repro.fingerprint.objective import (
     FluxObjective,
     _pinv_solve,
     solve_thetas_batched,
-    solve_thetas_candidates,
 )
 from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.geometry import RectangularField
@@ -75,7 +74,7 @@ def test_solve_thetas_candidates_matches_batched(F):
     cand = gen.uniform(0.0, 3.0, (N, n))
     fixed = gen.uniform(0.0, 3.0, (F, n)) if F else None
     target = gen.uniform(0.0, 5.0, n)
-    ranking = solve_thetas_candidates(cand, fixed, target)
+    ranking = CandidatePool(cand, target).solve(fixed)
     th_fac = ranking.thetas
     obj_fac = ranking.exact_objectives(np.arange(N))
     if F:

@@ -17,7 +17,6 @@ from repro.fingerprint.nls import (
 from repro.fingerprint.objective import (
     CandidatePool,
     FluxObjective,
-    solve_thetas_candidates,
 )
 from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.geometry import RectangularField
@@ -136,9 +135,7 @@ class TestCoordinateDescent:
 
 def _full_fit(objective, kernels, fixed):
     """Every candidate's thetas and exact objective, all rows at once."""
-    ranking = solve_thetas_candidates(
-        kernels, fixed, objective._weighted_target
-    )
+    ranking = CandidatePool(kernels, objective._weighted_target).solve(fixed)
     return ranking.thetas, ranking.exact_objectives(
         np.arange(kernels.shape[0])
     )

@@ -5,10 +5,10 @@ import pytest
 
 from repro.errors import ConfigurationError, FittingError
 from repro.fingerprint.objective import (
+    CandidatePool,
     FluxObjective,
     solve_thetas,
     solve_thetas_batched,
-    solve_thetas_candidates,
 )
 from repro.fluxmodel.discrete import DiscreteFluxModel
 from repro.geometry import RectangularField
@@ -160,9 +160,7 @@ class TestFluxObjective:
         objective = FluxObjective.from_observation(model, obs)
         candidates = np.array([[3.0, 6.0], [8.0, 1.0], [1.0, 9.0]])
         kernels = model.geometry_kernels(candidates)
-        ranking = solve_thetas_candidates(
-            kernels, None, objective._weighted_target
-        )
+        ranking = CandidatePool(kernels, objective._weighted_target).solve()
         rows, objs = ranking.top(3)
         assert rows[0] == 0 and sorted(rows) == [0, 1, 2]
         assert list(objs) == sorted(objs)
@@ -177,9 +175,9 @@ class TestFluxObjective:
         objective = FluxObjective.from_observation(model, obs)
         candidates = np.array([[2.0, 2.0], [5.0, 9.0]])
         kernels = model.geometry_kernels(candidates)
-        ranking = solve_thetas_candidates(
-            kernels, g2[None, :], objective._weighted_target
-        )
+        ranking = CandidatePool(
+            kernels, objective._weighted_target
+        ).solve(g2[None, :])
         assert int(ranking.top(1)[0][0]) == 0
         # Swept user first, fixed second.
         np.testing.assert_allclose(ranking.thetas[0], [1.0, 2.0], atol=1e-5)

@@ -10,16 +10,18 @@ candidate formed the way the solver has always formed it. Scenarios:
 exact ties from duplicated candidates, near-ties and an exact fit
 (where the key alone cannot tell rows apart, so only the margin keeps
 the order), near-bound readings (where the key's squares would
-overflow unscaled), relative weighting and NaN dropout.
+overflow unscaled), readings whose squares underflow, subnormal
+readings (which no float64 power of two scales into [0.5, 1)),
+relative weighting and NaN dropout.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.fingerprint.nls import coordinate_descent
-from repro.fingerprint.objective import FluxObjective, solve_thetas_candidates
+from repro.fingerprint.objective import CandidatePool, FluxObjective
 from repro.fingerprint.search import (
     LocalizePlan,
     SearchKnobs,
@@ -39,7 +41,7 @@ _SNIFFERS = 20
 _NEAR_BOUND = 2.9e153
 
 _SCENARIOS = ["random", "duplicates", "near-ties", "exact", "near-bound",
-              "relative", "dropout"]
+              "tiny", "subnormal", "relative", "dropout"]
 
 
 def _residual_norms(kernels, thetas, fixed, target):
@@ -85,6 +87,12 @@ def _scenario(name, users, count, seed, restarts=1):
             )
     elif name == "near-bound":
         values = np.full(_SNIFFERS, _NEAR_BOUND)
+    elif name == "tiny":
+        # Normal readings whose squares underflow.
+        values = values * (1e-160 / np.max(values))
+    elif name == "subnormal":
+        # Every reading below the smallest normal float64.
+        values = values * (1e-310 / np.max(values))
     elif name == "relative":
         weighting = "relative"
     elif name == "dropout":
@@ -109,6 +117,9 @@ def _ks(count):
     count=st.integers(2, 40),
     seed=st.integers(0, 2**32 - 1),
 )
+# Squares that underflow: only the margin's underflow term keeps these.
+@example(scenario="tiny", users=2, count=40, seed=12)
+@example(scenario="tiny", users=3, count=40, seed=4)
 def test_ranked_is_the_stable_sort_of_every_exact_objective(
     scenario, users, count, seed
 ):
@@ -125,7 +136,7 @@ def test_ranked_is_the_stable_sort_of_every_exact_objective(
             np.stack([kernels[k][outcome.best_indices[k]] for k in others])
             if others else None
         )
-        ranking = solve_thetas_candidates(kernels[j], fixed, target)
+        ranking = CandidatePool(kernels[j], target).solve(fixed)
         full = _residual_norms(kernels[j], ranking.thetas, fixed, target)
         assert (ranking.exact_objectives(np.arange(count)).tobytes()
                 == full.tobytes())
@@ -158,7 +169,7 @@ def _single_user_plan(objective, pools, top_m):
 @given(
     scenario=st.sampled_from(
         ["random", "duplicates", "near-ties", "exact", "near-bound",
-         "dropout"]
+         "tiny", "subnormal", "dropout"]
     ),
     count=st.integers(2, 40),
     restarts=st.integers(1, 3),
@@ -173,7 +184,7 @@ def test_single_user_top_m_is_the_stable_sort(scenario, count, restarts, seed):
     )
     positions = np.concatenate(pools)
     target = objective._weighted_target
-    thetas = solve_thetas_candidates(kernels, None, target).thetas
+    thetas = CandidatePool(kernels, target).solve().thetas
     full = _residual_norms(kernels, thetas, None, target)
     for top_m in _ks(total):
         plan = _single_user_plan(objective, pools, top_m)
@@ -191,9 +202,7 @@ def test_single_user_top_m_is_the_stable_sort(scenario, count, restarts, seed):
 def test_duplicated_candidates_rank_by_index():
     objective, (pool,) = _scenario("duplicates", 1, 30, seed=4)
     kernels = objective.model.geometry_kernels(pool)
-    ranking = solve_thetas_candidates(
-        kernels, None, objective._weighted_target
-    )
+    ranking = CandidatePool(kernels, objective._weighted_target).solve()
     rows, objectives = ranking.top(30)
     ties = 0
     for a, b in zip(range(29), range(1, 30)):
@@ -239,3 +248,41 @@ def test_near_bound_keys_stay_finite():
         # A handful of rows, not the whole pool, need their residual.
         assert ranking.candidate_rows(1).shape[0] < 30
     assert np.isfinite(outcome.best_objective)
+
+
+@pytest.mark.parametrize("users", [1, 2])
+def test_subnormal_readings_form_every_row(users):
+    # No float64 scale brings a subnormal target into [0.5, 1): the
+    # keys stay unscaled and underflow, and the margin's underflow term
+    # sends every row to its residual instead.
+    objective, pools = _scenario("subnormal", users, 30, seed=7)
+    outcome = coordinate_descent(objective, pools, rng=7)
+    for ranking in outcome.rankings:
+        assert ranking.pool.key_scale == 1.0
+        assert ranking.candidate_rows(1).shape[0] == 30
+    indices, objectives, _ = outcome.ranked(0, 1)
+    assert objectives[0] == outcome.best_objective
+
+
+def test_rows_whose_norm_may_overflow_are_always_formed():
+    # ||F||^2 within 2^-29 of the float64 maximum: a row that fits
+    # nothing (key 0) may have an infinite residual norm, which no key
+    # bounds, so its margin is infinite and it is always formed.
+    gen = np.random.default_rng(8)
+    n = 20
+    target = np.full(n, np.sqrt(np.finfo(float).max / n) * (1 - 2.0**-30))
+    kernels = gen.uniform(0.0, 1.0, (12, n))
+    kernels[::3] = 0.0
+    pool = CandidatePool(kernels, target)
+    alone = pool.solve()
+    assert np.isinf(alone.slack)  # one margin for every row
+    paired = pool.solve(np.zeros((1, n)))
+    assert np.all(np.isinf(paired.slack[::3]))
+    assert np.all(np.isfinite(np.delete(paired.slack, np.s_[::3])))
+    for ranking in (alone, paired):
+        full = ranking.exact_objectives(np.arange(12))
+        for k in range(1, 13):
+            rows, objectives = ranking.top(k)
+            want = np.argsort(full, kind="stable")[:k]
+            assert rows.tobytes() == want.tobytes()
+            assert objectives.tobytes() == full[want].tobytes()

@@ -33,7 +33,7 @@ class TestFusedSingleUserSolve:
     """The K=1 group solve is the factored sweep solver, row for row."""
 
     def test_matches_factored_solver_bitwise(self, scenario):
-        from repro.fingerprint.objective import solve_thetas_candidates
+        from repro.fingerprint.objective import CandidatePool
 
         net, sniffers, fmap = scenario
         requests = [
@@ -66,9 +66,9 @@ class TestFusedSingleUserSolve:
                 positions = np.concatenate(
                     [row[0] for row in plan.pools], axis=0
                 )
-                ranking = solve_thetas_candidates(
-                    kernels, None, plan.objective._weighted_target
-                )
+                ranking = CandidatePool(
+                    kernels, plan.objective._weighted_target
+                ).solve()
                 thetas = ranking.thetas
                 objs = ranking.exact_objectives(np.arange(len(kernels)))
                 order = np.argsort(objs, kind="stable")[: plan.request.top_m]

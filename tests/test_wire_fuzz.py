@@ -213,17 +213,21 @@ def _assert_typed(service, observation, frame):
     assert mate_reply.ok, getattr(mate_reply, "message", None)
 
 
-def _near_bound_k2_frame(observation):
-    """Two users, every reading's square just under the overflow bound.
+def _constant_frame(observation, reading, user_count):
+    """A localize frame whose every reading is ``reading``.
 
-    Found against an unscaled closed-form objective key, whose squares
-    overflowed (``internal: RuntimeWarning: overflow encountered in
-    multiply``).
+    Two were found against the closed-form objective key: at
+    ``user_count=2`` and 2.9e153 (every square just under the overflow
+    bound) an unscaled key overflowed (``internal: RuntimeWarning:
+    overflow encountered in multiply``); at 1e-310 (subnormal) the
+    power of two that was to scale the key up is not a float64
+    (``internal: OverflowError: math range error``, for the frame and
+    for its K=1 batch mates, whose fits ran in the same call).
     """
     record = protocol.observation_to_wire(observation)
     record.pop("raw_values", None)
-    record["values"] = [2.9e153] * len(record["values"])
-    return {"type": "localize", "id": "fz", "user_count": 2,
+    record["values"] = [reading] * len(record["values"])
+    return {"type": "localize", "id": "fz", "user_count": user_count,
             "observation": record}
 
 
@@ -233,7 +237,9 @@ def test_hostile_localize_frames_get_typed_answers(deployment):
 
     @_FUZZ
     @given(frame=_localize_frames(observation))
-    @example(frame=_near_bound_k2_frame(observation))
+    @example(frame=_constant_frame(observation, 2.9e153, 2))
+    @example(frame=_constant_frame(observation, 1e-310, 1))
+    @example(frame=_constant_frame(observation, 1e-310, 2))
     def check(frame):
         _assert_typed(service, observation, frame)
 
