@@ -183,7 +183,7 @@ class CandidatePool:
     """
 
     __slots__ = ("kernels", "target", "sq_norms", "norms", "max_norm",
-                 "rhs", "key_scale", "target_norm", "key_limit")
+                 "rhs", "key_scale", "target_norm")
 
     def __init__(self, kernels: np.ndarray, target: np.ndarray) -> None:
         kernels = np.asarray(kernels, dtype=float)
@@ -220,12 +220,6 @@ class CandidatePool:
         self.key_scale = math.ldexp(1.0, -exponent)
         scaled = target * self.key_scale
         self.target_norm = float(np.sqrt(np.dot(scaled, scaled)))
-        # The largest key whose residual norm is surely finite: ||r||^2
-        # below the float64 maximum, with room for rounding.
-        self.key_limit = (
-            math.ldexp(1.0 - 2.0**-20, 1024 - 2 * exponent)
-            - self.target_norm**2
-        )
 
     def solve(
         self,
@@ -274,16 +268,11 @@ class CandidatePool:
             t0 = th[:, 0] * s
             keys = t0 * (t0 * self.sq_norms - 2.0 * s * self.rhs)
             # One margin bounds every row: theta >= 0 and |theta| ||c|| <=
-            # |c.F| / ||c|| <= ||F|| (Cauchy-Schwarz). Every key is <= 0
-            # (t0 >= 0 and t0 c.c <= 2 s c.F keep their signs through
-            # rounding), so a row can only reach key_limit if the margin
-            # alone does.
+            # |c.F| / ||c|| <= ||F|| (Cauchy-Schwarz).
             reach = (1.0 + s + 2.0 * self.target_norm + self.max_norm) + float(
                 t0.max(initial=0.0)
             )
             slack = _margin(n, 1, 2.0 * self.target_norm, reach)
-            if not slack < self.key_limit:
-                slack = np.inf
             return CandidateRanking(self, None, th, keys, slack)
 
         K = 1 + fixed.shape[0]
@@ -317,26 +306,23 @@ class CandidatePool:
 
         # The closed form ||r||^2 - ||F||^2 = theta.(A - ridge I).theta
         # - 2 theta.b, on the scaled thetas and right-hand sides.
+        t = th * s
+        t0 = t[:, 0]
+        tf = t[:, 1:]
+        cross = np.einsum("ij,ij->i", border, tf)
+        keys = t0 * (t0 * self.sq_norms + 2.0 * (cross - s * self.rhs))
+        keys += np.einsum("ij,ij->i", tf, tf @ Aff - 2.0 * s * bf)
+        size = np.abs(t)
         fixed_norms = np.sqrt(np.diag(Aff))
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = th * s
-            t0 = t[:, 0]
-            tf = t[:, 1:]
-            cross = np.einsum("ij,ij->i", border, tf)
-            keys = t0 * (t0 * self.sq_norms + 2.0 * (cross - s * self.rhs))
-            keys += np.einsum("ij,ij->i", tf, tf @ Aff - 2.0 * s * bf)
-            size = np.abs(t)
-            tau = (
-                size[:, 0] * self.norms + size[:, 1:] @ fixed_norms
-                + self.target_norm
-            )
-            reach = (  # row sums by matmul: sum(axis=1) is slow at K=2
-                (1.0 + s + self.max_norm + float(fixed_norms.sum()))
-                + size @ np.ones(K) + tau
-            )
-            slack = _margin(n, K, tau, reach)
-            # A row whose residual norm could overflow is always formed.
-            slack[keys + slack >= self.key_limit] = np.inf
+        tau = (
+            size[:, 0] * self.norms + size[:, 1:] @ fixed_norms
+            + self.target_norm
+        )
+        reach = (  # row sums by matmul: sum(axis=1) is slow at K=2
+            (1.0 + s + self.max_norm + float(fixed_norms.sum()))
+            + size @ np.ones(K) + tau
+        )
+        slack = _margin(n, K, tau, reach)
         return CandidateRanking(self, fixed, th, keys, slack)
 
 
@@ -363,8 +349,7 @@ class CandidateRanking:
         ``(||r||^2 - ||F||^2) * key_scale^2``.
     slack:
         Bound on each key's distance from the exact objective squared
-        (same units), ``inf`` where no key can stand in for it:
-        ``(N,)``, or one scalar when no user is fixed.
+        (same units): ``(N,)``, or one scalar when no user is fixed.
 
     The exact objective of a row is its residual norm
     ``||G^T theta - F||``, formed and reduced row by row; :meth:`top`
@@ -389,21 +374,23 @@ class CandidateRanking:
     If ``t`` is the k-th smallest ``q + slack``, the k rows it counts
     have ``v^2 - ||F||^2 <= t``, so every row of the exact top k has
     ``q - slack <= t``: those rows, and only those, get their
-    residual. A row whose ``q + slack`` reaches ``key_limit`` (an
-    infinite key included) could have an infinite residual norm,
-    which no key bounds; its slack is ``inf``, so it is always formed
-    and never counted toward ``t``. A NaN key or margin fails every
-    comparison, so its row is formed too and sorts after every
-    number; ``t`` is not finite, and every row is formed, when fewer
+    residual. A NaN key or margin fails every comparison, so its row
+    is formed and sorts after every number; an infinite margin forms
+    its row; ``t`` is not finite, and every row is formed, when fewer
     than k rows are left. With no user fixed, ``tau <= 2 ||F||`` and
     one scalar margin covers every row.
 
-    For non-negative kernels at a ridge or NNLS optimum ``||r|| <=
-    ||F||`` and ``tau <= (1 + 2 sqrt(K)) ||F||``, so the margin is
-    ``O((n + K^2) K eps ||F||^2)``: in practice the k rows and their
-    near-ties. The underflow term only counts where the data or the
-    thetas near the subnormal range: for a target whose squares
-    underflow, or kernels that small, every row is formed.
+    The thetas are a ridge or NNLS optimum, so ``||r|| <= ||F||`` up
+    to rounding. A residual norm can therefore overflow only when
+    ``||F||^2`` is within rounding of the float64 maximum; its key is
+    then within its margin of that maximum less ``||F||^2``, as close
+    to the keys of the finite rows beside it as the rule needs, so the
+    rule holds for it too. For non-negative kernels ``tau <= (1 + 2
+    sqrt(K)) ||F||``, so the margin is ``O((n + K^2) K eps ||F||^2)``:
+    in practice the k rows and their near-ties. The underflow term
+    only counts where the data or the thetas near the subnormal range:
+    for a target whose squares underflow, or kernels that small, every
+    row is formed.
     """
 
     __slots__ = ("pool", "fixed", "thetas", "keys", "slack")
@@ -436,9 +423,8 @@ class CandidateRanking:
         N = self.keys.shape[0]
         if k >= N:
             return np.arange(N)
-        with np.errstate(invalid="ignore"):  # inf - inf: always formed
-            bound = np.partition(self.keys + self.slack, k - 1)[k - 1]
-            return np.flatnonzero(~(self.keys - self.slack > bound))
+        bound = np.partition(self.keys + self.slack, k - 1)[k - 1]
+        return np.flatnonzero(~(self.keys - self.slack > bound))
 
     def top(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, objectives)`` of the ``min(k, N)`` best candidates.
