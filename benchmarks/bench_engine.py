@@ -22,6 +22,11 @@ runner (:mod:`repro.engine.benchrunner`):
     re-rank) and the shipped path. ``algorithm_speedup`` is the first
     against the second.
 
+Both cases time their two sides in interleaved repeats, alternating
+which side runs first (``measure_interleaved`` in
+:mod:`repro.engine.benchrunner`), so a change in the host's load falls
+on both sides and the ratios stay comparable between regenerations.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py [--quick] [--output P]
@@ -35,7 +40,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.engine import measure, reference_geometry_kernels, write_bench_json
+from repro.engine import (
+    measure_interleaved,
+    reference_geometry_kernels,
+    write_bench_json,
+)
 from repro.fingerprint.nls import coordinate_descent
 from repro.fingerprint.objective import (
     EvalWorkspace,
@@ -173,15 +182,15 @@ def case_kernel_pool(quick: bool, repeats: int):
     gen = np.random.default_rng(SEED)
     sinks = net.field.sample_uniform(sinks_count, gen)
 
-    reference = measure(
-        lambda: reference_geometry_kernels(
-            model.field, model.node_positions, sinks, model.d_floor
-        ),
+    reference, evaluator = measure_interleaved(
+        [
+            lambda: reference_geometry_kernels(
+                model.field, model.node_positions, sinks, model.d_floor
+            ),
+            lambda: model.geometry_kernels(sinks),
+        ],
         repeats=repeats,
         trace_memory=True,
-    )
-    evaluator = measure(
-        lambda: model.geometry_kernels(sinks), repeats=repeats, trace_memory=True
     )
 
     want = reference_geometry_kernels(
@@ -218,12 +227,11 @@ def case_filtering(quick: bool, repeats: int):
     gen = np.random.default_rng(SEED)
     pools = [net.field.sample_uniform(candidates, gen) for _ in range(users)]
 
-    legacy = measure(
-        lambda: legacy_filtering_round(objective, pools, SEED, sweeps),
-        repeats=repeats,
-    )
-    current = measure(
-        lambda: filtering_round(objective, pools, SEED, sweeps),
+    legacy, current = measure_interleaved(
+        [
+            lambda: legacy_filtering_round(objective, pools, SEED, sweeps),
+            lambda: filtering_round(objective, pools, SEED, sweeps),
+        ],
         repeats=repeats,
     )
     return {

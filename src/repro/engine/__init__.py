@@ -18,12 +18,16 @@ from repro.engine.kernels import (
     evaluate_geometry_kernels,
     reference_geometry_kernels,
 )
-from repro.engine.benchrunner import measure, peak_rss_kb, write_bench_json
+from repro.engine.benchrunner import (
+    measure_interleaved,
+    peak_rss_kb,
+    write_bench_json,
+)
 
 __all__ = [
     "evaluate_geometry_kernels",
     "reference_geometry_kernels",
-    "measure",
+    "measure_interleaved",
     "peak_rss_kb",
     "write_bench_json",
 ]

@@ -12,10 +12,12 @@ per hot path with a stable schema::
 
 so this and every future perf PR appends comparable numbers — the
 "benchmark trajectory" the ROADMAP's fast-as-the-hardware-allows goal
-is steered by. :func:`measure` is the shared timing core: repeated
-wall-clock runs reduced to median/p95 plus the process peak RSS, and
-optionally the Python-level peak allocation of one traced run (the
-bounded-working-set evidence for the row-blocked kernel evaluator).
+is steered by. :func:`measure_interleaved` is the shared timing core:
+repeated wall-clock runs of one or more functions, interleaved so that
+their ratio does not follow the host's load, reduced to median/p95
+plus the process peak RSS, and optionally the Python-level peak
+allocation of one traced run (the bounded-working-set evidence for the
+row-blocked kernel evaluator).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from repro.metrics import quantile
 __all__ = [
     "peak_rss_kb",
     "quantile",
-    "measure",
+    "measure_interleaved",
     "environment",
     "git_state",
     "write_bench_json",
@@ -54,46 +56,59 @@ def peak_rss_kb() -> int:
     return int(rss)
 
 
-def measure(
-    fn: Callable[[], Any],
+def measure_interleaved(
+    fns: Sequence[Callable[[], Any]],
     repeats: int = 5,
     warmup: int = 1,
     trace_memory: bool = False,
-) -> Dict[str, Any]:
-    """Time ``fn`` ``repeats`` times; return the reduced record.
+) -> List[Dict[str, Any]]:
+    """Time several functions in interleaved repeats; one record each.
 
-    Returns ``median_s``, ``p95_s``, ``min_s``, the raw ``runs_s``
-    list, and ``peak_rss_kb``. With ``trace_memory`` one extra
-    (untimed) run executes under :mod:`tracemalloc` and the record
-    gains ``traced_peak_bytes`` — the Python-allocator high-water mark
-    of that run, which includes numpy array buffers and is what bounds
-    a row-blocked evaluator's working set.
+    Repeat ``i`` runs every function once, the ``i``-th (mod their
+    count) first, so a change in the host's load between repeats falls
+    on every side alike and no side always runs first: the ratio of two
+    records' medians stays comparable between regenerations.
+
+    Each record, in the order of ``fns``, has ``median_s``, ``p95_s``,
+    ``min_s``, the raw ``runs_s`` list, and ``peak_rss_kb``. With
+    ``trace_memory`` one extra (untimed) run of each function executes
+    under :mod:`tracemalloc` and its record gains
+    ``traced_peak_bytes`` — the Python-allocator high-water mark of
+    that run, which includes numpy array buffers and is what bounds a
+    row-blocked evaluator's working set.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    fns = list(fns)
     for _ in range(max(0, warmup)):
-        fn()
-    runs: List[float] = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - started)
-    record: Dict[str, Any] = {
-        "runs_s": runs,
-        "median_s": quantile(runs, 0.5),
-        "p95_s": quantile(runs, 0.95),
-        "min_s": min(runs),
-        "peak_rss_kb": peak_rss_kb(),
-    }
-    if trace_memory:
-        tracemalloc.start()
-        try:
+        for fn in fns:
             fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        record["traced_peak_bytes"] = int(peak)
-    return record
+    runs: List[List[float]] = [[] for _ in fns]
+    for i in range(repeats):
+        for j in range(len(fns)):
+            k = (i + j) % len(fns)
+            started = time.perf_counter()
+            fns[k]()
+            runs[k].append(time.perf_counter() - started)
+    records = []
+    for fn, times in zip(fns, runs):
+        record: Dict[str, Any] = {
+            "runs_s": times,
+            "median_s": quantile(times, 0.5),
+            "p95_s": quantile(times, 0.95),
+            "min_s": min(times),
+            "peak_rss_kb": peak_rss_kb(),
+        }
+        if trace_memory:
+            tracemalloc.start()
+            try:
+                fn()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            record["traced_peak_bytes"] = int(peak)
+        records.append(record)
+    return records
 
 
 def git_state(path: Path) -> Tuple[Optional[str], Optional[bool]]:

@@ -23,6 +23,7 @@ from repro.network.sampling import (
     sample_sniffers_random,
 )
 from repro.network.topology import Network, build_network
+from repro.smc.association import assignment_errors
 from repro.traffic.flux import simulate_flux
 from repro.traffic.measurement import MeasurementModel
 from repro.util.rng import RandomState, as_generator, spawn_generators
@@ -71,10 +72,7 @@ def run_fig5(
         sniffers = sample_sniffers_percentage(net, sniffer_percentage, rng=gen)
         result, truth = _one_localization(net, user_count, sniffers, defaults, gen)
         per_fit_errors = np.stack(
-            [
-                _match_errors(fit.positions, truth)
-                for fit in result.fits
-            ]
+            [assignment_errors(fit.positions, truth)[0] for fit in result.fits]
         )  # (M, K)
         rows.append(
             {
@@ -98,14 +96,6 @@ def run_fig5(
         ),
         metadata=metadata,
     )
-
-
-def _match_errors(estimates: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    from scipy.optimize import linear_sum_assignment
-
-    cost = np.linalg.norm(estimates[:, None, :] - truth[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return cost[rows, cols]
 
 
 def run_fig6a(

@@ -15,6 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.util.assignment import assignment_columns
 
 
 def assignment_errors(
@@ -25,8 +26,6 @@ def assignment_errors(
     Returns ``(errors, permutation)`` where ``permutation[j]`` is the
     truth index matched to estimate ``j``.
     """
-    from scipy.optimize import linear_sum_assignment
-
     estimates = np.asarray(estimates, dtype=float)
     truths = np.asarray(truths, dtype=float)
     if estimates.shape != truths.shape or estimates.ndim != 2 or estimates.shape[1] != 2:
@@ -34,10 +33,8 @@ def assignment_errors(
             f"estimates {estimates.shape} and truths {truths.shape} must both be (K, 2)"
         )
     cost = np.linalg.norm(estimates[:, None, :] - truths[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(estimates.shape[0], dtype=np.int64)
-    perm[rows] = cols
-    return cost[rows, cols], perm
+    perm = assignment_columns(cost).astype(np.int64)
+    return cost[np.arange(len(cost)), perm], perm
 
 
 def identity_consistency(permutations: Sequence[np.ndarray]) -> float:

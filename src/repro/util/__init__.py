@@ -1,9 +1,11 @@
-"""Shared utilities: RNG discipline, validation, statistics, result I/O.
+"""Shared utilities: RNG discipline, validation, statistics, result I/O,
+minimum-cost assignment.
 
 These helpers deliberately contain no domain logic; every other
 subpackage builds on them.
 """
 
+from repro.util.assignment import assignment_columns
 from repro.util.rng import RandomState, as_generator, spawn_generators
 from repro.util.validation import (
     check_finite_array,
@@ -21,6 +23,7 @@ from repro.util.stats import (
 from repro.util.serialization import results_to_json, save_results_json
 
 __all__ = [
+    "assignment_columns",
     "RandomState",
     "as_generator",
     "spawn_generators",

@@ -1,11 +1,12 @@
-"""Benchmark metadata: a dirty tree is marked, not passed off as HEAD."""
+"""Benchmark runner: a dirty tree is marked, not passed off as HEAD, and
+interleaved timing alternates which side runs first."""
 
 import shutil
 import subprocess
 
 import pytest
 
-from repro.engine.benchrunner import environment, git_state
+from repro.engine.benchrunner import environment, git_state, measure_interleaved
 
 pytestmark = pytest.mark.skipif(
     shutil.which("git") is None, reason="git is not installed"
@@ -61,3 +62,17 @@ def test_environment_records_the_flag():
     env = environment()
     assert "git_dirty" in env
     assert env["git_dirty"] in (True, False, None)
+
+
+def test_interleaved_repeats_alternate_the_first_side():
+    calls = []
+    records = measure_interleaved(
+        [lambda: calls.append("a"), lambda: calls.append("b")],
+        repeats=4, warmup=1, trace_memory=True,
+    )
+    warmup, timed, traced = calls[:2], calls[2:10], calls[10:]
+    assert warmup == ["a", "b"]
+    assert timed == ["a", "b", "b", "a", "a", "b", "b", "a"]
+    assert traced == ["a", "b"]
+    assert [len(r["runs_s"]) for r in records] == [4, 4]
+    assert all("traced_peak_bytes" in r for r in records)
